@@ -30,15 +30,7 @@ from .errors import (
     ParseError,
 )
 from .fields import Field
-from .linalg import (
-    EchelonAccumulator,
-    Matrix,
-    Subspace,
-    standard_vector,
-    vec_add,
-    vec_scale,
-    zero_vector,
-)
+from .linalg import EchelonAccumulator, Matrix, Subspace, close, linear_combination, standard_vector
 
 
 def _coerce(field: Field, x):
@@ -112,16 +104,6 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return "LieAlgebra(%s, dim %d)" % (self.field, self.dim)
-
-    def structure_key(self) -> tuple:
-        """Deterministic sort key among algebras over the same field."""
-        if self.field.p is None:
-            flat = tuple(
-                (x.numerator, x.denominator) for row in self.table for vec in row for x in vec
-            )
-        else:
-            flat = tuple(x for row in self.table for vec in row for x in vec)
-        return (self.dim, flat)
 
     # Construction helpers
 
@@ -218,6 +200,10 @@ class LieAlgebra:
             return tuple(v % p for v in out)
         return tuple(out)
 
+    # [v, e_k] = -[e_k, v] is minus the rows table[k] combined by v; the
+    # table-driven checks below read the table this way instead of
+    # bracketing standard vectors.
+
     def validate(self) -> None:
         """Check the Jacobi identity on all basis triples; raises on failure."""
         n = self.dim
@@ -225,31 +211,21 @@ class LieAlgebra:
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    s = self.bracket(table[i][j], standard_vector(self.field, n, k))
-                    s = vec_add(self.field, s, self.bracket(table[j][k], standard_vector(self.field, n, i)))
-                    s = vec_add(self.field, s, self.bracket(table[k][i], standard_vector(self.field, n, j)))
+                    # minus [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+                    s = linear_combination(
+                        self.field,
+                        table[i][j] + table[j][k] + table[k][i],
+                        table[k] + table[i] + table[j],
+                        n,
+                    )
                     if any(s):
                         raise JacobiViolationError((i + 1, j + 1, k + 1))
 
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the right-action convention: [x, y] = y * ad(x)."""
-        n = self.dim
-        table = self.table
-        p = self.field.p
-        rows = []
-        for i in range(n):
-            acc = [Fraction(0)] * n if p is None else [0] * n
-            for k, xk in enumerate(x):
-                if not xk:
-                    continue
-                row = table[k][i]
-                for m, rm in enumerate(row):
-                    if rm:
-                        acc[m] += xk * rm
-            if p is not None:
-                acc = [v % p for v in acc]
-            rows.append(acc)
-        return Matrix(self.field, rows, ncols=n)
+        minus_x = [self.field.neg(c) for c in x]
+        rows = [linear_combination(self.field, minus_x, row, self.dim) for row in self.table]
+        return Matrix(self.field, rows, ncols=self.dim)
 
     # Subspaces of the algebra
 
@@ -292,20 +268,8 @@ class LieAlgebra:
         """Smallest subalgebra containing the given subspace or vectors."""
         if isinstance(vectors, Subspace):
             vectors = vectors.basis
-        acc = EchelonAccumulator(self.field, self.dim)
-        for v in vectors:
-            acc.add(v)
-        fresh = [tuple(r) for r in acc.rows]
-        while fresh:
-            produced = []
-            current = [tuple(r) for r in acc.rows]
-            for x in fresh:
-                for y in current:
-                    w = self.bracket(x, y)
-                    if any(w) and acc.add(w):
-                        produced.append(w)
-            fresh = produced
-        return acc.to_subspace()
+        acc = EchelonAccumulator(self.field, self.dim, vectors)
+        return close(acc, lambda x: [self.bracket(x, y) for y in acc.rows])
 
     # Series and structural subspaces.  Results are cached per instance;
     # interning makes the cache shared across every appearance of the same
@@ -355,11 +319,6 @@ class LieAlgebra:
         series = self.derived_series()
         return series[1] if len(series) > 1 else series[0]
 
-    def _reduction_matrix(self, s: Subspace) -> Matrix:
-        """Matrix of v |-> residual of v mod s; kernel is exactly s."""
-        rows = [s.reduce(standard_vector(self.field, self.dim, i)) for i in range(self.dim)]
-        return Matrix(self.field, rows, ncols=self.dim)
-
     def centralizer(self, s: Subspace) -> Subspace:
         """{x : [x, s] = 0}."""
         return self.centralizer_of_factor(s, self.zero_space())
@@ -371,18 +330,12 @@ class LieAlgebra:
         if a.is_zero():
             return self.full_space()
         n = self.dim
-        reduce_b = None if b.is_zero() else self._reduction_matrix(b)
-        # x |-> [x, a] is x * M_a with M_a rows k = [e_k, a].
-        blocks = []
-        for avec in a.basis:
-            rows = [self.bracket(standard_vector(self.field, n, k), avec) for k in range(n)]
-            m = Matrix(self.field, rows, ncols=n)
-            if reduce_b is not None:
-                m = m * reduce_b
-            blocks.append(m)
+        # [x, a] mod b is x times ad(a) with its rows reduced mod b, up to a
+        # sign that does not change the kernel; one block per basis vector.
+        blocks = [[b.reduce(row) for row in self.ad(avec).rows] for avec in a.basis]
         stacked = Matrix(
             self.field,
-            [sum((list(m.rows[k]) for m in blocks), []) for k in range(n)],
+            [sum((block[k] for block in blocks), []) for k in range(n)],
             ncols=n * len(blocks),
         )
         return Subspace.span(self.field, n, stacked.left_kernel())
@@ -408,29 +361,16 @@ class LieAlgebra:
         return result
 
     def _core_uncached(self, s: Subspace) -> Subspace:
-        n = self.dim
+        # {x : [x, L] <= K} is the centraliser of the factor L/K; meeting it
+        # with K until nothing changes leaves the largest ideal inside s.
+        full = self.full_space()
         current = s
-        while True:
-            if current.is_zero():
-                return current
-            reduce_k = self._reduction_matrix(current)
-            blocks = []
-            for i in range(n):
-                rows = [
-                    self.bracket(standard_vector(self.field, n, i), standard_vector(self.field, n, k))
-                    for k in range(n)
-                ]
-                blocks.append(Matrix(self.field, rows, ncols=n) * reduce_k)
-            stacked = Matrix(
-                self.field,
-                [sum((list(m.rows[k]) for m in blocks), []) for k in range(n)],
-                ncols=n * n,
-            )
-            invariant = Subspace.span(self.field, n, stacked.left_kernel())
-            nxt = invariant & current
+        while not current.is_zero():
+            nxt = self.centralizer_of_factor(full, current) & current
             if nxt.dim == current.dim:
-                return current
+                break
             current = nxt
+        return current
 
     def nilradical(self) -> Subspace:
         """Largest nilpotent ideal, via centralisers of a chief series."""
@@ -486,17 +426,30 @@ class LieAlgebra:
         brackets = []
         for a in range(m):
             for b in range(a + 1, m):
-                w = self.bracket(
-                    standard_vector(self.field, self.dim, free[a]),
-                    standard_vector(self.field, self.dim, free[b]),
-                )
-                coords = qmap.project(w)
+                coords = qmap.project(self.table[free[a]][free[b]])
                 if any(coords):
                     brackets.append(((a, b), coords))
         quo = LieAlgebra(self.field, m, brackets)
         qmap.algebra = quo
         self._cache[("quotient", ideal)] = (quo, qmap)
         return quo, qmap
+
+
+def leibniz_defect(algebra: LieAlgebra, rows: Sequence) -> tuple | None:
+    """First basis pair (1-based) where a matrix breaks the Leibniz rule, or None.
+
+    Row i of the matrix is d(e_i).  The rule d[e_i, e_j] = [d e_i, e_j] +
+    [e_i, d e_j] is compared as combinations of table rows, with
+    [d e_i, e_j] = -[e_j, d e_i] moved to the left-hand side.
+    """
+    field, n, table = algebra.field, algebra.dim, algebra.table
+    rows = tuple(tuple(r) for r in rows)
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = linear_combination(field, table[i][j] + rows[i], rows + table[j], n)
+            if lhs != linear_combination(field, rows[j], table[i], n):
+                return (i + 1, j + 1)
+    return None
 
 
 class SubspaceMap:
@@ -510,11 +463,7 @@ class SubspaceMap:
 
     def include(self, coords: Sequence) -> tuple:
         """Subalgebra coordinates to ambient coordinates."""
-        out = zero_vector(self.parent.field, self.parent.dim)
-        for c, row in zip(coords, self.space.basis):
-            if c:
-                out = vec_add(self.parent.field, out, vec_scale(self.parent.field, c, row))
-        return out
+        return linear_combination(self.parent.field, coords, self.space.basis, self.parent.dim)
 
     def restrict_vector(self, vec: Sequence) -> tuple:
         coords = self.space.coordinates(vec)

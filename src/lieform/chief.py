@@ -20,7 +20,7 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from .algebra import LieAlgebra, QuotientMap
+from .algebra import LieAlgebra, leibniz_defect
 from .errors import (
     DimensionMismatchError,
     InvalidModuleError,
@@ -31,7 +31,7 @@ from .errors import (
     ZeroAlgebraError,
 )
 from .fields import Field
-from .linalg import Matrix, Subspace, standard_vector, vec_add, vec_scale
+from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination
 
 
 class LModule:
@@ -63,9 +63,6 @@ class LModule:
                 out = out + m.scale(c)
         return out
 
-    def act(self, x: Sequence, v: Sequence) -> tuple:
-        return self.action_of(x).act(v)
-
     def validate(self) -> None:
         """Representation identity on basis pairs; raises InvalidModuleError."""
         alg = self.algebra
@@ -78,25 +75,9 @@ class LModule:
                         "action violates the bracket on basis pair (%d, %d)" % (i + 1, j + 1)
                     )
 
-    def is_trivial(self) -> bool:
-        return all(m.is_zero() for m in self.actions)
-
     def submodule_closure(self, vectors) -> Subspace:
-        from .linalg import EchelonAccumulator
-
-        acc = EchelonAccumulator(self.algebra.field, self.dim)
-        for v in vectors:
-            acc.add(v)
-        fresh = [tuple(r) for r in acc.rows]
-        while fresh:
-            produced = []
-            for v in fresh:
-                for m in self.actions:
-                    w = m.act(v)
-                    if any(w) and acc.add(w):
-                        produced.append(w)
-            fresh = produced
-        return acc.to_subspace()
+        acc = EchelonAccumulator(self.algebra.field, self.dim, vectors)
+        return close(acc, lambda v: [m.act(v) for m in self.actions])
 
 
 def is_irreducible(module: LModule) -> bool:
@@ -113,6 +94,7 @@ def is_irreducible(module: LModule) -> bool:
     if field.p is None:
         raise UnsupportedFieldError("irreducibility over Q is only decided in dimension 1")
     p = field.p
+    check_budget(p**module.dim, "irreducibility test over %s in dimension %d" % (field, module.dim))
     for coords in product(range(p), repeat=module.dim):
         if not any(coords):
             continue
@@ -124,11 +106,11 @@ def is_irreducible(module: LModule) -> bool:
 class FactorView:
     """Coordinates on a factor A/B of nested subspaces of an algebra.
 
-    The basis is the reduction of A's basis mod B, kept in echelon form, so
-    coords and lift are exact mutual inverses modulo B.
+    The basis is the reduction of A's basis mod B, kept in echelon form as
+    a subspace, so coords and lift are exact mutual inverses modulo B.
     """
 
-    __slots__ = ("algebra", "top", "bottom", "basis", "pivots")
+    __slots__ = ("algebra", "top", "bottom", "space")
 
     def __init__(self, algebra: LieAlgebra, top: Subspace, bottom: Subspace):
         if not bottom <= top:
@@ -136,47 +118,25 @@ class FactorView:
         self.algebra = algebra
         self.top = top
         self.bottom = bottom
-        from .linalg import EchelonAccumulator
-
-        acc = EchelonAccumulator(algebra.field, algebra.dim)
-        for v in top.basis:
-            acc.add(bottom.reduce(v))
-        self.basis = tuple(tuple(r) for r in acc.rows)
-        self.pivots = tuple(acc.pivots)
+        self.space = algebra.span(bottom.reduce(v) for v in top.basis)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return self.space.dim
 
     def coords(self, vec: Sequence) -> tuple:
         """Factor coordinates of a vector of the top space."""
-        v = self.bottom.reduce(vec)
-        field = self.algebra.field
-        p = field.p
-        coeffs = []
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            coeffs.append(f)
-            if f:
-                if p is None:
-                    v = [a - f * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        if any(v):
+        coeffs = self.space.coordinates(self.bottom.reduce(vec))
+        if coeffs is None:
             raise NotNestedError("vector lies outside the factor's top space")
-        return tuple(coeffs)
+        return coeffs
 
     def lift(self, coords: Sequence) -> tuple:
-        field = self.algebra.field
-        out = tuple([field.zero()] * self.algebra.dim)
-        for c, row in zip(coords, self.basis):
-            if c:
-                out = vec_add(field, out, vec_scale(field, c, row))
-        return out
+        return linear_combination(self.algebra.field, coords, self.space.basis, self.algebra.dim)
 
     def action_matrix(self, x: Sequence) -> Matrix:
         """Action of x on factor coordinates via the bracket."""
-        rows = [self.coords(self.algebra.bracket(x, self.lift(standard_vector(self.algebra.field, self.dim, u)))) for u in range(self.dim)]
+        rows = [self.coords(self.algebra.bracket(x, row)) for row in self.space.basis]
         return Matrix(self.algebra.field, rows, ncols=self.dim)
 
 
@@ -233,25 +193,6 @@ class ChiefSeries:
         return iter(self.factors)
 
 
-def _ideal_closure(algebra: LieAlgebra, vectors) -> Subspace:
-    from .linalg import EchelonAccumulator
-
-    acc = EchelonAccumulator(algebra.field, algebra.dim)
-    for v in vectors:
-        acc.add(v)
-    basis_vectors = algebra.basis_vectors()
-    fresh = [tuple(r) for r in acc.rows]
-    while fresh:
-        produced = []
-        for v in fresh:
-            for e in basis_vectors:
-                w = algebra.bracket(e, v)
-                if any(w) and acc.add(w):
-                    produced.append(w)
-        fresh = produced
-    return acc.to_subspace()
-
-
 def _last_derived_term(algebra: LieAlgebra) -> Subspace:
     series = algebra.derived_series()
     for term in reversed(series):
@@ -266,16 +207,14 @@ def _minimal_ideal_gfp(algebra: LieAlgebra, last: bool = False) -> Subspace:
     # With last=True the basis tie-break flips, giving an alternate choice
     # for series cross-validation.
     w = _last_derived_term(algebra)
-    p = algebra.field.p
+    field = algebra.field
+    check_budget(field.p**w.dim, "minimal ideal search over %s in dimension %d" % (field, w.dim))
     closures = {}
-    for coeffs in product(range(p), repeat=w.dim):
+    for coeffs in product(range(field.p), repeat=w.dim):
         if not any(coeffs):
             continue
-        vec = tuple([0] * algebra.dim)
-        for c, row in zip(coeffs, w.basis):
-            if c:
-                vec = vec_add(algebra.field, vec, vec_scale(algebra.field, c, row))
-        ideal = _ideal_closure(algebra, [vec])
+        vec = linear_combination(field, coeffs, w.basis, algebra.dim)
+        ideal = close(EchelonAccumulator(field, algebra.dim, [vec]), lambda v: algebra.ad(v).rows)
         closures[(ideal.dim, ideal.basis)] = ideal
     least_dim = min(key[0] for key in closures)
     candidates = sorted(key for key in closures if key[0] == least_dim)
@@ -341,11 +280,11 @@ def _rational_roots(coeffs: list) -> list:
 
 def _restricted_operator(algebra: LieAlgebra, space: Subspace, basis_index: int) -> list:
     """Matrix of ad(e_i) on the invariant subspace, in its canonical basis."""
-    x = standard_vector(algebra.field, algebra.dim, basis_index)
+    table_row = algebra.table[basis_index]
     rows = []
     for v in space.basis:
-        w = algebra.bracket(x, v)
-        coords = space.coordinates(w)
+        # [e_i, v] combines the table row of e_i by v
+        coords = space.coordinates(linear_combination(algebra.field, v, table_row, algebra.dim))
         if coords is None:
             raise NotNestedError("subspace is not invariant")
         rows.append(list(coords))
@@ -389,14 +328,10 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
                     for a in range(k)
                 ]
                 eig = Matrix(algebra.field, shifted, ncols=k).left_kernel()
-                vecs = []
-                for coords in eig:
-                    v = tuple([algebra.field.zero()] * algebra.dim)
-                    for c, row in zip(coords, space.basis):
-                        if c:
-                            v = vec_add(algebra.field, v, vec_scale(algebra.field, c, row))
-                    vecs.append(v)
-                sub = Subspace.span(algebra.field, algebra.dim, vecs)
+                sub = algebra.span(
+                    linear_combination(algebra.field, coords, space.basis, algebra.dim)
+                    for coords in eig
+                )
                 if not sub.is_zero():
                     branches.append(sub)
             queue.extend(branches)
@@ -486,38 +421,6 @@ class SplitExtension:
         self.module_dim = m
         self.algebra = LieAlgebra(field, a + m, brackets)
 
-    def include_acting(self, vec: Sequence) -> tuple:
-        field = self.module.algebra.field
-        return tuple(vec) + tuple([field.zero()] * self.module_dim)
-
-    def include_module(self, vec: Sequence) -> tuple:
-        field = self.module.algebra.field
-        return tuple([field.zero()] * self.acting_dim) + tuple(vec)
-
-    def acting_part(self, vec: Sequence) -> tuple:
-        return tuple(vec[: self.acting_dim])
-
-    def module_part(self, vec: Sequence) -> tuple:
-        return tuple(vec[self.acting_dim :])
-
-    def module_subspace(self) -> Subspace:
-        return Subspace.span(
-            self.module.algebra.field,
-            self.acting_dim + self.module_dim,
-            [self.include_module(standard_vector(self.module.algebra.field, self.module_dim, u)) for u in range(self.module_dim)],
-        )
-
-    def acting_subspace(self) -> Subspace:
-        return Subspace.span(
-            self.module.algebra.field,
-            self.acting_dim + self.module_dim,
-            [self.include_acting(standard_vector(self.module.algebra.field, self.acting_dim, i)) for i in range(self.acting_dim)],
-        )
-
-
-def split_extension(module: LModule) -> SplitExtension:
-    return SplitExtension(module)
-
 
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:
     """Adjoin one outer generator x acting as the given derivation.
@@ -529,17 +432,9 @@ def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra
     n = algebra.dim
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatchError("derivation matrix must be %d x %d" % (n, n))
-    d = Matrix(algebra.field, rows, ncols=n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = d.act(algebra.table[i][j])
-            rhs = vec_add(
-                algebra.field,
-                algebra.bracket(d.rows[i], standard_vector(algebra.field, n, j)),
-                algebra.bracket(standard_vector(algebra.field, n, i), d.rows[j]),
-            )
-            if lhs != rhs:
-                raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % (i + 1, j + 1))
+    defect = leibniz_defect(algebra, rows)
+    if defect is not None:
+        raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % defect)
     field = algebra.field
     brackets = []
     for i in range(n):
@@ -548,7 +443,7 @@ def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra
             if any(vec):
                 brackets.append(((i, j), tuple(vec) + (field.zero(),)))
     for i in range(n):
-        img = d.rows[i]
+        img = rows[i]
         if any(img):
             # [e_i, x] = -d(e_i)
             brackets.append(((i, n), tuple(field.neg(c) for c in img) + (field.zero(),)))

@@ -17,8 +17,8 @@ smallest number above, i.e. intravariance failures take precedence.
 Failure records printed by sweeps are JSON objects that check-intravariance
 accepts as input files, so every reported counterexample can be replayed.
 Output is byte-deterministic for fixed inputs, flags, and seed; the
-LIEFORM_THREADS environment variable parallelises sweeps without changing
-a byte of output.
+LIEFORM_THREADS environment variable (a positive integer, capped at the
+core count) parallelises sweeps without changing a byte of output.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .derivations import (
     is_intravariant_linear,
     normalizer_fills_extension,
 )
-from .enumeration import ENUMERATION_DIM_LIMIT
 from .errors import (
+    BudgetExceededError,
     CriteriaDisagreeError,
     JacobiViolationError,
     LieformError,
@@ -305,14 +305,15 @@ def cmd_verify_chain(args) -> int:
         codim = current.dim - local.dim
         if codim == 1:
             certified = True
-        elif current.field.p is not None and current.dim <= ENUMERATION_DIM_LIMIT:
-            certified = any(local == m for m in maximal_subalgebras(current))
-            if not certified:
-                return _chain_failure(args, steps, "step %d is not maximal" % idx)
         else:
-            # codim >= 2 without an enumerable ambient: maximality is taken
-            # on trust and flagged, the remaining checks still run
-            certified = None
+            try:
+                certified = any(local == m for m in maximal_subalgebras(current))
+            except (UnsupportedFieldError, BudgetExceededError):
+                # codim >= 2 without an enumerable ambient: maximality is
+                # taken on trust and flagged, the remaining checks still run
+                certified = None
+            if certified is False:
+                return _chain_failure(args, steps, "step %d is not maximal" % idx)
         try:
             critical = is_f_critical(current, local, formation)
         except (CriteriaDisagreeError, UnsupportedFieldError, NoCriticalDescentError) as exc:

@@ -16,27 +16,11 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .algebra import LieAlgebra
+from .algebra import LieAlgebra, leibniz_defect
 from .chief import split_extension_by_derivation
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import Matrix, Subspace, null_space, standard_vector, vec_add
-
-
-def _leibniz_defect(algebra: LieAlgebra, matrix: Matrix):
-    """First basis pair violating the Leibniz rule, or None."""
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            lhs = matrix.act(algebra.table[i][j])
-            rhs = vec_add(
-                algebra.field,
-                algebra.bracket(matrix.rows[i], standard_vector(algebra.field, n, j)),
-                algebra.bracket(standard_vector(algebra.field, n, i), matrix.rows[j]),
-            )
-            if lhs != rhs:
-                return (i + 1, j + 1)
-    return None
+from .linalg import Matrix, Subspace, linear_combination, null_space, standard_vector
 
 
 class Derivation:
@@ -49,7 +33,7 @@ class Derivation:
         if matrix.nrows != parent.dim or matrix.ncols != parent.dim:
             raise DimensionMismatchError("derivation matrix must be %d x %d" % (parent.dim, parent.dim))
         if check:
-            defect = _leibniz_defect(parent, matrix)
+            defect = leibniz_defect(parent, matrix.rows)
             if defect is not None:
                 raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % defect)
         self.parent = parent
@@ -70,11 +54,6 @@ class Derivation:
 
     def __repr__(self) -> str:
         return "Derivation(dim %d algebra)" % self.parent.dim
-
-    def commutator(self, other: "Derivation") -> "Derivation":
-        """[d, e] as operators; always a derivation again."""
-        a, b = self.matrix, other.matrix
-        return Derivation(self.parent, b * a - a * b, check=False)
 
     def flatten(self) -> tuple:
         return tuple(x for row in self.matrix.rows for x in row)
@@ -143,10 +122,7 @@ def derivation_algebra(algebra: LieAlgebra) -> DerivationAlgebra:
                         row[j * n + m] = field.sub(row[j * n + m], c2)
                 if any(row):
                     equations.append(row)
-    if equations:
-        basis = null_space(equations, field)
-    else:
-        basis = [standard_vector(field, n * n, t) for t in range(n * n)]
+    basis = null_space(equations, field, ncols=n * n)
     result = DerivationAlgebra(algebra, Subspace.span(field, n * n, basis))
     algebra._cache["derivation_algebra"] = result
     return result
@@ -156,12 +132,9 @@ def inner_derivations(algebra: LieAlgebra) -> Subspace:
     """Span of the ad matrices, flattened; dim n - dim Z(L)."""
     cached = algebra._cache.get("inner_derivations")
     if cached is None:
+        # ad(e_i) has rows [e_i, e_k], which is table[i]
         n = algebra.dim
-        vecs = []
-        for i in range(n):
-            m = algebra.ad(standard_vector(algebra.field, n, i))
-            vecs.append(tuple(x for row in m.rows for x in row))
-        cached = Subspace.span(algebra.field, n * n, vecs)
+        cached = Subspace.span(algebra.field, n * n, [sum(rows, ()) for rows in algebra.table])
         algebra._cache["inner_derivations"] = cached
     return cached
 
@@ -183,16 +156,12 @@ def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Sub
             row.extend(subalgebra.reduce(d(u)))
         rows.append(row)
     stacked = Matrix(algebra.field, rows, ncols=n * subalgebra.dim)
-    flat = []
-    for coeffs in stacked.left_kernel():
-        acc = [algebra.field.zero()] * (n * n)
-        for c, d in zip(coeffs, der.basis):
-            if c:
-                for idx, x in enumerate(d.flatten()):
-                    if x:
-                        acc[idx] = algebra.field.add(acc[idx], algebra.field.mul(c, x))
-        flat.append(tuple(acc))
-    return Subspace.span(algebra.field, n * n, flat)
+    flat_basis = [d.flatten() for d in der.basis]
+    return Subspace.span(
+        algebra.field,
+        n * n,
+        [linear_combination(algebra.field, c, flat_basis, n * n) for c in stacked.left_kernel()],
+    )
 
 
 def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:

@@ -18,11 +18,9 @@ from typing import Iterator, Sequence
 from .algebra import LieAlgebra
 from .chief import split_extension_by_derivation
 from .derivations import derivation_algebra
-from .errors import BudgetExceededError, ParseError, UnsupportedFieldError
+from .errors import ParseError, UnsupportedFieldError
 from .fields import Field
-from .linalg import Matrix, enumerate_subspaces
-
-ENUMERATION_DIM_LIMIT = 5
+from .linalg import Matrix, check_budget, enumerate_subspaces, gaussian_binomial, linear_combination
 
 
 class EnumerationBudget:
@@ -65,16 +63,12 @@ def _derivation_from_index(der, index: int, p: int) -> Matrix:
     for _ in range(der.dim):
         coeffs.append(index % p)
         index //= p
-    n = der.parent.dim
-    acc = [[0] * n for _ in range(n)]
-    for c, d in zip(coeffs, der.basis):
-        if c:
-            for r in range(n):
-                row = d.matrix.rows[r]
-                for k in range(n):
-                    if row[k]:
-                        acc[r][k] = (acc[r][k] + c * row[k]) % p
-    return Matrix(der.parent.field, acc, ncols=n)
+    field, n = der.parent.field, der.parent.dim
+    rows = [
+        linear_combination(field, coeffs, [d.matrix.rows[r] for d in der.basis], n)
+        for r in range(n)
+    ]
+    return Matrix(field, rows, ncols=n)
 
 
 def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
@@ -102,12 +96,11 @@ def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
 
 
 def _check_enumerable(algebra: LieAlgebra) -> None:
-    if algebra.field.p is None:
+    field, n = algebra.field, algebra.dim
+    if field.p is None:
         raise UnsupportedFieldError("exhaustive enumeration needs a finite field")
-    if algebra.dim > ENUMERATION_DIM_LIMIT:
-        raise BudgetExceededError(
-            "exhaustive enumeration limited to dimension %d" % ENUMERATION_DIM_LIMIT
-        )
+    subspaces = sum(gaussian_binomial(n, k, field.p) for k in range(n + 1))
+    check_budget(subspaces, "enumerating the subspaces of %s^%d" % (field, n))
 
 
 def enumerate_subalgebras(algebra: LieAlgebra) -> list:

@@ -79,4 +79,4 @@ class NoCriticalDescentError(LieformError):
 
 
 class BudgetExceededError(LieformError):
-    """Exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive loop would exceed the work budget (linalg.WORK_BUDGET)."""

@@ -111,9 +111,6 @@ class Field:
     def div(self, a, b):
         return self.mul(a, self.inv(b))
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     # Text form.  Integers print bare, non-integers as num/den; over GF(p)
     # a/b is shorthand for a * b^-1.
 

@@ -32,7 +32,11 @@ from .linalg import Subspace
 
 
 class Formation:
-    """Named membership predicate over soluble Lie algebras."""
+    """Named membership predicate over soluble Lie algebras.
+
+    Cached results are keyed on the Formation object itself, not its name,
+    so two formations that share a name never share an answer.
+    """
 
     __slots__ = ("name", "membership")
 
@@ -79,7 +83,7 @@ def is_member(formation: Formation, algebra: LieAlgebra) -> bool:
 
 def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation) -> bool:
     """Split extension of the factor by L over its centraliser lies in F."""
-    cached = factor._central.get(formation.name)
+    cached = factor._central.get(formation)
     if cached is not None:
         return cached
     cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
@@ -88,7 +92,7 @@ def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation)
     actions = [view.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
     module = LModule(quo, actions, dim=view.dim)
     result = formation.contains(SplitExtension(module).algebra)
-    factor._central[formation.name] = result
+    factor._central[formation] = result
     return result
 
 
@@ -167,7 +171,7 @@ def classify_maximal(
     relative to F.  They must agree; disagreement is an implementation bug
     and raises CriteriaDisagreeError.
     """
-    cache_key = ("classify_maximal", maximal, formation.name)
+    cache_key = ("classify_maximal", maximal, formation)
     cached = algebra._cache.get(cache_key)
     if cached is not None:
         return cached
@@ -215,7 +219,7 @@ def f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
     Results are (subspace, chain) pairs in the algebra's coordinates,
     deduplicated by canonical subspace and sorted.
     """
-    cache_key = ("f_normalisers", formation.name)
+    cache_key = ("f_normalisers", formation)
     cached = algebra._cache.get(cache_key)
     if cached is not None:
         return list(cached)

@@ -1,92 +1,68 @@
-"""Exact dense linear algebra: RREF, kernels, solving, subspace lattice.
+"""Exact dense linear algebra: RREF, kernels, subspace lattice.
 
 Vectors are coordinate tuples; linear maps act on the right, v |-> v * M,
 so row i of M is the image of the i-th basis vector.  Subspaces keep a
 canonical reduced-row-echelon basis, which makes equality, hashing and
 deduplication exact.
 
-The row-reduction inner loops are specialised per field kind because the
-verification sweeps spend most of their time here.
+All row reduction goes through one kernel, _eliminate, which clears the
+pivot columns of a vector against echelon rows; RREF, membership,
+coordinates and incremental spans are built on it, and linear_combination
+is the one place vectors are summed.  Over GF(p) every result is reduced
+mod p, over Q entries are Fractions; each primitive branches on the field
+once, outside its loop, because the verification sweeps spend most of
+their time here.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
 from itertools import combinations, product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import AmbientMismatchError, DimensionMismatchError, UnsupportedFieldError
+from .errors import (
+    AmbientMismatchError,
+    BudgetExceededError,
+    DimensionMismatchError,
+    UnsupportedFieldError,
+)
 from .fields import Field
 
-Vector = tuple
+
+def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
+    """Clear the pivot columns of vec with the matching echelon rows.
+
+    Returns (residual, coefficients): the residual is zero exactly when vec
+    lies in the span of the rows, and then vec is the sum of coefficient
+    times row.  p is the field characteristic, None over Q.
+    """
+    v = list(vec)
+    coeffs = []
+    if p is None:
+        for row, c in zip(rows, pivots):
+            f = v[c]
+            coeffs.append(f)
+            if f:
+                v = [a - f * b for a, b in zip(v, row)]
+    else:
+        for row, c in zip(rows, pivots):
+            f = v[c]
+            coeffs.append(f)
+            if f:
+                v = [(a - f * b) % p for a, b in zip(v, row)]
+    return v, coeffs
 
 
-def _rref_q(rows: list) -> list:
-    """Reduce rows of Fractions in place; returns pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        lead = prow[c]
-        if lead != 1:
-            prow = [x / lead for x in prow]
-            rows[r] = prow
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    rows[i] = [a - f * b for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _rref_p(rows: list, p: int) -> list:
-    """Reduce rows of canonical ints mod p in place; returns pivot columns."""
-    pivots = []
-    r = 0
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        prow = rows[r]
-        lead = prow[c]
-        if lead != 1:
-            inv = pow(lead, -1, p)
-            prow = [(x * inv) % p for x in prow]
-            rows[r] = prow
-        for i in range(nrows):
-            if i != r:
-                f = rows[i][c]
-                if f:
-                    ri = rows[i]
-                    rows[i] = [(a - f * b) % p for a, b in zip(ri, prow)]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
+    """The vector sum of coeffs[i] * rows[i], of length n."""
+    out = [field.zero()] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            out = [a + c * b for a, b in zip(out, row)]
+    p = field.p
+    if p is not None:
+        out = [a % p for a in out]
+    return tuple(out)
 
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple:
@@ -95,17 +71,13 @@ def rref(rows: Iterable[Sequence], field: Field) -> tuple:
     Returns (rows, pivots) where rows is a tuple of row tuples of the same
     shape as the input (zero rows at the bottom).
     """
-    work = [list(r) for r in rows]
-    if work:
-        n = len(work[0])
-        for r in work:
-            if len(r) != n:
-                raise DimensionMismatchError("ragged rows")
-    if field.p is None:
-        pivots = _rref_q(work)
-    else:
-        pivots = _rref_p(work, field.p)
-    return tuple(tuple(r) for r in work), tuple(pivots)
+    work = [tuple(r) for r in rows]
+    ncols = len(work[0]) if work else 0
+    if any(len(r) != ncols for r in work):
+        raise DimensionMismatchError("ragged rows")
+    acc = EchelonAccumulator(field, ncols, work)
+    zero_rows = ((field.zero(),) * ncols,) * (len(work) - acc.rank)
+    return tuple(tuple(r) for r in acc.rows) + zero_rows, tuple(acc.pivots)
 
 
 def null_space(rows: Sequence[Sequence], field: Field, ncols: int | None = None) -> list:
@@ -128,24 +100,6 @@ def null_space(rows: Sequence[Sequence], field: Field, ncols: int | None = None)
             v[pc] = field.neg(red[r][free])
         basis.append(tuple(v))
     return basis
-
-
-def solve(rows: Sequence[Sequence], rhs: Sequence, field: Field):
-    """One solution x of A x = b, or None when the system is inconsistent."""
-    rows = list(rows)
-    if len(rows) != len(rhs):
-        raise DimensionMismatchError("rhs length does not match row count")
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    red, pivots = rref(aug, field)
-    if pivots and pivots[-1] == ncols:
-        return None
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return tuple(x)
 
 
 class Matrix:
@@ -221,15 +175,7 @@ class Matrix:
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other, square_match=True)
-        p = self.field.p
-        cols = list(zip(*other.rows)) if other.rows else []
-        out = []
-        for row in self.rows:
-            if p is None:
-                out.append([sum(a * b for a, b in zip(row, col)) for col in cols])
-            else:
-                out.append([sum(a * b for a, b in zip(row, col)) % p for col in cols])
-        return Matrix(self.field, out, ncols=other.ncols)
+        return Matrix(self.field, [other.act(row) for row in self.rows], ncols=other.ncols)
 
     def scale(self, c) -> "Matrix":
         f = self.field
@@ -242,27 +188,7 @@ class Matrix:
         """Right action v * M on a coordinate row vector."""
         if len(vec) != self.nrows:
             raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), self.nrows))
-        p = self.field.p
-        cols = list(zip(*self.rows)) if self.rows else [()] * self.ncols
-        if p is None:
-            return tuple(sum(a * b for a, b in zip(vec, col)) for col in cols)
-        return tuple(sum(a * b for a, b in zip(vec, col)) % p for col in cols)
-
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise DimensionMismatchError("trace of non-square matrix")
-        t = self.field.zero()
-        for i in range(self.nrows):
-            t = self.field.add(t, self.rows[i][i])
-        return t
-
-    def is_zero(self) -> bool:
-        return all(not x for r in self.rows for x in r)
-
-    def rref(self) -> tuple:
-        """(Matrix in RREF, pivot columns)."""
-        red, pivots = rref(self.rows, self.field)
-        return Matrix(self.field, red, ncols=self.ncols), pivots
+        return linear_combination(self.field, vec, self.rows, self.ncols)
 
     def rank(self) -> int:
         return len(rref(self.rows, self.field)[1])
@@ -348,39 +274,15 @@ class Subspace:
         """Residual of vec after elimination by the basis; zero iff contained."""
         if len(vec) != self.ambient_dim:
             raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
-        v = list(vec)
-        p = self.field.p
-        if p is None:
-            for row, c in zip(self.basis, self.pivots):
-                f = v[c]
-                if f:
-                    v = [a - f * b for a, b in zip(v, row)]
-        else:
-            for row, c in zip(self.basis, self.pivots):
-                f = v[c]
-                if f:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
+        return _eliminate(vec, self.basis, self.pivots, self.field.p)[0]
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
 
     def coordinates(self, vec: Sequence):
         """Coefficients of vec in the canonical basis, or None if outside."""
-        v = list(vec)
-        coeffs = []
-        p = self.field.p
-        for row, c in zip(self.basis, self.pivots):
-            f = v[c]
-            coeffs.append(f)
-            if f:
-                if p is None:
-                    v = [a - f * b for a, b in zip(v, row)]
-                else:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        if any(v):
-            return None
-        return tuple(coeffs)
+        residual, coeffs = _eliminate(vec, self.basis, self.pivots, self.field.p)
+        return None if any(residual) else tuple(coeffs)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -409,14 +311,10 @@ class Subspace:
             return other
         # Coefficient vectors (c, d) with c*A + d*B = 0 give c*A in both spans.
         stacked = Matrix(self.field, self.basis + other.basis, ncols=self.ambient_dim)
-        vecs = []
-        a = self.dim
-        for cd in stacked.left_kernel():
-            v = [self.field.zero()] * self.ambient_dim
-            for coeff, row in zip(cd[:a], self.basis):
-                if coeff:
-                    v = [self.field.add(x, self.field.mul(coeff, y)) for x, y in zip(v, row)]
-            vecs.append(v)
+        vecs = [
+            linear_combination(self.field, cd[: self.dim], self.basis, self.ambient_dim)
+            for cd in stacked.left_kernel()
+        ]
         return Subspace.span(self.field, self.ambient_dim, vecs)
 
     def free_columns(self) -> tuple:
@@ -428,18 +326,17 @@ class Subspace:
 class EchelonAccumulator:
     """Grows a subspace one vector at a time, keeping the basis in RREF.
 
-    The workhorse behind closure computations and spanning checks; add()
-    reports whether the vector enlarged the span.
+    The workhorse behind rref, closure computations and spanning checks;
+    add() reports whether the vector enlarged the span.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots", "_p")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
     def __init__(self, field: Field, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         self.field = field
         self.ambient_dim = ambient_dim
         self.rows: list = []
         self.pivots: list = []
-        self._p = field.p
         for v in vectors:
             self.add(v)
 
@@ -450,19 +347,7 @@ class EchelonAccumulator:
     def reduce(self, vec: Sequence) -> list:
         if len(vec) != self.ambient_dim:
             raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
-        v = list(vec)
-        p = self._p
-        if p is None:
-            for row, c in zip(self.rows, self.pivots):
-                f = v[c]
-                if f:
-                    v = [a - f * b for a, b in zip(v, row)]
-        else:
-            for row, c in zip(self.rows, self.pivots):
-                f = v[c]
-                if f:
-                    v = [(a - f * b) % p for a, b in zip(v, row)]
-        return v
+        return _eliminate(vec, self.rows, self.pivots, self.field.p)[0]
 
     def contains(self, vec: Sequence) -> bool:
         return not any(self.reduce(vec))
@@ -473,21 +358,12 @@ class EchelonAccumulator:
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
             return False
-        p = self._p
-        lead = v[c]
-        if lead != 1:
-            if p is None:
-                v = [x / lead for x in v]
-            else:
-                inv = pow(lead, -1, p)
-                v = [(x * inv) % p for x in v]
+        if v[c] != 1:
+            v = list(linear_combination(self.field, (self.field.inv(v[c]),), (v,), self.ambient_dim))
+        # back-substitute so the other rows stay zero in the new pivot column
         for k, row in enumerate(self.rows):
-            f = row[c]
-            if f:
-                if p is None:
-                    self.rows[k] = [a - f * b for a, b in zip(row, v)]
-                else:
-                    self.rows[k] = [(a - f * b) % p for a, b in zip(row, v)]
+            if row[c]:
+                self.rows[k] = _eliminate(row, (v,), (c,), self.field.p)[0]
         pos = bisect(self.pivots, c)
         self.rows.insert(pos, v)
         self.pivots.insert(pos, c)
@@ -529,6 +405,21 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) 
                 yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows), pivots)
 
 
+def close(acc: "EchelonAccumulator", images: Callable[[Sequence], Iterable[Sequence]]) -> Subspace:
+    """Grow acc until it holds images(v) for every vector v it holds.
+
+    Each vector is expanded once, after every vector before it was added,
+    so images(v) may read the current rows: bracketing v with them checks
+    a bilinear rule on every pair.  acc grows in place.
+    """
+    fresh = list(acc.rows)
+    while fresh:
+        for w in images(fresh.pop()):
+            if acc.add(w):
+                fresh.append(w)
+    return acc.to_subspace()
+
+
 def gaussian_binomial(n: int, k: int, p: int) -> int:
     """Number of k-dimensional subspaces of F_p^n."""
     if k < 0 or k > n:
@@ -540,49 +431,19 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
     return num // den
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    return a + b
+# Exhaustive loops (subspaces scanned, vectors spun into closures) are
+# refused above this many steps, before any work starts.  It is the number
+# of subspaces of GF(3)^5, the largest space the tests and the benchmark
+# enumerate: about a second of subalgebra checks per algebra.
+WORK_BUDGET = sum(gaussian_binomial(5, k, 3) for k in range(6))
 
 
-def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    return a & b
-
-
-def subspace_contains(space: Subspace, vec: Sequence) -> bool:
-    return space.contains(vec)
-
-
-def kernel(matrix: Matrix) -> list:
-    return matrix.kernel()
-
-
-def vec_add(field: Field, a: Sequence, b: Sequence) -> tuple:
-    if len(a) != len(b):
-        raise DimensionMismatchError("vector lengths differ")
-    p = field.p
-    if p is None:
-        return tuple(x + y for x, y in zip(a, b))
-    return tuple((x + y) % p for x, y in zip(a, b))
-
-
-def vec_sub(field: Field, a: Sequence, b: Sequence) -> tuple:
-    if len(a) != len(b):
-        raise DimensionMismatchError("vector lengths differ")
-    p = field.p
-    if p is None:
-        return tuple(x - y for x, y in zip(a, b))
-    return tuple((x - y) % p for x, y in zip(a, b))
-
-
-def vec_scale(field: Field, c, a: Sequence) -> tuple:
-    p = field.p
-    if p is None:
-        return tuple(c * x for x in a)
-    return tuple((c * x) % p for x in a)
-
-
-def zero_vector(field: Field, n: int) -> tuple:
-    return tuple([field.zero()] * n)
+def check_budget(steps: int, what: str) -> None:
+    """Raise BudgetExceededError when an exhaustive loop would exceed WORK_BUDGET."""
+    if steps > WORK_BUDGET:
+        raise BudgetExceededError(
+            "%s takes %d steps, over the budget of %d" % (what, steps, WORK_BUDGET)
+        )
 
 
 def standard_vector(field: Field, n: int, i: int) -> tuple:

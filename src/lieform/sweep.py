@@ -28,7 +28,7 @@ from .derivations import (
     is_intravariant_linear,
 )
 from .enumeration import EnumerationBudget, enumerate_soluble
-from .errors import CriteriaDisagreeError, NoCriticalDescentError, UnsupportedFieldError
+from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError, UnsupportedFieldError
 from .fields import Field
 from .formations import (
     Formation,
@@ -216,15 +216,28 @@ def _worker(args) -> dict:
     return partial.to_dict()
 
 
+def _threads_from_env() -> int:
+    """LIEFORM_THREADS as a process count, at most the number of cores."""
+    text = os.environ.get("LIEFORM_THREADS", "").strip() or "1"
+    try:
+        count = int(text)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ParseError("LIEFORM_THREADS must be a positive integer, got %r" % text)
+    return min(count, os.cpu_count() or 1)
+
+
 def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
     """Sweep the configured enumeration stream.
 
-    threads <= 1 runs in-process; otherwise worker processes partition the
-    stream by index stride.  Either way the merged result is sorted, so
-    output bytes do not depend on the process count.
+    threads <= 0 reads LIEFORM_THREADS; a count of 1 runs in-process,
+    otherwise worker processes partition the stream by index stride.
+    Either way the merged result is sorted, so output bytes do not depend
+    on the process count.
     """
     if threads <= 0:
-        threads = int(os.environ.get("LIEFORM_THREADS", "1") or "1")
+        threads = _threads_from_env()
     started = time.perf_counter()
     result = SweepResult()
     if threads <= 1:

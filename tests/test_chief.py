@@ -11,6 +11,7 @@ from lieform import (
     Matrix,
     NotADerivationError,
     NotSolubleError,
+    SplitExtension,
     Subspace,
     UnsupportedFieldError,
     ZeroAlgebraError,
@@ -21,7 +22,6 @@ from lieform import (
     is_irreducible,
     minimal_ideal,
     minimal_ideals_exhaustive,
-    split_extension,
     split_extension_by_derivation,
 )
 from support import abelian, algebra, h3, r2, r2_plus_line, rotation, rotation_plus_centre
@@ -140,7 +140,7 @@ def test_split_extension_brackets():
     # adjoint action of r2 on itself as a module
     actions = [a.ad(v) for v in ((1, 0), (0, 1))]
     module = LModule(a, actions, dim=2)
-    ext = split_extension(module)
+    ext = SplitExtension(module)
     big = ext.algebra
     assert big.dim == 4
     big.validate()

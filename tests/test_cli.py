@@ -102,6 +102,17 @@ def test_normalisers_need_finite_field(tmp_path, capsys):
     assert "finite field" in err
 
 
+def test_normalisers_over_budget_exit_1(tmp_path, capsys):
+    # non-nilpotent over GF(101) in dimension 5: refused before enumerating
+    value = ["0", "1", "0", "0", "0"]
+    data = {"field": "GF(101)", "dim": 5, "brackets": [{"i": 1, "j": 2, "value": value}]}
+    path = write(tmp_path, "big.json", data)
+    code, out, err = run(capsys, ["normalisers", path, "--formation", "nilpotent"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "budget" in err
+
+
 def test_derivations_json(tmp_path, capsys):
     path = write(tmp_path, "r2.json", R2_GF3)
     code, out, _ = run(capsys, ["derivations", "--json", path])
@@ -230,6 +241,14 @@ def test_sweep_output_is_stable(capsys, monkeypatch):
     code2, out2, _ = run(capsys, argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+def test_sweep_bad_thread_count_exit_2(capsys, monkeypatch):
+    monkeypatch.setenv("LIEFORM_THREADS", "abc")
+    code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "LIEFORM_THREADS" in err
 
 
 def test_sweep_text_mode(capsys):

@@ -55,10 +55,13 @@ def test_inner_dim_is_codim_of_centre():
 
 
 def test_derivation_commutator_closure():
+    # [d, e] = e*d - d*e in the right-action convention; the checked
+    # constructor raises unless the commutator satisfies the Leibniz rule
     der = derivation_algebra(h3())
     for d in der.basis:
         for e in der.basis:
-            assert der.contains(d.commutator(e))
+            a, b = d.matrix, e.matrix
+            assert der.contains(Derivation(der.parent, b * a - a * b, check=True))
 
 
 def test_derivation_validation():

@@ -13,9 +13,11 @@ from lieform import (
     enumerate_soluble,
     enumerate_subalgebras,
     enumerate_subspaces,
+    gaussian_binomial,
     minimal_ideal,
     minimal_ideals_exhaustive,
 )
+from lieform.linalg import WORK_BUDGET
 from support import abelian, h3, r2
 
 F2 = Field.gf(2)
@@ -108,3 +110,19 @@ def test_enumeration_guards():
         enumerate_subalgebras(r2("Q"))
     with pytest.raises(BudgetExceededError):
         enumerate_ideals(LieAlgebra.abelian(F2, 6))
+
+
+def test_work_budget_refuses_large_fields_up_front():
+    # GF(101)^5 has about 2.1e12 subspaces: refused before any is scanned
+    f101 = Field.gf(101)
+    big = LieAlgebra(f101, 5, {(0, 1): (0, 1, 0, 0, 0)})
+    assert gaussian_binomial(5, 2, 101) > 10**9
+    with pytest.raises(BudgetExceededError):
+        enumerate_subalgebras(big)
+    # a minimal ideal search would spin 101^2 vectors of [L, L] = span{e2, e3}
+    plane = LieAlgebra(f101, 3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 1)})
+    with pytest.raises(BudgetExceededError):
+        minimal_ideal(plane)
+    # the largest case the tests and the benchmark enumerate stays inside
+    assert WORK_BUDGET == sum(gaussian_binomial(5, k, 3) for k in range(6)) == 2664
+    assert len(enumerate_subalgebras(LieAlgebra.abelian(F3, 5))) == 2664

@@ -149,6 +149,19 @@ def test_f_normalisers_all_soluble():
         assert len(pairs) == 1 and pairs[0][0].is_full()
 
 
+def test_caches_key_on_the_formation_not_its_name():
+    # a formation named "nilpotent" that admits every soluble algebra must
+    # not be served the nilpotent answers cached on the same algebra
+    a = r2()
+    assert len(f_normalisers(a, NILPOTENT)) == 3
+    impostor = Formation("nilpotent", lambda L: L.is_soluble())
+    pairs = f_normalisers(a, impostor)
+    assert [v for v, _ in pairs] == [a.full_space()]
+    for m in maximal_subalgebras(a):
+        assert classify_maximal(a, m, impostor).is_normal
+    assert all(is_f_central(a, f, impostor) for f in chief_series(a).factors)
+
+
 def test_no_critical_descent_diagnostic():
     nothing = Formation("nothing", lambda L: False)
     with pytest.raises(NoCriticalDescentError):

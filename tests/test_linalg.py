@@ -14,7 +14,6 @@ from lieform import (
     gaussian_binomial,
     null_space,
     rref,
-    solve,
 )
 
 Q = Field.rationals()
@@ -62,22 +61,6 @@ def test_rank_nullity(rows):
     assert m.rank() + len(m.kernel()) == 4
 
 
-@given(small_q_rows, st.lists(st.integers(min_value=-3, max_value=3), min_size=3, max_size=3))
-def test_solve_consistent(rows, x0):
-    a = Matrix(Q, q_matrix(rows), ncols=3)
-    x = [Fraction(v) for v in x0]
-    b = [sum(row[j] * x[j] for j in range(3)) for row in a.rows]
-    got = solve(a.rows, b, Q)
-    assert got is not None
-    back = [sum(row[j] * got[j] for j in range(3)) for row in a.rows]
-    assert back == b
-
-
-def test_solve_inconsistent():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(0)]]
-    assert solve(rows, [Fraction(1), Fraction(2)], Q) is None
-
-
 def test_null_space_oracle():
     # x + y + z = 0 over GF(2) has the 4 vectors {000, 110, 101, 011}
     basis = null_space([[1, 1, 1]], F2, ncols=3)
@@ -97,7 +80,6 @@ def test_matrix_product_and_action():
 
 def test_matrix_trace_transpose():
     a = Matrix(Q, q_matrix([[1, 2], [3, 4]]))
-    assert a.trace() == Fraction(5)
     assert a.transpose().rows == ((1, 3), (2, 4))
 
 

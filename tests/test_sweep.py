@@ -8,7 +8,12 @@ from lieform import (
     check_algebra,
     sweep_run,
 )
-from lieform.sweep import sweep_summary_lines
+import os
+
+import pytest
+
+from lieform import ParseError
+from lieform.sweep import _threads_from_env, sweep_summary_lines
 from support import r2
 
 
@@ -52,6 +57,18 @@ def test_process_count_does_not_change_output():
     single = sweep_run(config, threads=1)
     forked = sweep_run(config, threads=3)
     assert single.to_dict() == forked.to_dict()
+
+
+def test_thread_count_from_environment(monkeypatch):
+    # parsed only: no worker process is started here
+    monkeypatch.delenv("LIEFORM_THREADS", raising=False)
+    assert _threads_from_env() == 1
+    monkeypatch.setenv("LIEFORM_THREADS", "1000000")
+    assert _threads_from_env() == (os.cpu_count() or 1)
+    for bad in ("abc", "0", "-2", "1.5"):
+        monkeypatch.setenv("LIEFORM_THREADS", bad)
+        with pytest.raises(ParseError):
+            _threads_from_env()
 
 
 def test_summary_lines_shape():
