@@ -5,6 +5,11 @@ pairs; everything else (series, centralisers, cores, quotients) is linear
 algebra over that table.  Instances are interned on (field, table), so
 structurally equal algebras are the same object and share their cache of
 derived data.  That sharing is what keeps the exhaustive sweeps fast.
+LieAlgebra.memo is the one per-algebra cache: every derived value (series,
+centre, cores, quotients, derivations, chief series, subalgebra listings,
+classifications, normalisers) is stored through it, under a fixed key.
+
+Parsed documents are refused above MAX_DIM, before any table is allocated.
 
 JSON form (1-based indices, i < j, scalars as strings):
 
@@ -30,7 +35,12 @@ from .errors import (
     ParseError,
 )
 from .fields import Field
-from .linalg import EchelonAccumulator, Matrix, Subspace, close, linear_combination, standard_vector
+from .linalg import EchelonAccumulator, Matrix, Subspace, close, linear_combination, stabiliser
+
+# Largest dimension from_dict accepts.  The table alone takes dim^3
+# scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
+# over GF(3) that is already about a third of a second.
+MAX_DIM = 16
 
 
 def _coerce(field: Field, x):
@@ -89,9 +99,6 @@ class LieAlgebra:
             cls._interned[key] = inst
         return inst
 
-    def __init__(self, *args, **kwargs):
-        pass
-
     # Interning makes identity and structural equality coincide.
 
     def __eq__(self, other) -> bool:
@@ -124,6 +131,8 @@ class LieAlgebra:
         dim = data["dim"]
         if not isinstance(dim, int) or isinstance(dim, bool) or dim < 0:
             raise ParseError("dim must be a non-negative integer")
+        if dim > MAX_DIM:
+            raise ParseError("dim %d is above the limit of %d" % (dim, MAX_DIM))
         entries = data["brackets"]
         if not isinstance(entries, list):
             raise ParseError("brackets must be a list")
@@ -221,6 +230,11 @@ class LieAlgebra:
                     if any(s):
                         raise JacobiViolationError((i + 1, j + 1, k + 1))
 
+    def basis_brackets(self, vectors: Sequence) -> list:
+        """For each basis vector e_k, the list of [e_k, v] over the vectors."""
+        field, n = self.field, self.dim
+        return [[linear_combination(field, v, row, n) for v in vectors] for row in self.table]
+
     def ad(self, x: Sequence) -> Matrix:
         """Matrix of ad x in the right-action convention: [x, y] = y * ad(x)."""
         minus_x = [self.field.neg(c) for c in x]
@@ -239,7 +253,7 @@ class LieAlgebra:
         return Subspace.span(self.field, self.dim, vectors)
 
     def basis_vectors(self) -> list:
-        return [standard_vector(self.field, self.dim, i) for i in range(self.dim)]
+        return list(self.full_space().basis)
 
     def product_space(self, a: Subspace, b: Subspace) -> Subspace:
         """Span of [a, b] over basis pairs."""
@@ -275,36 +289,31 @@ class LieAlgebra:
     # interning makes the cache shared across every appearance of the same
     # structure-constant table.
 
-    def derived_series(self) -> list:
-        cached = self._cache.get("derived_series")
-        if cached is None:
+    def memo(self, key, compute):
+        """The value cached under key, computed by compute() and stored on first use."""
+        cache = self._cache
+        if key not in cache:
+            cache[key] = compute()
+        return cache[key]
+
+    def _series(self, key: str, left) -> list:
+        # s_0 = L, s_{t+1} = [left(s_t), s_t], until the terms stop shrinking
+        def compute():
             series = [self.full_space()]
-            while True:
-                nxt = self.product_space(series[-1], series[-1])
+            while not series[-1].is_zero():
+                nxt = self.product_space(left(series[-1]), series[-1])
                 if nxt.dim == series[-1].dim:
                     break
                 series.append(nxt)
-                if nxt.is_zero():
-                    break
-            cached = series
-            self._cache["derived_series"] = cached
-        return list(cached)
+            return series
+
+        return list(self.memo(key, compute))
+
+    def derived_series(self) -> list:
+        return self._series("derived_series", lambda s: s)
 
     def lower_central_series(self) -> list:
-        cached = self._cache.get("lower_central_series")
-        if cached is None:
-            full = self.full_space()
-            series = [full]
-            while True:
-                nxt = self.product_space(full, series[-1])
-                if nxt.dim == series[-1].dim:
-                    break
-                series.append(nxt)
-                if nxt.is_zero():
-                    break
-            cached = series
-            self._cache["lower_central_series"] = cached
-        return list(cached)
+        return self._series("lower_central_series", lambda s: self.full_space())
 
     def is_soluble(self) -> bool:
         return self.derived_series()[-1].is_zero()
@@ -329,23 +338,13 @@ class LieAlgebra:
             raise NotNestedError("factor requires b <= a")
         if a.is_zero():
             return self.full_space()
-        n = self.dim
-        # [x, a] mod b is x times ad(a) with its rows reduced mod b, up to a
-        # sign that does not change the kernel; one block per basis vector.
-        blocks = [[b.reduce(row) for row in self.ad(avec).rows] for avec in a.basis]
-        stacked = Matrix(
-            self.field,
-            [sum((block[k] for block in blocks), []) for k in range(n)],
-            ncols=n * len(blocks),
-        )
-        return Subspace.span(self.field, n, stacked.left_kernel())
+        # [x, a_j] = sum_k c_k [e_k, a_j] for x = sum_k c_k e_k, so the
+        # coefficients c form the stabiliser of the maps a_j |-> [e_k, a_j]
+        maps = self.basis_brackets(a.basis)
+        return Subspace.span(self.field, self.dim, stabiliser(self.field, maps, b))
 
     def centre(self) -> Subspace:
-        cached = self._cache.get("centre")
-        if cached is None:
-            cached = self.centralizer(self.full_space())
-            self._cache["centre"] = cached
-        return cached
+        return self.memo("centre", lambda: self.centralizer(self.full_space()))
 
     def normalizer(self, s: Subspace) -> Subspace:
         """{x : [x, s] <= s}; the idealiser of the subspace."""
@@ -353,29 +352,25 @@ class LieAlgebra:
 
     def core(self, s: Subspace) -> Subspace:
         """Largest ideal of the algebra contained in s."""
-        cached = self._cache.get(("core", s))
-        if cached is not None:
-            return cached
-        result = self._core_uncached(s)
-        self._cache[("core", s)] = result
-        return result
 
-    def _core_uncached(self, s: Subspace) -> Subspace:
-        # {x : [x, L] <= K} is the centraliser of the factor L/K; meeting it
-        # with K until nothing changes leaves the largest ideal inside s.
-        full = self.full_space()
-        current = s
-        while not current.is_zero():
-            nxt = self.centralizer_of_factor(full, current) & current
-            if nxt.dim == current.dim:
-                break
-            current = nxt
-        return current
+        def compute():
+            # {x : [x, L] <= K} is the centraliser of the factor L/K; meeting
+            # it with K until nothing changes leaves the largest ideal in s.
+            full = self.full_space()
+            current = s
+            while not current.is_zero():
+                nxt = self.centralizer_of_factor(full, current) & current
+                if nxt.dim == current.dim:
+                    break
+                current = nxt
+            return current
+
+        return self.memo(("core", s), compute)
 
     def nilradical(self) -> Subspace:
         """Largest nilpotent ideal, via centralisers of a chief series."""
-        cached = self._cache.get("nilradical")
-        if cached is None:
+
+        def compute():
             if not self.is_soluble():
                 raise NotSolubleError("nilradical computed for soluble algebras only")
             from .chief import chief_series
@@ -383,9 +378,9 @@ class LieAlgebra:
             out = self.full_space()
             for factor in chief_series(self).factors:
                 out = out & self.centralizer_of_factor(factor.top, factor.bottom)
-            cached = out
-            self._cache["nilradical"] = cached
-        return cached
+            return out
+
+        return self.memo("nilradical", compute)
 
     # Derived algebras on subspaces and quotients
 
@@ -394,45 +389,41 @@ class LieAlgebra:
 
         Raises NotASubalgebraError when s is not bracket-closed.
         """
-        cached = self._cache.get(("restrict", s))
-        if cached is not None:
-            return cached
-        basis = s.basis
-        m = len(basis)
-        brackets = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                w = self.bracket(basis[i], basis[j])
-                coords = s.coordinates(w)
-                if coords is None:
-                    raise NotASubalgebraError("bracket leaves the subspace")
-                if any(coords):
-                    brackets.append(((i, j), coords))
-        sub = LieAlgebra(self.field, m, brackets)
-        result = (sub, SubspaceMap(self, s))
-        self._cache[("restrict", s)] = result
-        return result
+
+        def compute():
+            basis = s.basis
+            m = len(basis)
+            brackets = []
+            for i in range(m):
+                for j in range(i + 1, m):
+                    coords = s.coordinates(self.bracket(basis[i], basis[j]))
+                    if coords is None:
+                        raise NotASubalgebraError("bracket leaves the subspace")
+                    if any(coords):
+                        brackets.append(((i, j), coords))
+            return LieAlgebra(self.field, m, brackets), SubspaceMap(self, s)
+
+        return self.memo(("restrict", s), compute)
 
     def quotient(self, ideal: Subspace) -> tuple:
         """Quotient by an ideal; returns (algebra, quotient map)."""
-        cached = self._cache.get(("quotient", ideal))
-        if cached is not None:
-            return cached
-        if not self.is_ideal(ideal):
-            raise NotAnIdealError("quotient requires an ideal")
-        qmap = QuotientMap(self, ideal)
-        free = qmap.free
-        m = len(free)
-        brackets = []
-        for a in range(m):
-            for b in range(a + 1, m):
-                coords = qmap.project(self.table[free[a]][free[b]])
-                if any(coords):
-                    brackets.append(((a, b), coords))
-        quo = LieAlgebra(self.field, m, brackets)
-        qmap.algebra = quo
-        self._cache[("quotient", ideal)] = (quo, qmap)
-        return quo, qmap
+
+        def compute():
+            if not self.is_ideal(ideal):
+                raise NotAnIdealError("quotient requires an ideal")
+            qmap = QuotientMap(self, ideal)
+            free = qmap.free
+            m = len(free)
+            brackets = []
+            for a in range(m):
+                for b in range(a + 1, m):
+                    coords = qmap.project(self.table[free[a]][free[b]])
+                    if any(coords):
+                        brackets.append(((a, b), coords))
+            qmap.algebra = LieAlgebra(self.field, m, brackets)
+            return qmap.algebra, qmap
+
+        return self.memo(("quotient", ideal), compute)
 
 
 def leibniz_defect(algebra: LieAlgebra, rows: Sequence) -> tuple | None:

@@ -278,19 +278,6 @@ def _rational_roots(coeffs: list) -> list:
     return sorted(roots)
 
 
-def _restricted_operator(algebra: LieAlgebra, space: Subspace, basis_index: int) -> list:
-    """Matrix of ad(e_i) on the invariant subspace, in its canonical basis."""
-    table_row = algebra.table[basis_index]
-    rows = []
-    for v in space.basis:
-        # [e_i, v] combines the table row of e_i by v
-        coords = space.coordinates(linear_combination(algebra.field, v, table_row, algebra.dim))
-        if coords is None:
-            raise NotNestedError("subspace is not invariant")
-        rows.append(list(coords))
-    return rows
-
-
 def _is_scalar(rows: list) -> bool:
     k = len(rows)
     for i in range(k):
@@ -315,8 +302,10 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
     while queue:
         space = queue.pop(0)
         split = False
-        for i in range(algebra.dim):
-            rows = _restricted_operator(algebra, space, i)
+        # ad(e_i) on the invariant subspace, in its canonical basis
+        view = FactorView(algebra, space, algebra.zero_space())
+        for x in algebra.basis_vectors():
+            rows = [list(r) for r in view.action_matrix(x).rows]
             if _is_scalar(rows):
                 continue
             coeffs = _char_poly(rows)
@@ -363,20 +352,18 @@ def minimal_ideal(algebra: LieAlgebra, alternate: bool = False) -> Subspace:
 
 def chief_series(algebra: LieAlgebra, alternate: bool = False) -> ChiefSeries:
     """Chief series built by repeatedly lifting a minimal ideal of the quotient."""
-    cache_key = "chief_series_alt" if alternate else "chief_series"
-    cached = algebra._cache.get(cache_key)
-    if cached is not None:
-        return cached
-    if not algebra.is_soluble():
-        raise NotSolubleError("chief series implemented for soluble algebras")
-    ideals = [algebra.zero_space()]
-    while ideals[-1].dim < algebra.dim:
-        quo, qmap = algebra.quotient(ideals[-1])
-        bottom_up = minimal_ideal(quo, alternate=alternate)
-        ideals.append(qmap.lift_subspace(bottom_up))
-    series = ChiefSeries(algebra, ideals)
-    algebra._cache[cache_key] = series
-    return series
+
+    def compute():
+        if not algebra.is_soluble():
+            raise NotSolubleError("chief series implemented for soluble algebras")
+        ideals = [algebra.zero_space()]
+        while ideals[-1].dim < algebra.dim:
+            quo, qmap = algebra.quotient(ideals[-1])
+            bottom_up = minimal_ideal(quo, alternate=alternate)
+            ideals.append(qmap.lift_subspace(bottom_up))
+        return ChiefSeries(algebra, ideals)
+
+    return algebra.memo("chief_series_alt" if alternate else "chief_series", compute)
 
 
 def covers(subspace: Subspace, factor: ChiefFactor) -> bool:
@@ -387,6 +374,14 @@ def covers(subspace: Subspace, factor: ChiefFactor) -> bool:
 def avoids(subspace: Subspace, factor: ChiefFactor) -> bool:
     """U avoids A/B: U meet A lies inside B."""
     return (subspace & factor.top) <= factor.bottom
+
+
+def _padded_brackets(algebra: LieAlgebra, pad: int) -> list:
+    """The algebra's nonzero brackets, each followed by pad zero coordinates."""
+    zeros = (algebra.field.zero(),) * pad
+    n, table = algebra.dim, algebra.table
+    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
+    return [((i, j), table[i][j] + zeros) for i, j in pairs if any(table[i][j])]
 
 
 class SplitExtension:
@@ -403,12 +398,7 @@ class SplitExtension:
         acting = module.algebra
         a, m = acting.dim, module.dim
         field = acting.field
-        brackets = []
-        for i in range(a):
-            for j in range(i + 1, a):
-                vec = acting.table[i][j]
-                if any(vec):
-                    brackets.append(((i, j), tuple(vec) + tuple([field.zero()] * m)))
+        brackets = _padded_brackets(acting, m)
         zero_a = tuple([field.zero()] * a)
         for i in range(a):
             rows = module.actions[i].rows
@@ -436,12 +426,7 @@ def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra
     if defect is not None:
         raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % defect)
     field = algebra.field
-    brackets = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec = algebra.table[i][j]
-            if any(vec):
-                brackets.append(((i, j), tuple(vec) + (field.zero(),)))
+    brackets = _padded_brackets(algebra, 1)
     for i in range(n):
         img = rows[i]
         if any(img):

@@ -58,8 +58,8 @@ from .formations import (
     maximal_subalgebras,
 )
 from .linalg import Subspace
-from .report import AnalysisReport, basis_strings, fingerprint
-from .sweep import SweepConfig, sweep_run, sweep_summary_lines
+from .report import AnalysisReport, basis_strings, fingerprint, rows_text
+from .sweep import FAILURE_KINDS, SweepConfig, sweep_run, sweep_summary_lines
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -68,6 +68,14 @@ EXIT_INTRAVARIANCE = 3
 EXIT_COVER_AVOID = 4
 EXIT_CRITERIA_DISAGREE = 5
 EXIT_NO_DESCENT = 6
+
+# exit code of each sweep failure kind, in FAILURE_KINDS order
+SWEEP_FAILURE_EXITS = (
+    EXIT_INTRAVARIANCE,
+    EXIT_COVER_AVOID,
+    EXIT_CRITERIA_DISAGREE,
+    EXIT_NO_DESCENT,
+)
 
 
 def _load_algebra(path: str, validate: bool = True):
@@ -110,12 +118,6 @@ def _subspace_from_rows(field: Field, dim: int, rows) -> Subspace:
             raise ParseError("each basis row must be a list of %d scalar strings" % dim)
         parsed.append(tuple(field.parse(e) for e in row))
     return Subspace.span(field, dim, parsed)
-
-
-def _rows_compact(space: Subspace) -> str:
-    if space.is_zero():
-        return "{0}"
-    return "span{%s}" % "; ".join(",".join(r) for r in basis_strings(space))
 
 
 def _emit(args, payload: dict, lines: Sequence[str]) -> None:
@@ -190,7 +192,7 @@ def cmd_normalisers(args) -> int:
     for v, chain in pairs:
         lines.append(
             "  dim %d %s via chain %s"
-            % (v.dim, _rows_compact(v), " > ".join(str(s.dim) for s in chain))
+            % (v.dim, rows_text(basis_strings(v)), " > ".join(str(s.dim) for s in chain))
         )
     _emit(args, payload, lines)
     return EXIT_OK
@@ -234,7 +236,10 @@ def cmd_check_intravariance(args) -> int:
         "subalgebra": basis_strings(sub),
         "dim": sub.dim,
     }
-    lines = ["algebra %s" % payload["fingerprint"], "subalgebra %s" % _rows_compact(sub)]
+    lines = [
+        "algebra %s" % payload["fingerprint"],
+        "subalgebra %s" % rows_text(payload["subalgebra"]),
+    ]
     ok = True
     if args.method in ("linear", "both"):
         verdict = is_intravariant_linear(algebra, sub)
@@ -256,7 +261,7 @@ def cmd_check_intravariance(args) -> int:
         ok = ok and defect is None
     if dump is not None and "derivation" in dump:
         d = derivation_from_strings(algebra, dump["derivation"])
-        reproduced = not normalizer_fills_extension(algebra, sub, d.matrix)
+        reproduced = not normalizer_fills_extension(algebra, sub, d)
         payload["reported_derivation_fails"] = reproduced
         lines.append(
             "reported derivation reproduces the failure: %s"
@@ -361,24 +366,14 @@ def cmd_sweep(args) -> int:
         seed=args.seed,
     )
     result = sweep_run(config)
-    lines = list(sweep_summary_lines(result))
-    for title, records in (
-        ("intravariance failure", result.intravariance_failures),
-        ("cover-avoid failure", result.cover_avoid_failures),
-        ("criteria disagreement", result.criteria_disagreements),
-        ("descent failure", result.descent_failures),
-    ):
-        for record in records:
+    lines = sweep_summary_lines(result)
+    for attr, title in FAILURE_KINDS:
+        for record in getattr(result, attr):
             lines.append("%s: %s" % (title, json.dumps(record, sort_keys=True)))
     _emit(args, result.to_dict(), lines)
-    if result.intravariance_failures:
-        return EXIT_INTRAVARIANCE
-    if result.cover_avoid_failures:
-        return EXIT_COVER_AVOID
-    if result.criteria_disagreements:
-        return EXIT_CRITERIA_DISAGREE
-    if result.descent_failures:
-        return EXIT_NO_DESCENT
+    for (attr, _), code in zip(FAILURE_KINDS, SWEEP_FAILURE_EXITS):
+        if getattr(result, attr):
+            return code
     return EXIT_OK
 
 

@@ -7,9 +7,11 @@ arithmetic matrices are flattened row-major into F^(n^2).
 
 A subalgebra U is intravariant when every derivation splits as inner plus
 U-stabilising.  The second, extension-style criterion adjoins one outer
-generator per basis derivation and asks that the normaliser of U together
-with L fill the extension.  The decomposable derivations form a subspace,
-so checking a basis of Der(L) settles both criteria exactly.
+generator x per basis derivation d, in D = L + Fx with [x, y] = d(y), and
+asks that the normaliser N_D(U) together with L fill D.  N_D(U) is read off
+L's structure constants plus the one row d(u) for x; D itself is never
+built.  The decomposable derivations form a subspace, so checking a basis
+of Der(L) settles both criteria exactly.
 """
 
 from __future__ import annotations
@@ -17,10 +19,9 @@ from __future__ import annotations
 from typing import Sequence
 
 from .algebra import LieAlgebra, leibniz_defect
-from .chief import split_extension_by_derivation
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import Matrix, Subspace, linear_combination, null_space, standard_vector
+from .linalg import Matrix, Subspace, linear_combination, null_space, stabiliser
 
 
 class Derivation:
@@ -99,44 +100,42 @@ def derivation_algebra(algebra: LieAlgebra) -> DerivationAlgebra:
     sum_m t_m D[m][k] - sum_m D[i][m] c_mjk - sum_m D[j][m] c_imk = 0,
     where t = [e_i, e_j] and c are the structure constants.
     """
-    cached = algebra._cache.get("derivation_algebra")
-    if cached is not None:
-        return cached
-    n = algebra.dim
-    field = algebra.field
-    zero = field.zero()
-    equations = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = algebra.table[i][j]
-            for k in range(n):
-                row = [zero] * (n * n)
-                for m in range(n):
-                    if t[m]:
-                        row[m * n + k] = field.add(row[m * n + k], t[m])
-                    c1 = algebra.table[m][j][k]
-                    if c1:
-                        row[i * n + m] = field.sub(row[i * n + m], c1)
-                    c2 = algebra.table[i][m][k]
-                    if c2:
-                        row[j * n + m] = field.sub(row[j * n + m], c2)
-                if any(row):
-                    equations.append(row)
-    basis = null_space(equations, field, ncols=n * n)
-    result = DerivationAlgebra(algebra, Subspace.span(field, n * n, basis))
-    algebra._cache["derivation_algebra"] = result
-    return result
+
+    def compute():
+        n = algebra.dim
+        field = algebra.field
+        zero = field.zero()
+        equations = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                t = algebra.table[i][j]
+                for k in range(n):
+                    row = [zero] * (n * n)
+                    for m in range(n):
+                        if t[m]:
+                            row[m * n + k] = field.add(row[m * n + k], t[m])
+                        c1 = algebra.table[m][j][k]
+                        if c1:
+                            row[i * n + m] = field.sub(row[i * n + m], c1)
+                        c2 = algebra.table[i][m][k]
+                        if c2:
+                            row[j * n + m] = field.sub(row[j * n + m], c2)
+                    if any(row):
+                        equations.append(row)
+        basis = null_space(equations, field, ncols=n * n)
+        return DerivationAlgebra(algebra, Subspace.span(field, n * n, basis))
+
+    return algebra.memo("derivation_algebra", compute)
 
 
 def inner_derivations(algebra: LieAlgebra) -> Subspace:
     """Span of the ad matrices, flattened; dim n - dim Z(L)."""
-    cached = algebra._cache.get("inner_derivations")
-    if cached is None:
-        # ad(e_i) has rows [e_i, e_k], which is table[i]
-        n = algebra.dim
-        cached = Subspace.span(algebra.field, n * n, [sum(rows, ()) for rows in algebra.table])
-        algebra._cache["inner_derivations"] = cached
-    return cached
+    # ad(e_i) has rows [e_i, e_k], which is table[i]
+    n = algebra.dim
+    return algebra.memo(
+        "inner_derivations",
+        lambda: Subspace.span(algebra.field, n * n, [sum(rows, ()) for rows in algebra.table]),
+    )
 
 
 def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
@@ -147,20 +146,14 @@ def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Sub
         raise DimensionMismatchError("subalgebra lives in the wrong ambient space")
     if der.dim == 0 or subalgebra.is_zero() or subalgebra.is_full():
         return der.subspace
-    # Coefficients c over the Der basis with (sum_t c_t d_t)(u) in U for
-    # every basis vector u; reduction mod U is linear, so this is a kernel.
-    rows = []
-    for d in der.basis:
-        row = []
-        for u in subalgebra.basis:
-            row.extend(subalgebra.reduce(d(u)))
-        rows.append(row)
-    stacked = Matrix(algebra.field, rows, ncols=n * subalgebra.dim)
+    # coefficients c over the Der basis with (sum_t c_t d_t)(U) <= U
+    images = [[d(u) for u in subalgebra.basis] for d in der.basis]
+    kernel = stabiliser(algebra.field, images, subalgebra)
     flat_basis = [d.flatten() for d in der.basis]
     return Subspace.span(
         algebra.field,
         n * n,
-        [linear_combination(algebra.field, c, flat_basis, n * n) for c in stacked.left_kernel()],
+        [linear_combination(algebra.field, c, flat_basis, n * n) for c in kernel],
     )
 
 
@@ -172,24 +165,29 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     return (inner + stab).dim == der.dim
 
 
-def normalizer_fills_extension(algebra: LieAlgebra, subalgebra: Subspace, matrix: Matrix) -> bool:
-    """In D = one-generator extension by the matrix, N_D(U) + L = D."""
-    n = algebra.dim
-    field = algebra.field
-    embedded = Subspace.span(
-        field, n + 1, [tuple(v) + (field.zero(),) for v in subalgebra.basis]
-    )
-    ambient = Subspace.span(
-        field, n + 1, [standard_vector(field, n + 1, i) for i in range(n)]
-    )
-    extension = split_extension_by_derivation(algebra, matrix)
-    return (extension.normalizer(embedded) + ambient).dim == n + 1
+def normalizer_fills_extension(
+    algebra: LieAlgebra, subalgebra: Subspace, derivation: Derivation
+) -> bool:
+    """In D = L + Fx with [x, y] = d(y), N_D(U) + L = D.
+
+    An element sum_k c_k e_k + c x of D sends u in U to
+    sum_k c_k [e_k, u] + c d(u), which lies in L, so N_D(U) is the kernel
+    of the n maps u |-> [e_k, u] (read off the table) and the one map d,
+    all reduced mod U.  It fills D with L exactly when some kernel
+    vector has c != 0.  D is never built; the Derivation constructor has
+    already checked the Leibniz rule.
+    """
+    if derivation.parent != algebra or subalgebra.ambient_dim != algebra.dim:
+        raise DimensionMismatchError("derivation and subalgebra must belong to the algebra")
+    maps = algebra.basis_brackets(subalgebra.basis)
+    maps.append([derivation(u) for u in subalgebra.basis])
+    return any(c[algebra.dim] for c in stabiliser(algebra.field, maps, subalgebra))
 
 
 def extension_defect(algebra: LieAlgebra, subalgebra: Subspace):
     """First basis derivation whose extension breaks N_D(U) + L = D, or None."""
     for d in derivation_algebra(algebra).basis:
-        if not normalizer_fills_extension(algebra, subalgebra, d.matrix):
+        if not normalizer_fills_extension(algebra, subalgebra, d):
             return d
     return None
 

@@ -106,23 +106,22 @@ def _check_enumerable(algebra: LieAlgebra) -> None:
 def enumerate_subalgebras(algebra: LieAlgebra) -> list:
     """Every bracket-closed subspace, canonical and duplicate-free."""
     _check_enumerable(algebra)
-    cached = algebra._cache.get("all_subalgebras")
-    if cached is None:
-        cached = [
-            s for s in enumerate_subspaces(algebra.field, algebra.dim) if algebra.is_subalgebra(s)
-        ]
-        algebra._cache["all_subalgebras"] = cached
-    return list(cached)
+
+    def compute():
+        spaces = enumerate_subspaces(algebra.field, algebra.dim)
+        return [s for s in spaces if algebra.is_subalgebra(s)]
+
+    return list(algebra.memo("all_subalgebras", compute))
 
 
 def enumerate_ideals(algebra: LieAlgebra) -> list:
     """Every bracket-invariant subspace, canonical and duplicate-free."""
     _check_enumerable(algebra)
-    cached = algebra._cache.get("all_ideals")
-    if cached is None:
-        cached = [s for s in enumerate_subalgebras(algebra) if algebra.is_ideal(s)]
-        algebra._cache["all_ideals"] = cached
-    return list(cached)
+
+    def compute():
+        return [s for s in enumerate_subalgebras(algebra) if algebra.is_ideal(s)]
+
+    return list(algebra.memo("all_ideals", compute))
 
 
 def minimal_ideals_exhaustive(algebra: LieAlgebra) -> list:

@@ -148,17 +148,17 @@ def _subalgebra_key(s: Subspace) -> tuple:
 
 def maximal_subalgebras(algebra: LieAlgebra) -> list:
     """Maximal elements of the proper-subalgebra order, sorted canonically."""
-    cached = algebra._cache.get("maximal_subalgebras")
-    if cached is None:
+
+    def compute():
         subs = [s for s in enumerate_subalgebras(algebra) if s.dim < algebra.dim]
         subs.sort(key=_subalgebra_key)
         maximal = []
         for s in subs:
             if not any(other.dim > s.dim and s <= other for other in subs if other is not s):
                 maximal.append(s)
-        cached = maximal
-        algebra._cache["maximal_subalgebras"] = cached
-    return list(cached)
+        return maximal
+
+    return list(algebra.memo("maximal_subalgebras", compute))
 
 
 def classify_maximal(
@@ -171,10 +171,15 @@ def classify_maximal(
     relative to F.  They must agree; disagreement is an implementation bug
     and raises CriteriaDisagreeError.
     """
-    cache_key = ("classify_maximal", maximal, formation)
-    cached = algebra._cache.get(cache_key)
-    if cached is not None:
-        return cached
+    return algebra.memo(
+        ("classify_maximal", maximal, formation),
+        lambda: _classify_maximal(algebra, maximal, formation),
+    )
+
+
+def _classify_maximal(
+    algebra: LieAlgebra, maximal: Subspace, formation: Formation
+) -> MaximalClassification:
     core = algebra.core(maximal)
     quo, _ = algebra.quotient(core)
     core_verdict = formation.contains(quo)
@@ -201,9 +206,7 @@ def classify_maximal(
         )
     verdict = Verdict.F_NORMAL if core_verdict else Verdict.F_ABNORMAL
     witness = complemented if core_verdict else None
-    result = MaximalClassification(maximal, verdict, witness, complemented)
-    algebra._cache[cache_key] = result
-    return result
+    return MaximalClassification(maximal, verdict, witness, complemented)
 
 
 def is_f_critical(algebra: LieAlgebra, maximal: Subspace, formation: Formation) -> bool:
@@ -219,15 +222,14 @@ def f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
     Results are (subspace, chain) pairs in the algebra's coordinates,
     deduplicated by canonical subspace and sorted.
     """
-    cache_key = ("f_normalisers", formation)
-    cached = algebra._cache.get(cache_key)
-    if cached is not None:
-        return list(cached)
+    cached = algebra.memo(("f_normalisers", formation), lambda: _f_normalisers(algebra, formation))
+    return list(cached)
+
+
+def _f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
     full = algebra.full_space()
     if formation.contains(algebra):
-        result = [(full, NormaliserChain([full]))]
-        algebra._cache[cache_key] = result
-        return list(result)
+        return [(full, NormaliserChain([full]))]
     if algebra.field.p is None:
         raise UnsupportedFieldError("normaliser computation needs a finite field")
     critical = [
@@ -245,9 +247,7 @@ def f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
             if v not in found:
                 lifted = [inc.include_subspace(c) for c in chain_sub]
                 found[v] = NormaliserChain([full] + lifted)
-    result = sorted(found.items(), key=lambda item: _subalgebra_key(item[0]))
-    algebra._cache[cache_key] = result
-    return list(result)
+    return sorted(found.items(), key=lambda item: _subalgebra_key(item[0]))
 
 
 class CoverAvoidEntry:

@@ -8,10 +8,12 @@ deduplication exact.
 All row reduction goes through one kernel, _eliminate, which clears the
 pivot columns of a vector against echelon rows; RREF, membership,
 coordinates and incremental spans are built on it, and linear_combination
-is the one place vectors are summed.  Over GF(p) every result is reduced
-mod p, over Q entries are Fractions; each primitive branches on the field
-once, outside its loop, because the verification sweeps spend most of
-their time here.
+is the one place vectors are summed.  stabiliser is the one "which
+combination of these maps sends a basis into B" kernel, behind
+centralisers, normalisers, intersections and stabilising derivations.
+Over GF(p) every result is reduced mod p, over Q entries are Fractions;
+each primitive branches on the field once, outside its loop, because the
+verification sweeps spend most of their time here.
 """
 
 from __future__ import annotations
@@ -165,13 +167,7 @@ class Matrix:
         )
 
     def __sub__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        f = self.field
-        return Matrix(
-            self.field,
-            [[f.sub(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self + other.scale(self.field.neg(self.field.one()))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         self._check(other, square_match=True)
@@ -234,10 +230,7 @@ class Subspace:
 
     @staticmethod
     def full_space(field: Field, ambient_dim: int) -> "Subspace":
-        z, o = field.zero(), field.one()
-        basis = tuple(
-            tuple(o if i == j else z for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
+        basis = Matrix.identity(field, ambient_dim).rows
         return Subspace(field, ambient_dim, basis, tuple(range(ambient_dim)))
 
     @property
@@ -309,12 +302,9 @@ class Subspace:
             return self
         if other.dim < self.dim and other <= self:
             return other
-        # Coefficient vectors (c, d) with c*A + d*B = 0 give c*A in both spans.
-        stacked = Matrix(self.field, self.basis + other.basis, ncols=self.ambient_dim)
-        vecs = [
-            linear_combination(self.field, cd[: self.dim], self.basis, self.ambient_dim)
-            for cd in stacked.left_kernel()
-        ]
+        # combinations c of A's basis with c*A in B
+        kernel = stabiliser(self.field, [[v] for v in self.basis], other)
+        vecs = [linear_combination(self.field, c, self.basis, self.ambient_dim) for c in kernel]
         return Subspace.span(self.field, self.ambient_dim, vecs)
 
     def free_columns(self) -> tuple:
@@ -349,9 +339,6 @@ class EchelonAccumulator:
             raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
         return _eliminate(vec, self.rows, self.pivots, self.field.p)[0]
 
-    def contains(self, vec: Sequence) -> bool:
-        return not any(self.reduce(vec))
-
     def add(self, vec: Sequence) -> bool:
         """Insert vec; True when the rank grew."""
         v = self.reduce(vec)
@@ -373,6 +360,17 @@ class EchelonAccumulator:
         return Subspace(
             self.field, self.ambient_dim, tuple(tuple(r) for r in self.rows), tuple(self.pivots)
         )
+
+
+def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> list:
+    """Basis of the coefficient vectors c for which sum_t c_t f_t maps a basis into `into`.
+
+    images[t] lists the images of one fixed basis under the map f_t.
+    Reduction mod `into` is linear, so the answer is the left kernel of the
+    reduced images laid side by side, one row per map.
+    """
+    rows = [sum((into.reduce(v) for v in row), []) for row in images]
+    return Matrix(field, rows).left_kernel()
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) -> Iterator[Subspace]:
@@ -444,8 +442,3 @@ def check_budget(steps: int, what: str) -> None:
         raise BudgetExceededError(
             "%s takes %d steps, over the budget of %d" % (what, steps, WORK_BUDGET)
         )
-
-
-def standard_vector(field: Field, n: int, i: int) -> tuple:
-    z, o = field.zero(), field.one()
-    return tuple(o if j == i else z for j in range(n))

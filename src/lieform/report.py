@@ -150,7 +150,7 @@ class AnalysisReport:
             lines.append("  chief series ideal dims: %s" % " < ".join(str(x) for x in chief["ideal_dims"]))
             for idx, f in enumerate(chief["factors"], 1):
                 lines.append("    factor %d: dim %d" % (idx, f["dim"]))
-            lines.append("  nilradical basis: %s" % _rows_text(d["nilradical"]))
+            lines.append("  nilradical basis: %s" % rows_text(d["nilradical"]))
         lines.append(
             "  derivations: dim %d, inner dim %d"
             % (d["derivations"]["dim"], d["derivations"]["inner_dim"])
@@ -163,7 +163,7 @@ class AnalysisReport:
                 lines.append("    skipped: %s" % section["skipped"])
                 continue
             for m in section.get("maximal_subalgebras", []):
-                lines.append("    maximal %s: %s" % (_rows_text(m["basis"]), m["verdict"]))
+                lines.append("    maximal %s: %s" % (rows_text(m["basis"]), m["verdict"]))
             for v in section["normalisers"]:
                 cover = ""
                 if "cover_avoid_ok" in v:
@@ -171,19 +171,20 @@ class AnalysisReport:
                 lines.append(
                     "    normaliser %s: intravariant linear=%s extension=%s%s"
                     % (
-                        _rows_text(v["basis"]),
+                        rows_text(v["basis"]),
                         v["intravariant_linear"],
                         v["intravariant_extension"],
                         cover,
                     )
                 )
                 lines.append(
-                    "      chain: %s" % " > ".join(_rows_text(c) for c in v["chain"])
+                    "      chain: %s" % " > ".join(rows_text(c) for c in v["chain"])
                 )
         return "\n".join(lines) + "\n"
 
 
-def _rows_text(rows: list) -> str:
+def rows_text(rows: list) -> str:
+    """A basis as basis_strings gives it, in text form: {0} or span{a,b; c,d}."""
     if not rows:
         return "{0}"
     return "span{%s}" % "; ".join(",".join(r) for r in rows)

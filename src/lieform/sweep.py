@@ -63,6 +63,17 @@ class SweepConfig:
         return [formation_by_name(name) for name in self.formations]
 
 
+# Failure kinds in precedence order: the SweepResult list that holds them
+# and their title in text output.  The CLI's exit code reports the first
+# kind present.
+FAILURE_KINDS = (
+    ("intravariance_failures", "intravariance failure"),
+    ("cover_avoid_failures", "cover-avoid failure"),
+    ("criteria_disagreements", "criteria disagreement"),
+    ("descent_failures", "descent failure"),
+)
+
+
 @dataclass
 class SweepResult:
     """Counts plus replayable failure records from one sweep."""
@@ -78,21 +89,14 @@ class SweepResult:
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.intravariance_failures
-            or self.cover_avoid_failures
-            or self.criteria_disagreements
-            or self.descent_failures
-        )
+        return not any(getattr(self, attr) for attr, _ in FAILURE_KINDS)
 
     def merge(self, other: "SweepResult") -> None:
         self.algebras += other.algebras
         self.maximals_classified += other.maximals_classified
         self.normalisers_checked += other.normalisers_checked
-        self.intravariance_failures.extend(other.intravariance_failures)
-        self.cover_avoid_failures.extend(other.cover_avoid_failures)
-        self.criteria_disagreements.extend(other.criteria_disagreements)
-        self.descent_failures.extend(other.descent_failures)
+        for attr, _ in FAILURE_KINDS:
+            getattr(self, attr).extend(getattr(other, attr))
 
     def sort(self) -> None:
         def key(record):
@@ -103,37 +107,29 @@ class SweepResult:
                 str(record.get("maximal", "")),
             )
 
-        self.intravariance_failures.sort(key=key)
-        self.cover_avoid_failures.sort(key=key)
-        self.criteria_disagreements.sort(key=key)
-        self.descent_failures.sort(key=key)
+        for attr, _ in FAILURE_KINDS:
+            getattr(self, attr).sort(key=key)
 
     def to_dict(self) -> dict:
         # elapsed time is deliberately left out: serialised sweep output
         # must be byte-identical across runs with the same flags and seed
-        return {
+        data = {
             "algebras": self.algebras,
             "maximals_classified": self.maximals_classified,
             "normalisers_checked": self.normalisers_checked,
             "ok": self.ok,
-            "intravariance_failures": self.intravariance_failures,
-            "cover_avoid_failures": self.cover_avoid_failures,
-            "criteria_disagreements": self.criteria_disagreements,
-            "descent_failures": self.descent_failures,
         }
+        data.update((attr, getattr(self, attr)) for attr, _ in FAILURE_KINDS)
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepResult":
-        result = cls(
+        return cls(
             algebras=data["algebras"],
             maximals_classified=data["maximals_classified"],
             normalisers_checked=data["normalisers_checked"],
+            **{attr: list(data[attr]) for attr, _ in FAILURE_KINDS},
         )
-        result.intravariance_failures = list(data["intravariance_failures"])
-        result.cover_avoid_failures = list(data["cover_avoid_failures"])
-        result.criteria_disagreements = list(data["criteria_disagreements"])
-        result.descent_failures = list(data["descent_failures"])
-        return result
 
 
 def _base_record(algebra: LieAlgebra, formation: Formation) -> dict:
@@ -257,14 +253,12 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
 
 def sweep_summary_lines(result: SweepResult) -> list:
     """Fixed-format text block for the CLI."""
-    lines = [
-        "algebras checked: %d" % result.algebras,
-        "maximal subalgebras classified: %d" % result.maximals_classified,
-        "normalisers checked: %d" % result.normalisers_checked,
-        "intravariance failures: %d" % len(result.intravariance_failures),
-        "cover-avoid failures: %d" % len(result.cover_avoid_failures),
-        "criteria disagreements: %d" % len(result.criteria_disagreements),
-        "descent failures: %d" % len(result.descent_failures),
-        "result: %s" % ("ok" if result.ok else "FAIL"),
-    ]
-    return lines
+    return (
+        [
+            "algebras checked: %d" % result.algebras,
+            "maximal subalgebras classified: %d" % result.maximals_classified,
+            "normalisers checked: %d" % result.normalisers_checked,
+        ]
+        + ["%ss: %d" % (title, len(getattr(result, attr))) for attr, title in FAILURE_KINDS]
+        + ["result: %s" % ("ok" if result.ok else "FAIL")]
+    )

@@ -48,6 +48,12 @@ def r2_plus_line(field="GF(3)"):
     return algebra(field, 3, {(1, 2): (0, 1, 0)})
 
 
+def gf3_rotation():
+    # [e1,e2] = e3, [e1,e3] = -e2, [e1,e4] = e4 over GF(3): span{e2,e3}
+    # is a 2-dimensional irreducible chief factor (x^2 + 1 has no root mod 3)
+    return algebra("GF(3)", 4, {(1, 2): (0, 0, 1, 0), (1, 3): (0, 2, 0, 0), (1, 4): (0, 0, 0, 1)})
+
+
 def rotation():
     # over Q: [e1,e2] = e3, [e1,e3] = -e2; the derived subalgebra
     # span{e2,e3} is a minimal ideal with no rational eigenline

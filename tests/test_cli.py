@@ -5,6 +5,7 @@ import json
 import pytest
 
 from lieform import extension_defect
+from lieform.algebra import MAX_DIM
 from lieform.cli import main
 from lieform.derivations import derivation_matrix_strings
 from lieform.linalg import Subspace
@@ -65,6 +66,18 @@ def test_unparseable_file_is_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, ["validate", str(path)])
     assert code == 2
     assert "invalid JSON" in err
+
+
+def test_dim_above_cap_is_exit_2(tmp_path, capsys):
+    # one above the cap, never a huge dim: the refusal must come before
+    # anything of that size is allocated
+    path = write(tmp_path, "big.json", {"field": "GF(2)", "dim": MAX_DIM + 1, "brackets": []})
+    code, out, err = run(capsys, ["validate", path])
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "dim" in err
+    path = write(tmp_path, "cap.json", {"field": "GF(2)", "dim": MAX_DIM, "brackets": []})
+    assert run(capsys, ["validate", path])[0] == 0
 
 
 def test_bad_flags_exit_2():

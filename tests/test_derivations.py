@@ -5,20 +5,23 @@ import pytest
 from lieform import (
     Derivation,
     Field,
+    LieAlgebra,
     Matrix,
     NotADerivationError,
     Subspace,
     derivation_algebra,
     derivation_from_strings,
     derivation_matrix_strings,
+    enumerate_subalgebras,
     extension_defect,
     inner_derivations,
     is_intravariant_extension,
     is_intravariant_linear,
     normalizer_fills_extension,
+    split_extension_by_derivation,
     stabilizing_derivations,
 )
-from support import abelian, brute_force_derivations, h3, r2
+from support import abelian, algebra, brute_force_derivations, gf3_rotation, h3, r2
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -96,7 +99,7 @@ def test_abelian_line_not_intravariant():
     assert not is_intravariant_extension(a, u)
     defect = extension_defect(a, u)
     assert defect is not None
-    assert not normalizer_fills_extension(a, u, defect.matrix)
+    assert not normalizer_fills_extension(a, u, defect)
 
 
 def test_ideals_and_normalisers_intravariant_in_r2():
@@ -117,11 +120,38 @@ def test_trivial_subalgebras_intravariant():
 
 
 def test_criteria_agree_on_all_subalgebras_of_fixtures():
-    from lieform import enumerate_subalgebras
-
     for a in (r2("GF(2)"), h3("GF(2)"), abelian("GF(2)", 3)):
         for u in enumerate_subalgebras(a):
             assert is_intravariant_linear(a, u) == is_intravariant_extension(a, u)
+
+
+def _fills_extension_by_construction(a, u, d):
+    # D = L + Fx with [x, y] = d(y), built as an algebra; U and L embed with
+    # a zero last coordinate
+    big = split_extension_by_derivation(a, d.matrix)
+    zero = a.field.zero()
+    embedded = big.span(tuple(v) + (zero,) for v in u.basis)
+    ambient = big.span(tuple(v) + (zero,) for v in a.basis_vectors())
+    return (big.normalizer(embedded) + ambient).dim == a.dim + 1
+
+
+def test_extension_criterion_matches_explicit_extension():
+    for a in (r2("GF(2)"), h3("GF(2)"), abelian("GF(2)", 3), gf3_rotation()):
+        der = derivation_algebra(a)
+        for u in enumerate_subalgebras(a):
+            for d in der.basis:
+                expected = _fills_extension_by_construction(a, u, d)
+                assert normalizer_fills_extension(a, u, d) == expected
+
+
+def test_extension_defect_interns_nothing():
+    # an algebra no other test extends, so no extension of it is interned yet
+    a = algebra("GF(5)", 3, {(1, 2): (0, 1, 0), (1, 3): (0, 0, 2)})
+    derivation_algebra(a)
+    before = len(LieAlgebra._interned)
+    for u in (a.derived_subalgebra(), a.span([(1, 0, 0)]), a.span([(0, 1, 0)]), a.full_space()):
+        extension_defect(a, u)
+    assert len(LieAlgebra._interned) == before
 
 
 def test_matrix_strings_roundtrip():

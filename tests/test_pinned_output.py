@@ -1,9 +1,12 @@
-"""Byte-for-byte pins of `analyze --json` and `derivations --json`.
+"""Byte-for-byte pins of command-line output, JSON and text.
 
-The digests were recorded before the linear-algebra kernel was merged into
-one elimination routine; any change to canonical bases, the order of the
-derivation basis, chief factors, maximal subalgebras or normalisers shows
-up here as a different digest.
+The `analyze`/`derivations` digests were recorded before the linear-algebra
+kernel was merged into one elimination routine; the `check-intravariance`
+and `normalisers` digests before the extension criterion stopped building
+the extension algebra.  Any change to canonical bases, the order of the
+derivation basis, chief factors, maximal subalgebras, normalisers, the
+first failing derivation or the subspace text format shows up here as a
+different digest or exit code.
 """
 
 import hashlib
@@ -38,22 +41,53 @@ Q_TRIANGULAR = {
     ],
 }
 
+ABELIAN_GF3_2 = {"field": "GF(3)", "dim": 2, "brackets": []}
+
+# a sweep-style failure record: span{e2 + e4} is not intravariant in
+# GF3_ROTATION, and the derivation below breaks the extension criterion
+ROTATION_RECORD = {
+    "algebra": GF3_ROTATION,
+    "subalgebra": [["0", "1", "0", "1"]],
+    "derivation": [
+        ["0", "0", "0", "0"],
+        ["0", "1", "0", "0"],
+        ["0", "0", "1", "0"],
+        ["0", "0", "0", "0"],
+    ],
+}
+
+# (id, input, arguments before the file, exit code, sha256 of stdout)
 PINS = [
-    (GF3_ROTATION, "analyze", "bd8cea4bbce02da53ab8ea8f787d954426d43e7bb2a16f2d24a760dfd0fb3d53"),
-    (GF3_ROTATION, "derivations", "8afed13f68c3ee9fd98c9180cbdd0b1d0bde4898ed9c5885a172321268bd97ed"),
-    (Q_TRIANGULAR, "analyze", "e3feb7c8bf17ae2eb7c541da1d6a34e4a64a7ab91f939694df76ac8d1bd2803f"),
-    (Q_TRIANGULAR, "derivations", "87bcb4085cba626289718022a308accb1da91f81b4946a9bc7faaa339755d90d"),
+    ("gf3-analyze", GF3_ROTATION, ["analyze", "--json"], 0,
+     "bd8cea4bbce02da53ab8ea8f787d954426d43e7bb2a16f2d24a760dfd0fb3d53"),
+    ("gf3-derivations", GF3_ROTATION, ["derivations", "--json"], 0,
+     "8afed13f68c3ee9fd98c9180cbdd0b1d0bde4898ed9c5885a172321268bd97ed"),
+    ("q-analyze", Q_TRIANGULAR, ["analyze", "--json"], 0,
+     "e3feb7c8bf17ae2eb7c541da1d6a34e4a64a7ab91f939694df76ac8d1bd2803f"),
+    ("q-derivations", Q_TRIANGULAR, ["derivations", "--json"], 0,
+     "87bcb4085cba626289718022a308accb1da91f81b4946a9bc7faaa339755d90d"),
+    # both criteria fail; the first failing basis derivation is printed
+    ("abelian-check-fails", ABELIAN_GF3_2,
+     ["check-intravariance", "--json", "--subalgebra", "1,0"], 3,
+     "05088c79f6461bd674af0a8e096aaeecfb8515972e6e6402423eb76dcf22e6af"),
+    ("gf3-check-passes", GF3_ROTATION,
+     ["check-intravariance", "--json", "--subalgebra", "1,0,0,0;0,0,0,1"], 0,
+     "889c7042a5b50c455e3812a044dda9e1341ad7defa29551dee0b751cdb49c3e4"),
+    ("gf3-check-replay", ROTATION_RECORD, ["check-intravariance", "--json"], 3,
+     "f9cac878289b404429d6bba3094bd82e6d2a6cbfafb33981c6a175084914d4ae"),
+    ("gf3-normalisers-text", GF3_ROTATION, ["normalisers", "--formation", "nilpotent"], 0,
+     "97c045f2abe0278ab7494b4efe0abcaf146eb5d8baad148b5767b3838e4f913b"),
+    ("gf3-check-text", GF3_ROTATION, ["check-intravariance", "--subalgebra", "0,1,0,1"], 3,
+     "4ac3d71b18c51be96ec9c62262f393c9511028f529927c3415995601df978bf0"),
 ]
 
 
 @pytest.mark.parametrize(
-    "data, command, expected",
-    PINS,
-    ids=["gf3-analyze", "gf3-derivations", "q-analyze", "q-derivations"],
+    "data, args, code, expected", [pin[1:] for pin in PINS], ids=[pin[0] for pin in PINS]
 )
-def test_json_output_bytes_pinned(tmp_path, capsys, data, command, expected):
+def test_json_output_bytes_pinned(tmp_path, capsys, data, args, code, expected):
     path = tmp_path / "algebra.json"
     path.write_text(json.dumps(data), encoding="utf-8")
-    assert main([command, "--json", str(path)]) == 0
+    assert main(args + [str(path)]) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected
