@@ -5,9 +5,12 @@ pairs; everything else (series, centralisers, cores, quotients) is linear
 algebra over that table.  Instances are interned on (field, table), so
 structurally equal algebras are the same object and share their cache of
 derived data.  That sharing is what keeps the exhaustive sweeps fast.
-LieAlgebra.memo is the one per-algebra cache: every derived value (series,
-centre, cores, quotients, derivations, chief series, subalgebra listings,
-classifications, normalisers) is stored through it, under a fixed key.
+LieAlgebra.memo is the one per-algebra cache: every derived value (full
+space, series, centre, cores, quotients, derivations, chief series,
+subalgebra listings, classifications, normalisers) is stored through it,
+under a fixed key.  FactorView is the one coordinate map on a subquotient
+A/B: restrict and quotient return one with the algebra they build, and
+chief factors are views.
 
 Parsed documents are refused above MAX_DIM, before any table is allocated.
 
@@ -244,7 +247,7 @@ class LieAlgebra:
     # Subspaces of the algebra
 
     def full_space(self) -> Subspace:
-        return Subspace.full_space(self.field, self.dim)
+        return self.memo("full_space", lambda: Subspace.full_space(self.field, self.dim))
 
     def zero_space(self) -> Subspace:
         return Subspace.zero_space(self.field, self.dim)
@@ -382,46 +385,44 @@ class LieAlgebra:
 
         return self.memo("nilradical", compute)
 
-    # Derived algebras on subspaces and quotients
+    # Algebras on subquotients.  Both build their table through one routine
+    # and return it with the FactorView that gives its coordinates.
+
+    def _factor_algebra(self, view: "FactorView") -> "LieAlgebra":
+        """The algebra on a factor: coordinates of the brackets of its basis pairs."""
+        basis = view.space.basis
+        m = len(basis)
+        brackets = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                coords = view.coords(self.bracket(basis[i], basis[j]))
+                if any(coords):
+                    brackets.append(((i, j), coords))
+        return LieAlgebra(self.field, m, brackets)
 
     def restrict(self, s: Subspace) -> tuple:
-        """Algebra structure on a subalgebra s; returns (algebra, inclusion map).
+        """Algebra structure on a subalgebra s; returns (algebra, FactorView s/0).
 
         Raises NotASubalgebraError when s is not bracket-closed.
         """
 
         def compute():
-            basis = s.basis
-            m = len(basis)
-            brackets = []
-            for i in range(m):
-                for j in range(i + 1, m):
-                    coords = s.coordinates(self.bracket(basis[i], basis[j]))
-                    if coords is None:
-                        raise NotASubalgebraError("bracket leaves the subspace")
-                    if any(coords):
-                        brackets.append(((i, j), coords))
-            return LieAlgebra(self.field, m, brackets), SubspaceMap(self, s)
+            view = FactorView(self, s, self.zero_space())
+            try:
+                return self._factor_algebra(view), view
+            except NotNestedError:
+                raise NotASubalgebraError("bracket leaves the subspace") from None
 
         return self.memo(("restrict", s), compute)
 
     def quotient(self, ideal: Subspace) -> tuple:
-        """Quotient by an ideal; returns (algebra, quotient map)."""
+        """Quotient by an ideal; returns (algebra, FactorView L/ideal)."""
 
         def compute():
             if not self.is_ideal(ideal):
                 raise NotAnIdealError("quotient requires an ideal")
-            qmap = QuotientMap(self, ideal)
-            free = qmap.free
-            m = len(free)
-            brackets = []
-            for a in range(m):
-                for b in range(a + 1, m):
-                    coords = qmap.project(self.table[free[a]][free[b]])
-                    if any(coords):
-                        brackets.append(((a, b), coords))
-            qmap.algebra = LieAlgebra(self.field, m, brackets)
-            return qmap.algebra, qmap
+            view = FactorView(self, self.full_space(), ideal)
+            return self._factor_algebra(view), view
 
         return self.memo(("quotient", ideal), compute)
 
@@ -443,67 +444,53 @@ def leibniz_defect(algebra: LieAlgebra, rows: Sequence) -> tuple | None:
     return None
 
 
-class SubspaceMap:
-    """Coordinates of a subalgebra relative to its canonical basis."""
+class FactorView:
+    """Coordinates on a subquotient top/bottom of nested subspaces of an algebra.
 
-    __slots__ = ("parent", "space")
-
-    def __init__(self, parent: LieAlgebra, space: Subspace):
-        self.parent = parent
-        self.space = space
-
-    def include(self, coords: Sequence) -> tuple:
-        """Subalgebra coordinates to ambient coordinates."""
-        return linear_combination(self.parent.field, coords, self.space.basis, self.parent.dim)
-
-    def restrict_vector(self, vec: Sequence) -> tuple:
-        coords = self.space.coordinates(vec)
-        if coords is None:
-            raise NotNestedError("vector lies outside the subalgebra")
-        return coords
-
-    def include_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.span(
-            self.parent.field, self.parent.dim, [self.include(v) for v in s.basis]
-        )
-
-    def restrict_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.span(
-            self.parent.field, len(self.space.basis), [self.restrict_vector(v) for v in s.basis]
-        )
-
-
-class QuotientMap:
-    """Projection onto a quotient and its canonical linear section.
-
-    Quotient coordinates are the residual entries at the ideal's free
-    columns, so project . lift is the identity.
+    The one coordinate map: restrict returns the view s/0, quotient the view
+    L/I, and a chief factor is a view.  The basis is the reduction of top's
+    basis mod bottom, kept in echelon form as a subspace, so coords and lift
+    are exact mutual inverses modulo bottom.  For bottom = 0 that subspace
+    is top itself; for top = L and an ideal I it is the standard vectors at
+    I's free columns.
     """
 
-    __slots__ = ("parent", "ideal", "free", "algebra")
+    __slots__ = ("algebra", "top", "bottom", "space")
 
-    def __init__(self, parent: LieAlgebra, ideal: Subspace):
-        self.parent = parent
-        self.ideal = ideal
-        self.free = ideal.free_columns()
-        self.algebra = None
+    def __init__(self, algebra: LieAlgebra, top: Subspace, bottom: Subspace):
+        if not bottom <= top:
+            raise NotNestedError("factor requires bottom <= top")
+        self.algebra = algebra
+        self.top = top
+        self.bottom = bottom
+        # no copy of a subspace that already exists
+        self.space = top if bottom.is_zero() else algebra.span(bottom.reduce(v) for v in top.basis)
 
-    def project(self, vec: Sequence) -> tuple:
-        residual = self.ideal.reduce(vec)
-        return tuple(residual[c] for c in self.free)
+    @property
+    def dim(self) -> int:
+        return self.space.dim
 
-    def lift(self, qvec: Sequence) -> tuple:
-        out = [self.parent.field.zero()] * self.parent.dim
-        for c, x in zip(self.free, qvec):
-            out[c] = x
-        return tuple(out)
+    def coords(self, vec: Sequence) -> tuple:
+        """Factor coordinates of a vector of the top space."""
+        coeffs = self.space.coordinates(self.bottom.reduce(vec))
+        if coeffs is None:
+            raise NotNestedError("vector lies outside the factor's top space")
+        return coeffs
+
+    def lift(self, coords: Sequence) -> tuple:
+        """A representative in the algebra of factor coordinates."""
+        return linear_combination(self.algebra.field, coords, self.space.basis, self.algebra.dim)
 
     def project_subspace(self, s: Subspace) -> Subspace:
-        return Subspace.span(
-            self.parent.field, len(self.free), [self.project(v) for v in s.basis]
-        )
+        """The span of the coordinates of a subspace of the top space."""
+        return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.basis])
 
     def lift_subspace(self, s: Subspace) -> Subspace:
-        """Full preimage: the lifted basis together with the ideal."""
-        vecs = [self.lift(v) for v in s.basis] + list(self.ideal.basis)
-        return Subspace.span(self.parent.field, self.parent.dim, vecs)
+        """Full preimage: the lifted basis together with the bottom."""
+        vecs = [self.lift(v) for v in s.basis] + list(self.bottom.basis)
+        return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
+
+    def action_matrix(self, x: Sequence) -> Matrix:
+        """Action of x on factor coordinates via the bracket."""
+        rows = [self.coords(self.algebra.bracket(x, row)) for row in self.space.basis]
+        return Matrix(self.algebra.field, rows, ncols=self.dim)

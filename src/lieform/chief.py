@@ -9,6 +9,8 @@ simultaneous rational eigenspaces of the commuting induced operators; when
 no rational invariant line exists the computation is refused rather than
 approximated.
 
+A chief factor is an algebra.FactorView, the one subquotient coordinate
+map, so its module action and F-centrality are read off the factor itself.
 Module action convention matches the bracket: x acts on v as v * R_x, so
 the representation identity reads R_[x,y] = R_y R_x - R_x R_y.
 """
@@ -20,7 +22,7 @@ from itertools import product
 from math import gcd
 from typing import Sequence
 
-from .algebra import LieAlgebra, leibniz_defect
+from .algebra import FactorView, LieAlgebra, leibniz_defect
 from .errors import (
     DimensionMismatchError,
     InvalidModuleError,
@@ -103,71 +105,21 @@ def is_irreducible(module: LModule) -> bool:
     return True
 
 
-class FactorView:
-    """Coordinates on a factor A/B of nested subspaces of an algebra.
+class ChiefFactor(FactorView):
+    """One factor top/bottom of a chief series, with its cached F-centrality verdicts."""
 
-    The basis is the reduction of A's basis mod B, kept in echelon form as
-    a subspace, so coords and lift are exact mutual inverses modulo B.
-    """
-
-    __slots__ = ("algebra", "top", "bottom", "space")
-
-    def __init__(self, algebra: LieAlgebra, top: Subspace, bottom: Subspace):
-        if not bottom <= top:
-            raise NotNestedError("factor requires bottom <= top")
-        self.algebra = algebra
-        self.top = top
-        self.bottom = bottom
-        self.space = algebra.span(bottom.reduce(v) for v in top.basis)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-    def coords(self, vec: Sequence) -> tuple:
-        """Factor coordinates of a vector of the top space."""
-        coeffs = self.space.coordinates(self.bottom.reduce(vec))
-        if coeffs is None:
-            raise NotNestedError("vector lies outside the factor's top space")
-        return coeffs
-
-    def lift(self, coords: Sequence) -> tuple:
-        return linear_combination(self.algebra.field, coords, self.space.basis, self.algebra.dim)
-
-    def action_matrix(self, x: Sequence) -> Matrix:
-        """Action of x on factor coordinates via the bracket."""
-        rows = [self.coords(self.algebra.bracket(x, row)) for row in self.space.basis]
-        return Matrix(self.algebra.field, rows, ncols=self.dim)
-
-
-class ChiefFactor:
-    """One factor top/bottom of a chief series."""
-
-    __slots__ = ("algebra", "top", "bottom", "_view", "_central")
+    __slots__ = ("_central",)
 
     def __init__(self, algebra: LieAlgebra, top: Subspace, bottom: Subspace):
         if not bottom < top:
             raise NotNestedError("chief factor requires bottom < top")
-        self.algebra = algebra
-        self.top = top
-        self.bottom = bottom
-        self._view = None
+        super().__init__(algebra, top, bottom)
         self._central = {}
-
-    @property
-    def dim(self) -> int:
-        return self.top.dim - self.bottom.dim
-
-    def view(self) -> FactorView:
-        if self._view is None:
-            self._view = FactorView(self.algebra, self.top, self.bottom)
-        return self._view
 
     def module(self) -> LModule:
         """The factor as a module over the full algebra."""
-        view = self.view()
-        actions = [view.action_matrix(x) for x in self.algebra.basis_vectors()]
-        return LModule(self.algebra, actions, dim=view.dim)
+        actions = [self.action_matrix(x) for x in self.algebra.basis_vectors()]
+        return LModule(self.algebra, actions, dim=self.dim)
 
     def __repr__(self) -> str:
         return "ChiefFactor(dim %d over dim %d)" % (self.top.dim, self.bottom.dim)
@@ -304,23 +256,16 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
         split = False
         # ad(e_i) on the invariant subspace, in its canonical basis
         view = FactorView(algebra, space, algebra.zero_space())
+        identity = Matrix.identity(algebra.field, view.dim)
         for x in algebra.basis_vectors():
-            rows = [list(r) for r in view.action_matrix(x).rows]
+            action = view.action_matrix(x)
+            rows = [list(r) for r in action.rows]
             if _is_scalar(rows):
                 continue
-            coeffs = _char_poly(rows)
             branches = []
-            k = len(rows)
-            for lam in _rational_roots(coeffs):
-                shifted = [
-                    [rows[a][b] - (lam if a == b else 0) for b in range(k)]
-                    for a in range(k)
-                ]
-                eig = Matrix(algebra.field, shifted, ncols=k).left_kernel()
-                sub = algebra.span(
-                    linear_combination(algebra.field, coords, space.basis, algebra.dim)
-                    for coords in eig
-                )
+            for lam in _rational_roots(_char_poly(rows)):
+                eig = (action - identity.scale(lam)).left_kernel()
+                sub = algebra.span(view.lift(coords) for coords in eig)
                 if not sub.is_zero():
                     branches.append(sub)
             queue.extend(branches)
@@ -358,9 +303,9 @@ def chief_series(algebra: LieAlgebra, alternate: bool = False) -> ChiefSeries:
             raise NotSolubleError("chief series implemented for soluble algebras")
         ideals = [algebra.zero_space()]
         while ideals[-1].dim < algebra.dim:
-            quo, qmap = algebra.quotient(ideals[-1])
+            quo, view = algebra.quotient(ideals[-1])
             bottom_up = minimal_ideal(quo, alternate=alternate)
-            ideals.append(qmap.lift_subspace(bottom_up))
+            ideals.append(view.lift_subspace(bottom_up))
         return ChiefSeries(algebra, ideals)
 
     return algebra.memo("chief_series_alt" if alternate else "chief_series", compute)

@@ -10,6 +10,8 @@ Exit codes distinguish outcome classes so scripts can branch on them:
     4  a cover-avoid check failed
     5  the two maximal-subalgebra criteria disagreed
     6  critical descent stalled outside the formation
+  141  standard output was closed early (a broken pipe, e.g. `| head`);
+       128 + SIGPIPE, the status a shell reports for a writer killed by it
 
 When several failure kinds occur in one sweep the exit code reports the
 smallest number above, i.e. intravariance failures take precedence.
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -68,6 +71,7 @@ EXIT_INTRAVARIANCE = 3
 EXIT_COVER_AVOID = 4
 EXIT_CRITERIA_DISAGREE = 5
 EXIT_NO_DESCENT = 6
+EXIT_BROKEN_PIPE = 141
 
 # exit code of each sweep failure kind, in FAILURE_KINDS order
 SWEEP_FAILURE_EXITS = (
@@ -302,7 +306,7 @@ def cmd_verify_chain(args) -> int:
         local = chain[idx]
         try:
             for m in maps:
-                local = m.restrict_subspace(local)
+                local = m.project_subspace(local)
         except LieformError as exc:
             return _chain_failure(args, steps, "step %d: %s" % (idx, exc))
         if not current.is_subalgebra(local):
@@ -444,7 +448,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early: point stdout at os.devnull, so the exit-time
+        # flush raises nothing; a stdout without a file descriptor stays as is
+        try:
+            stdout_fd = sys.stdout.fileno()
+        except (AttributeError, ValueError):
+            return EXIT_BROKEN_PIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stdout_fd)
+        return EXIT_BROKEN_PIPE
     except ParseError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PARSE

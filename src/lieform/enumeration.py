@@ -13,7 +13,7 @@ reproducible.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .algebra import LieAlgebra
 from .chief import split_extension_by_derivation
@@ -24,27 +24,25 @@ from .linalg import Matrix, check_budget, enumerate_subspaces, gaussian_binomial
 
 
 class EnumerationBudget:
-    """Bounds for the algebra stream: dimensions, fields, sampling."""
+    """Bounds for the algebra stream: dimension, field, sampling."""
 
-    __slots__ = ("max_dim", "fields", "per_step_cap", "seed")
+    __slots__ = ("max_dim", "field", "per_step_cap", "seed")
 
     def __init__(
         self,
         max_dim: int,
-        fields: Sequence[Field],
+        field: Field,
         per_step_cap: int | None = None,
         seed: int = 0,
     ):
         if not isinstance(max_dim, int) or max_dim < 1:
             raise ParseError("max_dim must be a positive integer")
-        fields = tuple(fields)
-        for f in fields:
-            if f.p is None:
-                raise UnsupportedFieldError("the algebra stream needs prime fields")
+        if field.p is None:
+            raise UnsupportedFieldError("the algebra stream needs a prime field")
         if per_step_cap is not None and (not isinstance(per_step_cap, int) or per_step_cap < 1):
             raise ParseError("per_step_cap must be a positive integer")
         self.max_dim = max_dim
-        self.fields = fields
+        self.field = field
         self.per_step_cap = per_step_cap
         self.seed = seed
 
@@ -73,30 +71,30 @@ def _derivation_from_index(der, index: int, p: int) -> Matrix:
 
 def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
     """Stream soluble algebras per the budget, dimension by dimension."""
-    for field in budget.fields:
-        p = field.p
-        level = [LieAlgebra.abelian(field, 1)]
-        yield level[0]
-        for k in range(1, budget.max_dim):
-            next_level = []
-            for parent_index, parent in enumerate(level):
-                der = derivation_algebra(parent)
-                total = p**der.dim
-                if budget.per_step_cap is not None and total > budget.per_step_cap:
-                    rng = random.Random(_mix(budget.seed, p, k, parent_index))
-                    indices = sorted(rng.sample(range(total), budget.per_step_cap))
-                else:
-                    indices = range(total)
-                for index in indices:
-                    d = _derivation_from_index(der, index, p)
-                    child = split_extension_by_derivation(parent, d)
-                    next_level.append(child)
-                    yield child
-            level = next_level
+    field = budget.field
+    p = field.p
+    level = [LieAlgebra.abelian(field, 1)]
+    yield level[0]
+    for k in range(1, budget.max_dim):
+        next_level = []
+        for parent_index, parent in enumerate(level):
+            der = derivation_algebra(parent)
+            total = p**der.dim
+            if budget.per_step_cap is not None and total > budget.per_step_cap:
+                rng = random.Random(_mix(budget.seed, p, k, parent_index))
+                indices = sorted(rng.sample(range(total), budget.per_step_cap))
+            else:
+                indices = range(total)
+            for index in indices:
+                d = _derivation_from_index(der, index, p)
+                child = split_extension_by_derivation(parent, d)
+                next_level.append(child)
+                yield child
+        level = next_level
 
 
-def _check_enumerable(algebra: LieAlgebra) -> None:
-    field, n = algebra.field, algebra.dim
+def check_enumerable(field: Field, n: int) -> None:
+    """Raise unless the subspaces of field^n can be listed within the work budget."""
     if field.p is None:
         raise UnsupportedFieldError("exhaustive enumeration needs a finite field")
     subspaces = sum(gaussian_binomial(n, k, field.p) for k in range(n + 1))
@@ -105,7 +103,7 @@ def _check_enumerable(algebra: LieAlgebra) -> None:
 
 def enumerate_subalgebras(algebra: LieAlgebra) -> list:
     """Every bracket-closed subspace, canonical and duplicate-free."""
-    _check_enumerable(algebra)
+    check_enumerable(algebra.field, algebra.dim)
 
     def compute():
         spaces = enumerate_subspaces(algebra.field, algebra.dim)
@@ -116,7 +114,7 @@ def enumerate_subalgebras(algebra: LieAlgebra) -> list:
 
 def enumerate_ideals(algebra: LieAlgebra) -> list:
     """Every bracket-invariant subspace, canonical and duplicate-free."""
-    _check_enumerable(algebra)
+    check_enumerable(algebra.field, algebra.dim)
 
     def compute():
         return [s for s in enumerate_subalgebras(algebra) if algebra.is_ideal(s)]

@@ -24,7 +24,6 @@ from .enumeration import enumerate_ideals, enumerate_subalgebras
 from .errors import (
     CriteriaDisagreeError,
     NoCriticalDescentError,
-    NotASubalgebraError,
     ParseError,
     UnsupportedFieldError,
 )
@@ -88,9 +87,8 @@ def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation)
         return cached
     cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
     quo, qmap = algebra.quotient(cent)
-    view = factor.view()
-    actions = [view.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
-    module = LModule(quo, actions, dim=view.dim)
+    actions = [factor.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
+    module = LModule(quo, actions, dim=factor.dim)
     result = formation.contains(SplitExtension(module).algebra)
     factor._central[formation] = result
     return result
@@ -241,11 +239,11 @@ def _f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
         )
     found = {}
     for m in critical:
-        sub, inc = algebra.restrict(m)
+        sub, view = algebra.restrict(m)
         for v_sub, chain_sub in f_normalisers(sub, formation):
-            v = inc.include_subspace(v_sub)
+            v = view.lift_subspace(v_sub)
             if v not in found:
-                lifted = [inc.include_subspace(c) for c in chain_sub]
+                lifted = [view.lift_subspace(c) for c in chain_sub]
                 found[v] = NormaliserChain([full] + lifted)
     return sorted(found.items(), key=lambda item: _subalgebra_key(item[0]))
 
@@ -304,8 +302,7 @@ def is_f_projector(algebra: LieAlgebra, subalgebra: Subspace, formation: Formati
     """
     if algebra.field.p is None:
         raise UnsupportedFieldError("projector test needs a finite field")
-    if not algebra.is_subalgebra(subalgebra):
-        raise NotASubalgebraError("projector test requires a subalgebra")
+    # restrict raises NotASubalgebraError when U is not a subalgebra
     sub_algebra, _ = algebra.restrict(subalgebra)
     if not formation.contains(sub_algebra):
         return False

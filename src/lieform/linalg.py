@@ -307,11 +307,6 @@ class Subspace:
         vecs = [linear_combination(self.field, c, self.basis, self.ambient_dim) for c in kernel]
         return Subspace.span(self.field, self.ambient_dim, vecs)
 
-    def free_columns(self) -> tuple:
-        """Columns without a pivot; standard vectors there complement the space."""
-        pivot_set = set(self.pivots)
-        return tuple(c for c in range(self.ambient_dim) if c not in pivot_set)
-
 
 class EchelonAccumulator:
     """Grows a subspace one vector at a time, keeping the basis in RREF.

@@ -27,7 +27,7 @@ from .derivations import (
     extension_defect,
     is_intravariant_linear,
 )
-from .enumeration import EnumerationBudget, enumerate_soluble
+from .enumeration import EnumerationBudget, check_enumerable, enumerate_soluble
 from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError, UnsupportedFieldError
 from .fields import Field
 from .formations import (
@@ -54,7 +54,7 @@ class SweepConfig:
     def budget(self) -> EnumerationBudget:
         return EnumerationBudget(
             max_dim=self.max_dim,
-            fields=(Field.from_string(self.field),),
+            field=Field.from_string(self.field),
             per_step_cap=self.per_step_cap,
             seed=self.seed,
         )
@@ -232,13 +232,17 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
     Either way the merged result is sorted, so output bytes do not depend
     on the process count.
     """
+    budget = config.budget()
+    # every algebra of the top dimension lists its subalgebras, so an
+    # over-budget dimension is refused before the stream is walked
+    check_enumerable(budget.field, budget.max_dim)
     if threads <= 0:
         threads = _threads_from_env()
     started = time.perf_counter()
     result = SweepResult()
     if threads <= 1:
         formations = config.formation_objects()
-        for algebra in enumerate_soluble(config.budget()):
+        for algebra in enumerate_soluble(budget):
             result.merge(check_algebra(algebra, formations))
     else:
         context = get_context("fork")

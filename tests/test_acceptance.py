@@ -67,14 +67,14 @@ def sweep_gf3():
 
 
 def small_universe():
-    return list(enumerate_soluble(EnumerationBudget(max_dim=3, fields=(F2,))))
+    return list(enumerate_soluble(EnumerationBudget(max_dim=3, field=F2)))
 
 
 def both_universes():
     gf2 = enumerate_soluble(
-        EnumerationBudget(max_dim=4, fields=(F2,), per_step_cap=200, seed=1)
+        EnumerationBudget(max_dim=4, field=F2, per_step_cap=200, seed=1)
     )
-    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, fields=(F3,)))
+    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=F3))
     return list(gf2) + list(gf3)
 
 
@@ -150,7 +150,7 @@ def test_criterion_5_proof_objects(capsys):
                     failures.append(("quotient", a.to_json(), u.basis, ideal.basis))
                 if meet.is_zero():
                     joined, smap = a.restrict(u + ideal)
-                    inside = smap.restrict_subspace(u)
+                    inside = smap.project_subspace(u)
                     if not is_f_projector(joined, inside, NILPOTENT):
                         failures.append(("projector", a.to_json(), u.basis, ideal.basis))
     report(capsys, 5, "proof objects", "%d (U, A) pairs" % triples, failures)

@@ -37,7 +37,7 @@ def test_minimal_ideal_fixtures_gfp():
 
 def test_minimal_ideal_matches_exhaustive():
     # the deterministic choice must be one of the brute-force minimal ideals
-    budget = EnumerationBudget(max_dim=3, fields=(F2,))
+    budget = EnumerationBudget(max_dim=3, field=F2)
     for a in enumerate_soluble(budget):
         chosen = minimal_ideal(a)
         candidates = minimal_ideals_exhaustive(a)
@@ -87,7 +87,7 @@ def test_chief_series_ideals_and_irreducible():
 def test_chief_series_cross_validation():
     """Two independent series agree on factor dimensions (Jordan-Hoelder)."""
     for p in (2, 3):
-        budget = EnumerationBudget(max_dim=3, fields=(Field.gf(p),))
+        budget = EnumerationBudget(max_dim=3, field=Field.gf(p))
         for a in enumerate_soluble(budget):
             first = sorted(f.dim for f in chief_series(a).factors)
             second = sorted(f.dim for f in chief_series(a, alternate=True).factors)

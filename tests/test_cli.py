@@ -1,10 +1,12 @@
 """Command-line front end: exit codes, JSON payloads, replayability."""
 
 import json
+import sys
 
 import pytest
 
 from lieform import extension_defect
+from lieform import sweep
 from lieform.algebra import MAX_DIM
 from lieform.cli import main
 from lieform.derivations import derivation_matrix_strings
@@ -124,6 +126,21 @@ def test_normalisers_over_budget_exit_1(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: ") and "budget" in err
+
+
+def test_broken_stdout_pipe_exits_141_quietly(tmp_path, capsys, monkeypatch):
+    # `lieform analyze FILE | head -1`: the reader closes the pipe early
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def flush(self):
+            pass
+
+    path = write(tmp_path, "r2.json", R2_GF3)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    assert main(["analyze", path]) == 141
+    assert capsys.readouterr().err == ""
 
 
 def test_derivations_json(tmp_path, capsys):
@@ -262,6 +279,19 @@ def test_sweep_bad_thread_count_exit_2(capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "LIEFORM_THREADS" in err
+
+
+def test_sweep_over_budget_refused_up_front(capsys, monkeypatch):
+    # GF(2)^6 has 2,825 subspaces, over the budget: no algebra is checked
+    monkeypatch.delenv("LIEFORM_THREADS", raising=False)
+    checked = []
+    check_algebra = sweep.check_algebra
+    monkeypatch.setattr(sweep, "check_algebra", lambda *a: checked.append(1) or check_algebra(*a))
+    code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "6", "--cap", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+    assert checked == []
 
 
 def test_sweep_text_mode(capsys):

@@ -17,6 +17,7 @@ from lieform import (
     minimal_ideal,
     minimal_ideals_exhaustive,
 )
+from lieform.enumeration import check_enumerable
 from lieform.linalg import WORK_BUDGET
 from support import abelian, h3, r2
 
@@ -26,17 +27,17 @@ F3 = Field.gf(3)
 
 def test_budget_validation():
     with pytest.raises(ParseError):
-        EnumerationBudget(max_dim=0, fields=(F2,))
+        EnumerationBudget(max_dim=0, field=F2)
     with pytest.raises(ParseError):
-        EnumerationBudget(max_dim="3", fields=(F2,))
+        EnumerationBudget(max_dim="3", field=F2)
     with pytest.raises(UnsupportedFieldError):
-        EnumerationBudget(max_dim=2, fields=(Field.rationals(),))
+        EnumerationBudget(max_dim=2, field=Field.rationals())
     with pytest.raises(ParseError):
-        EnumerationBudget(max_dim=2, fields=(F2,), per_step_cap=0)
+        EnumerationBudget(max_dim=2, field=F2, per_step_cap=0)
 
 
 def test_stream_dim2_gf2():
-    algebras = list(enumerate_soluble(EnumerationBudget(max_dim=2, fields=(F2,))))
+    algebras = list(enumerate_soluble(EnumerationBudget(max_dim=2, field=F2)))
     assert [a.dim for a in algebras] == [1, 2, 2]
     # the two 2-dim ones are the abelian plane and the nonabelian line algebra
     tables = {a.to_json() for a in algebras if a.dim == 2}
@@ -45,29 +46,29 @@ def test_stream_dim2_gf2():
 
 
 def test_stream_counts():
-    count2 = sum(1 for _ in enumerate_soluble(EnumerationBudget(max_dim=3, fields=(F2,))))
-    count3 = sum(1 for _ in enumerate_soluble(EnumerationBudget(max_dim=3, fields=(F3,))))
+    count2 = sum(1 for _ in enumerate_soluble(EnumerationBudget(max_dim=3, field=F2)))
+    count3 = sum(1 for _ in enumerate_soluble(EnumerationBudget(max_dim=3, field=F3)))
     assert count2 == 23
     assert count3 == 103
 
 
 def test_stream_members_are_soluble():
-    for a in enumerate_soluble(EnumerationBudget(max_dim=3, fields=(F2,))):
+    for a in enumerate_soluble(EnumerationBudget(max_dim=3, field=F2)):
         a.validate()
         assert a.derived_series()[-1].is_zero()
 
 
 def test_capped_stream_is_deterministic():
-    budget = lambda: EnumerationBudget(max_dim=4, fields=(F2,), per_step_cap=5, seed=7)
+    budget = lambda: EnumerationBudget(max_dim=4, field=F2, per_step_cap=5, seed=7)
     first = [a.to_json() for a in enumerate_soluble(budget())]
     second = [a.to_json() for a in enumerate_soluble(budget())]
     assert first == second
-    other_seed = EnumerationBudget(max_dim=4, fields=(F2,), per_step_cap=5, seed=8)
+    other_seed = EnumerationBudget(max_dim=4, field=F2, per_step_cap=5, seed=8)
     assert first != [a.to_json() for a in enumerate_soluble(other_seed)]
 
 
 def test_cap_bounds_each_extension_step():
-    capped = EnumerationBudget(max_dim=4, fields=(F2,), per_step_cap=5, seed=1)
+    capped = EnumerationBudget(max_dim=4, field=F2, per_step_cap=5, seed=1)
     dims = [a.dim for a in enumerate_soluble(capped)]
     # dim-1 root, then at most 5 children per parent at each level
     assert dims.count(2) <= 5
@@ -126,3 +127,7 @@ def test_work_budget_refuses_large_fields_up_front():
     # the largest case the tests and the benchmark enumerate stays inside
     assert WORK_BUDGET == sum(gaussian_binomial(5, k, 3) for k in range(6)) == 2664
     assert len(enumerate_subalgebras(LieAlgebra.abelian(F3, 5))) == 2664
+    # the same check on a bare dimension, as sweeps make it before enumerating
+    check_enumerable(F3, 5)
+    with pytest.raises(BudgetExceededError):
+        check_enumerable(F2, 6)

@@ -57,7 +57,7 @@ def test_supersoluble_unsupported_means_false():
 
 def test_formations_quotient_closed():
     """L in F implies L/I in F, for every enumerated algebra and ideal."""
-    budget = EnumerationBudget(max_dim=3, fields=(F2,))
+    budget = EnumerationBudget(max_dim=3, field=F2)
     for a in enumerate_soluble(budget):
         for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
             if not is_member(formation, a):
@@ -143,7 +143,7 @@ def test_f_normalisers_member_is_identity():
 
 
 def test_f_normalisers_all_soluble():
-    budget = EnumerationBudget(max_dim=3, fields=(F2,))
+    budget = EnumerationBudget(max_dim=3, field=F2)
     for a in enumerate_soluble(budget):
         pairs = f_normalisers(a, ALL_SOLUBLE)
         assert len(pairs) == 1 and pairs[0][0].is_full()
@@ -197,7 +197,7 @@ def test_is_f_projector_fixtures():
 def test_centrality_consistent_across_series():
     """Multiset of (dim, central) pairs matches on an independent series."""
     for p in (2, 3):
-        budget = EnumerationBudget(max_dim=3, fields=(Field.gf(p),))
+        budget = EnumerationBudget(max_dim=3, field=Field.gf(p))
         for a in enumerate_soluble(budget):
             for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
                 first = sorted(
@@ -214,7 +214,7 @@ def test_centrality_consistent_across_series():
 def test_classification_with_supersoluble_dim3():
     """All three formations classify without criteria disagreement."""
     for p in (2, 3):
-        budget = EnumerationBudget(max_dim=3, fields=(Field.gf(p),))
+        budget = EnumerationBudget(max_dim=3, field=Field.gf(p))
         for a in enumerate_soluble(budget):
             for m in maximal_subalgebras(a):
                 for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
@@ -223,7 +223,7 @@ def test_classification_with_supersoluble_dim3():
 
 def test_normaliser_members_and_chains():
     """Every normaliser is in the formation; every chain step is critical."""
-    budget = EnumerationBudget(max_dim=3, fields=(F3,))
+    budget = EnumerationBudget(max_dim=3, field=F3)
     for a in enumerate_soluble(budget):
         for v, chain in f_normalisers(a, NILPOTENT):
             assert is_member(NILPOTENT, a.restrict(v)[0])
@@ -231,7 +231,7 @@ def test_normaliser_members_and_chains():
             for step in chain.chain[1:]:
                 local = step
                 for m in maps:
-                    local = m.restrict_subspace(local)
+                    local = m.project_subspace(local)
                 assert is_f_critical(current, local, NILPOTENT)
                 current, new_map = current.restrict(local)
                 maps.append(new_map)

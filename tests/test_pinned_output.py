@@ -3,10 +3,11 @@
 The `analyze`/`derivations` digests were recorded before the linear-algebra
 kernel was merged into one elimination routine; the `check-intravariance`
 and `normalisers` digests before the extension criterion stopped building
-the extension algebra.  Any change to canonical bases, the order of the
-derivation basis, chief factors, maximal subalgebras, normalisers, the
-first failing derivation or the subspace text format shows up here as a
-different digest or exit code.
+the extension algebra; the `sweep` and `verify-chain` digests before
+restrict and quotient returned one kind of subquotient map.  Any change to
+canonical bases, the order of the derivation basis, chief factors, maximal
+subalgebras, normalisers, the first failing derivation or the subspace text
+format shows up here as a different digest or exit code.
 """
 
 import hashlib
@@ -56,38 +57,55 @@ ROTATION_RECORD = {
     ],
 }
 
-# (id, input, arguments before the file, exit code, sha256 of stdout)
+# a critical chain L > span{e1 + 2e2 + 2e3, e4} > span{e1 + 2e2 + 2e3 + 2e4}
+ROTATION_CHAIN = [
+    [["1", "0", "0", "0"], ["0", "1", "0", "0"], ["0", "0", "1", "0"], ["0", "0", "0", "1"]],
+    [["1", "2", "2", "0"], ["0", "0", "0", "1"]],
+    [["1", "2", "2", "2"]],
+]
+
+# (id, input documents, arguments before their files, exit code, sha256 of stdout)
 PINS = [
-    ("gf3-analyze", GF3_ROTATION, ["analyze", "--json"], 0,
+    ("gf3-analyze", (GF3_ROTATION,), ["analyze", "--json"], 0,
      "bd8cea4bbce02da53ab8ea8f787d954426d43e7bb2a16f2d24a760dfd0fb3d53"),
-    ("gf3-derivations", GF3_ROTATION, ["derivations", "--json"], 0,
+    ("gf3-derivations", (GF3_ROTATION,), ["derivations", "--json"], 0,
      "8afed13f68c3ee9fd98c9180cbdd0b1d0bde4898ed9c5885a172321268bd97ed"),
-    ("q-analyze", Q_TRIANGULAR, ["analyze", "--json"], 0,
+    ("q-analyze", (Q_TRIANGULAR,), ["analyze", "--json"], 0,
      "e3feb7c8bf17ae2eb7c541da1d6a34e4a64a7ab91f939694df76ac8d1bd2803f"),
-    ("q-derivations", Q_TRIANGULAR, ["derivations", "--json"], 0,
+    ("q-derivations", (Q_TRIANGULAR,), ["derivations", "--json"], 0,
      "87bcb4085cba626289718022a308accb1da91f81b4946a9bc7faaa339755d90d"),
     # both criteria fail; the first failing basis derivation is printed
-    ("abelian-check-fails", ABELIAN_GF3_2,
+    ("abelian-check-fails", (ABELIAN_GF3_2,),
      ["check-intravariance", "--json", "--subalgebra", "1,0"], 3,
      "05088c79f6461bd674af0a8e096aaeecfb8515972e6e6402423eb76dcf22e6af"),
-    ("gf3-check-passes", GF3_ROTATION,
+    ("gf3-check-passes", (GF3_ROTATION,),
      ["check-intravariance", "--json", "--subalgebra", "1,0,0,0;0,0,0,1"], 0,
      "889c7042a5b50c455e3812a044dda9e1341ad7defa29551dee0b751cdb49c3e4"),
-    ("gf3-check-replay", ROTATION_RECORD, ["check-intravariance", "--json"], 3,
+    ("gf3-check-replay", (ROTATION_RECORD,), ["check-intravariance", "--json"], 3,
      "f9cac878289b404429d6bba3094bd82e6d2a6cbfafb33981c6a175084914d4ae"),
-    ("gf3-normalisers-text", GF3_ROTATION, ["normalisers", "--formation", "nilpotent"], 0,
+    ("gf3-normalisers-text", (GF3_ROTATION,), ["normalisers", "--formation", "nilpotent"], 0,
      "97c045f2abe0278ab7494b4efe0abcaf146eb5d8baad148b5767b3838e4f913b"),
-    ("gf3-check-text", GF3_ROTATION, ["check-intravariance", "--subalgebra", "0,1,0,1"], 3,
+    ("gf3-check-text", (GF3_ROTATION,), ["check-intravariance", "--subalgebra", "0,1,0,1"], 3,
      "4ac3d71b18c51be96ec9c62262f393c9511028f529927c3415995601df978bf0"),
+    # a whole sweep: restrictions, quotients and lifted normaliser chains
+    ("gf3-sweep", (), ["sweep", "--field", "GF(3)", "--max-dim", "3", "--json"], 0,
+     "df933c0b784fa319c4955e8a588a4b6d9ff52c3be4d79c901cc45476e8d58a3c"),
+    # chain steps carried into each restricted algebra's coordinates
+    ("gf3-verify-chain", (GF3_ROTATION, ROTATION_CHAIN),
+     ["verify-chain", "--json", "--formation", "nilpotent"], 0,
+     "07f45d856a8ea14028c5e09442b0ec3aef2ed046f5eec1c7712b0f55ea80301a"),
 ]
 
 
 @pytest.mark.parametrize(
-    "data, args, code, expected", [pin[1:] for pin in PINS], ids=[pin[0] for pin in PINS]
+    "inputs, args, code, expected", [pin[1:] for pin in PINS], ids=[pin[0] for pin in PINS]
 )
-def test_json_output_bytes_pinned(tmp_path, capsys, data, args, code, expected):
-    path = tmp_path / "algebra.json"
-    path.write_text(json.dumps(data), encoding="utf-8")
-    assert main(args + [str(path)]) == code
+def test_json_output_bytes_pinned(tmp_path, capsys, inputs, args, code, expected):
+    paths = []
+    for index, data in enumerate(inputs):
+        path = tmp_path / ("input%d.json" % index)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        paths.append(str(path))
+    assert main(args + paths) == code
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == expected
