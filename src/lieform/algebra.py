@@ -448,11 +448,12 @@ class FactorView:
     """Coordinates on a subquotient top/bottom of nested subspaces of an algebra.
 
     The one coordinate map: restrict returns the view s/0, quotient the view
-    L/I, and a chief factor is a view.  The basis is the reduction of top's
-    basis mod bottom, kept in echelon form as a subspace, so coords and lift
-    are exact mutual inverses modulo bottom.  For bottom = 0 that subspace
-    is top itself; for top = L and an ideal I it is the standard vectors at
-    I's free columns.
+    L/I, and a chief factor is a view.  The basis is the rows of top's
+    echelon basis whose pivots are not bottom's: bottom's pivots are among
+    top's, so those rows vanish at them and are already reduced mod bottom.
+    They are the echelon basis of top reduced mod bottom, so coords and lift
+    are exact mutual inverses modulo bottom.  For top = L and an ideal I
+    they are the standard vectors at I's free columns.
     """
 
     __slots__ = ("algebra", "top", "bottom", "space")
@@ -463,8 +464,13 @@ class FactorView:
         self.algebra = algebra
         self.top = top
         self.bottom = bottom
-        # no copy of a subspace that already exists
-        self.space = top if bottom.is_zero() else algebra.span(bottom.reduce(v) for v in top.basis)
+        kept = [k for k, c in enumerate(top.pivots) if c not in bottom.pivots]
+        self.space = Subspace(
+            algebra.field,
+            algebra.dim,
+            tuple(top.basis[k] for k in kept),
+            tuple(top.pivots[k] for k in kept),
+        )
 
     @property
     def dim(self) -> int:

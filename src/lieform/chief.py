@@ -1,108 +1,39 @@
-"""Chief series, minimal ideals, factor modules and split extensions.
+"""Chief series, minimal ideals, irreducibility and split extensions.
 
 A chief series is a maximal chain of ideals 0 = I_0 < ... < I_k = L; each
-factor I_{t+1}/I_t is a minimal ideal of L/I_t, equivalently an irreducible
-L-module.  Over GF(p) a minimal ideal is found by closing every nonzero
-vector of the last derived term into an ideal and keeping the smallest.
-Over Q the search refines the part of that term killed by [L, L] into
-simultaneous rational eigenspaces of the commuting induced operators; when
-no rational invariant line exists the computation is refused rather than
-approximated.
+factor I_{t+1}/I_t is a minimal ideal of L/I_t.  Over GF(p) one spinning
+loop, _spin, closes every nonzero vector of a factor A/B, with B, into an
+ideal: the smallest closure from the last derived term is a minimal ideal,
+and A/B is irreducible when every closure is A.  Over Q the search refines
+the part of that term killed by [L, L] into simultaneous rational
+eigenspaces of the commuting induced operators; when no rational invariant
+line exists the computation is refused rather than approximated.
 
-A chief factor is an algebra.FactorView, the one subquotient coordinate
-map, so its module action and F-centrality are read off the factor itself.
-Module action convention matches the bracket: x acts on v as v * R_x, so
-the representation identity reads R_[x,y] = R_y R_x - R_x R_y.
+A chief factor is an algebra.FactorView.  split_extension is the one
+split-extension builder: the ideal's coordinates first, then the acting
+algebra's, where a acts as [a, y] = y * R_a.  Its Jacobi check is each R_a
+being a derivation plus R_[a,b] = R_b R_a - R_a R_b.  F-centrality extends
+an abelian chief factor by L over its centraliser; enumeration adjoins one
+derivation at a time.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import gcd
 from typing import Sequence
 
 from .algebra import FactorView, LieAlgebra, leibniz_defect
 from .errors import (
     DimensionMismatchError,
-    InvalidModuleError,
     NotADerivationError,
     NotNestedError,
     NotSolubleError,
     UnsupportedFieldError,
     ZeroAlgebraError,
 )
-from .fields import Field
 from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination
-
-
-class LModule:
-    """Finite-dimensional module over a Lie algebra, one action matrix per
-    basis element of the acting algebra."""
-
-    __slots__ = ("algebra", "dim", "actions")
-
-    def __init__(self, algebra: LieAlgebra, actions: Sequence[Matrix], dim: int | None = None):
-        actions = tuple(actions)
-        if len(actions) != algebra.dim:
-            raise InvalidModuleError("need one action matrix per basis element")
-        if actions:
-            dim = actions[0].nrows
-        elif dim is None:
-            raise InvalidModuleError("zero-dimensional acting algebra needs explicit module dim")
-        for m in actions:
-            algebra.field.check_same(m.field)
-            if m.nrows != dim or m.ncols != dim:
-                raise DimensionMismatchError("action matrices must be %d x %d" % (dim, dim))
-        self.algebra = algebra
-        self.dim = dim
-        self.actions = actions
-
-    def action_of(self, x: Sequence) -> Matrix:
-        out = Matrix.zero(self.algebra.field, self.dim, self.dim)
-        for c, m in zip(x, self.actions):
-            if c:
-                out = out + m.scale(c)
-        return out
-
-    def validate(self) -> None:
-        """Representation identity on basis pairs; raises InvalidModuleError."""
-        alg = self.algebra
-        for i in range(alg.dim):
-            for j in range(i + 1, alg.dim):
-                lhs = self.action_of(alg.table[i][j])
-                ri, rj = self.actions[i], self.actions[j]
-                if lhs != rj * ri - ri * rj:
-                    raise InvalidModuleError(
-                        "action violates the bracket on basis pair (%d, %d)" % (i + 1, j + 1)
-                    )
-
-    def submodule_closure(self, vectors) -> Subspace:
-        acc = EchelonAccumulator(self.algebra.field, self.dim, vectors)
-        return close(acc, lambda v: [m.act(v) for m in self.actions])
-
-
-def is_irreducible(module: LModule) -> bool:
-    """No proper nonzero submodule.
-
-    Decided by spinning every nonzero vector over GF(p); over Q only the
-    one-dimensional case is decidable here.
-    """
-    if module.dim == 0:
-        return False
-    if module.dim == 1:
-        return True
-    field = module.algebra.field
-    if field.p is None:
-        raise UnsupportedFieldError("irreducibility over Q is only decided in dimension 1")
-    p = field.p
-    check_budget(p**module.dim, "irreducibility test over %s in dimension %d" % (field, module.dim))
-    for coords in product(range(p), repeat=module.dim):
-        if not any(coords):
-            continue
-        if module.submodule_closure([coords]).dim < module.dim:
-            return False
-    return True
 
 
 class ChiefFactor(FactorView):
@@ -115,11 +46,6 @@ class ChiefFactor(FactorView):
             raise NotNestedError("chief factor requires bottom < top")
         super().__init__(algebra, top, bottom)
         self._central = {}
-
-    def module(self) -> LModule:
-        """The factor as a module over the full algebra."""
-        actions = [self.action_matrix(x) for x in self.algebra.basis_vectors()]
-        return LModule(self.algebra, actions, dim=self.dim)
 
     def __repr__(self) -> str:
         return "ChiefFactor(dim %d over dim %d)" % (self.top.dim, self.bottom.dim)
@@ -153,24 +79,44 @@ def _last_derived_term(algebra: LieAlgebra) -> Subspace:
     return series[0]
 
 
+def _spin(algebra: LieAlgebra, top: Subspace, bottom: Subspace):
+    """Ideal closures of bottom + v, one per nonzero vector v of the factor top/bottom.
+
+    Over GF(p), in a fixed order, after one budget check on the p^k vectors.
+    """
+    field = algebra.field
+    basis = FactorView(algebra, top, bottom).space.basis
+    check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
+    for coeffs in product(range(field.p), repeat=len(basis)):
+        if any(coeffs):
+            vec = linear_combination(field, coeffs, basis, algebra.dim)
+            acc = EchelonAccumulator(field, algebra.dim, bottom.basis + (vec,))
+            yield close(acc, lambda v: algebra.ad(v).rows)
+
+
 def _minimal_ideal_gfp(algebra: LieAlgebra, last: bool = False) -> Subspace:
     # The smallest-dimension ideal closure of a vector of the last nonzero
     # derived term is a minimal ideal; ties are broken by canonical basis.
     # With last=True the basis tie-break flips, giving an alternate choice
     # for series cross-validation.
     w = _last_derived_term(algebra)
-    field = algebra.field
-    check_budget(field.p**w.dim, "minimal ideal search over %s in dimension %d" % (field, w.dim))
-    closures = {}
-    for coeffs in product(range(field.p), repeat=w.dim):
-        if not any(coeffs):
-            continue
-        vec = linear_combination(field, coeffs, w.basis, algebra.dim)
-        ideal = close(EchelonAccumulator(field, algebra.dim, [vec]), lambda v: algebra.ad(v).rows)
-        closures[(ideal.dim, ideal.basis)] = ideal
+    closures = {(ideal.dim, ideal.basis): ideal for ideal in _spin(algebra, w, algebra.zero_space())}
     least_dim = min(key[0] for key in closures)
     candidates = sorted(key for key in closures if key[0] == least_dim)
     return closures[candidates[-1] if last else candidates[0]]
+
+
+def is_irreducible(factor: FactorView) -> bool:
+    """No ideal lies strictly between the bottom and top ideals of a chief factor.
+
+    Decided over GF(p) by spinning every nonzero factor vector into an
+    ideal closure; over Q only the one-dimensional case is decidable here.
+    """
+    if factor.dim <= 1:
+        return factor.dim == 1
+    if factor.algebra.field.p is None:
+        raise UnsupportedFieldError("irreducibility over Q is only decided in dimension 1")
+    return all(ideal == factor.top for ideal in _spin(factor.algebra, factor.top, factor.bottom))
 
 
 def _char_poly(rows: list) -> list:
@@ -321,40 +267,30 @@ def avoids(subspace: Subspace, factor: ChiefFactor) -> bool:
     return (subspace & factor.top) <= factor.bottom
 
 
-def _padded_brackets(algebra: LieAlgebra, pad: int) -> list:
-    """The algebra's nonzero brackets, each followed by pad zero coordinates."""
-    zeros = (algebra.field.zero(),) * pad
-    n, table = algebra.dim, algebra.table
-    pairs = ((i, j) for i in range(n) for j in range(i + 1, n))
-    return [((i, j), table[i][j] + zeros) for i, j in pairs if any(table[i][j])]
+def split_extension(ideal: LieAlgebra, acting: LieAlgebra, actions: Sequence[Matrix]) -> LieAlgebra:
+    """The split extension of an ideal by an acting algebra.
 
-
-class SplitExtension:
-    """Split extension of a module by its acting algebra.
-
-    Coordinates: acting algebra first, module second.  The module sits
-    inside the extension as an abelian ideal.
+    The ideal keeps coordinates 0..m-1 and the acting algebra's basis
+    follows; its i-th element acts by [a_i, y] = y * actions[i].  Raises
+    JacobiViolationError unless every action is a derivation of the ideal
+    and the actions represent the acting algebra.
     """
-
-    __slots__ = ("module", "algebra", "acting_dim", "module_dim")
-
-    def __init__(self, module: LModule):
-        module.validate()
-        acting = module.algebra
-        a, m = acting.dim, module.dim
-        field = acting.field
-        brackets = _padded_brackets(acting, m)
-        zero_a = tuple([field.zero()] * a)
-        for i in range(a):
-            rows = module.actions[i].rows
-            for u in range(m):
-                vec = rows[u]
-                if any(vec):
-                    brackets.append(((i, a + u), zero_a + tuple(vec)))
-        self.module = module
-        self.acting_dim = a
-        self.module_dim = m
-        self.algebra = LieAlgebra(field, a + m, brackets)
+    field, m, a = ideal.field, ideal.dim, acting.dim
+    field.check_same(acting.field)
+    for action in actions:
+        field.check_same(action.field)
+    if len(actions) != a or any(x.nrows != m or x.ncols != m for x in actions):
+        raise DimensionMismatchError("need one %d x %d action per acting basis element" % (m, m))
+    zero_m, zero_a = (field.zero(),) * m, (field.zero(),) * a
+    brackets = [((i, j), ideal.table[i][j] + zero_a) for i, j in combinations(range(m), 2)]
+    brackets += [((m + i, m + j), zero_m + acting.table[i][j]) for i, j in combinations(range(a), 2)]
+    for i, action in enumerate(actions):
+        # [y_u, a_i] = -(y_u * actions[i])
+        for u, row in enumerate(action.rows):
+            brackets.append(((u, m + i), tuple(map(field.neg, row)) + zero_a))
+    extension = LieAlgebra(field, m + a, brackets)
+    extension.validate()
+    return extension
 
 
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:
@@ -371,10 +307,4 @@ def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra
     if defect is not None:
         raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % defect)
     field = algebra.field
-    brackets = _padded_brackets(algebra, 1)
-    for i in range(n):
-        img = rows[i]
-        if any(img):
-            # [e_i, x] = -d(e_i)
-            brackets.append(((i, n), tuple(field.neg(c) for c in img) + (field.zero(),)))
-    return LieAlgebra(field, n + 1, brackets)
+    return split_extension(algebra, LieAlgebra.abelian(field, 1), [Matrix(field, rows, ncols=n)])

@@ -5,7 +5,7 @@ Exit codes distinguish outcome classes so scripts can branch on them:
     0  success; every checked property holds
     1  invalid input or unavailable operation (Jacobi failure, subspace
        not closed, unsupported field, enumeration budget, bad chain)
-    2  unreadable or unparseable input, bad flags
+    2  unreadable, undecodable or unparseable input, bad flags
     3  an intravariance check failed
     4  a cover-avoid check failed
     5  the two maximal-subalgebra criteria disagreed
@@ -82,14 +82,20 @@ SWEEP_FAILURE_EXITS = (
 )
 
 
+def _read_json(path: str):
+    """The JSON document in a UTF-8 file; undecodable contents are a ParseError."""
+    # ValueError covers bad UTF-8, malformed JSON and integer literals over
+    # Python's digit limit
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except ValueError as exc:
+        raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
+
+
 def _load_algebra(path: str, validate: bool = True):
     """(algebra, surrounding dump or None); accepts plain files and dumps."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError("invalid JSON in %s: %s" % (path, exc)) from exc
+    data = _read_json(path)
     dump = None
     if isinstance(data, dict) and "algebra" in data:
         dump = data
@@ -284,11 +290,7 @@ def _chain_failure(args, steps, reason: str) -> int:
 def cmd_verify_chain(args) -> int:
     algebra, _ = _load_algebra(args.file)
     formation = formation_by_name(args.formation)
-    with open(args.chainfile, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON in %s: %s" % (args.chainfile, exc)) from exc
+    data = _read_json(args.chainfile)
     if not isinstance(data, list) or not data:
         raise ParseError("chain file must be a non-empty JSON list of bases")
     chain = [_subspace_from_rows(algebra.field, algebra.dim, rows) for rows in data]

@@ -56,10 +56,6 @@ class UnsupportedFieldError(LieformError):
     """Operation is not available over this field (typically Q)."""
 
 
-class InvalidModuleError(LieformError):
-    """Action matrices violate the representation identity."""
-
-
 class NotADerivationError(LieformError):
     """Matrix violates the Leibniz rule."""
 

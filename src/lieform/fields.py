@@ -16,6 +16,10 @@ from .errors import FieldMismatchError, ParseError
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 _FIELD_RE = re.compile(r"GF\(([0-9]+)\)\Z")
 
+# Largest field order accepted.  Primality is decided by trial division,
+# about 3 ms at this bound; the time grows with the square root of the order.
+MAX_ORDER = 2**31 - 1
+
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -39,6 +43,8 @@ class Field:
 
     def __init__(self, p: int | None = None):
         if p is not None:
+            if isinstance(p, int) and p > MAX_ORDER:
+                raise ParseError("field order is above the limit of %d" % MAX_ORDER)
             if not isinstance(p, int) or not _is_prime(p):
                 raise ParseError("field order must be prime, got %r" % (p,))
         self.p = p
@@ -59,7 +65,11 @@ class Field:
         m = _FIELD_RE.match(text)
         if m is None:
             raise ParseError("unrecognised field %r" % (text,))
-        return Field(int(m.group(1)))
+        try:
+            order = int(m.group(1))
+        except ValueError:
+            raise ParseError("field order of %d digits is too long" % len(m.group(1))) from None
+        return Field(order)
 
     def __str__(self) -> str:
         return "Q" if self.p is None else "GF(%d)" % self.p
@@ -117,14 +127,13 @@ class Field:
     def parse(self, text: str):
         if not isinstance(text, str) or _SCALAR_RE.match(text) is None:
             raise ParseError("bad scalar literal %r" % (text,))
-        if "/" in text:
-            num_s, den_s = text.split("/")
-            num, den = int(num_s), int(den_s)
-            if self.p is None:
-                return Fraction(num, den)
-            return self.div(num % self.p, den % self.p)
-        n = int(text)
-        return Fraction(n) if self.p is None else n % self.p
+        try:
+            num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
+        except ValueError:
+            raise ParseError("scalar literal of %d characters is too long" % len(text)) from None
+        if self.p is None:
+            return Fraction(num, den)
+        return self.div(num % self.p, den % self.p)
 
     def format(self, a) -> str:
         if self.p is None:

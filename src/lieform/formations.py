@@ -19,7 +19,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
-from .chief import ChiefFactor, LModule, SplitExtension, avoids, chief_series, covers
+from .chief import ChiefFactor, avoids, chief_series, covers, split_extension
 from .enumeration import enumerate_ideals, enumerate_subalgebras
 from .errors import (
     CriteriaDisagreeError,
@@ -88,8 +88,8 @@ def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation)
     cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
     quo, qmap = algebra.quotient(cent)
     actions = [factor.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
-    module = LModule(quo, actions, dim=factor.dim)
-    result = formation.contains(SplitExtension(module).algebra)
+    abelian = LieAlgebra.abelian(algebra.field, factor.dim)
+    result = formation.contains(split_extension(abelian, quo, actions))
     factor._central[formation] = result
     return result
 

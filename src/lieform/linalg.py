@@ -128,11 +128,6 @@ class Matrix:
         z, o = field.zero(), field.one()
         return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
 
-    @staticmethod
-    def zero(field: Field, nrows: int, ncols: int) -> "Matrix":
-        z = field.zero()
-        return Matrix(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
-
     def _check(self, other: "Matrix", square_match: bool = False) -> None:
         self.field.check_same(other.field)
         if square_match:

@@ -4,24 +4,25 @@ import pytest
 
 from lieform import (
     EnumerationBudget,
+    FactorView,
     Field,
-    InvalidModuleError,
+    JacobiViolationError,
     LieAlgebra,
-    LModule,
     Matrix,
     NotADerivationError,
     NotSolubleError,
-    SplitExtension,
     Subspace,
     UnsupportedFieldError,
     ZeroAlgebraError,
     avoids,
     chief_series,
     covers,
+    enumerate_ideals,
     enumerate_soluble,
     is_irreducible,
     minimal_ideal,
     minimal_ideals_exhaustive,
+    split_extension,
     split_extension_by_derivation,
 )
 from support import abelian, algebra, h3, r2, r2_plus_line, rotation, rotation_plus_centre
@@ -81,7 +82,7 @@ def test_chief_series_ideals_and_irreducible():
         for s in series.ideals:
             assert a.is_ideal(s)
         for f in series.factors:
-            assert is_irreducible(f.module())
+            assert is_irreducible(f)
 
 
 def test_chief_series_cross_validation():
@@ -112,18 +113,22 @@ def test_covers_avoids():
 
 def test_module_validate():
     a = r2()
+    plane = LieAlgebra.abelian(F3, 2)
     # identity actions cannot represent a nonzero bracket
-    with pytest.raises(InvalidModuleError):
-        LModule(a, [Matrix.identity(F3, 2), Matrix.identity(F3, 2)], dim=2).validate()
+    with pytest.raises(JacobiViolationError):
+        split_extension(plane, a, [Matrix.identity(F3, 2), Matrix.identity(F3, 2)])
     # the adjoint actions do satisfy the identity
-    LModule(a, [a.ad((1, 0)), a.ad((0, 1))], dim=2).validate()
+    split_extension(plane, a, [a.ad((1, 0)), a.ad((0, 1))])
+    # an action on a nonabelian ideal must also be a derivation of it
+    with pytest.raises(JacobiViolationError):
+        split_extension(a, LieAlgebra.abelian(F3, 1), [Matrix.identity(F3, 2)])
 
 
 def test_adjoint_module_irreducible():
     a = r2()
     # quotient action on the 1-dim factor L/span{y} is trivial, irreducible
     series = chief_series(a)
-    assert is_irreducible(series.factors[0].module())
+    assert is_irreducible(series.factors[0])
 
 
 def test_irreducible_q_guard():
@@ -132,22 +137,40 @@ def test_irreducible_q_guard():
     rot = rotation()
     factor = ChiefFactor(rot, rot.derived_subalgebra(), Subspace.zero_space(Field.rationals(), 3))
     with pytest.raises(UnsupportedFieldError):
-        is_irreducible(factor.module())
+        is_irreducible(factor)
+
+
+def test_reducible_factor():
+    # every line of abelian GF(2)^2 is an ideal between 0 and L
+    ab = abelian("GF(2)", 2)
+    assert not is_irreducible(FactorView(ab, ab.full_space(), ab.zero_space()))
+
+
+def test_irreducible_matches_ideal_lattice():
+    # I < J is irreducible exactly when no listed ideal lies strictly between
+    for p in (2, 3):
+        for a in enumerate_soluble(EnumerationBudget(max_dim=3, field=Field.gf(p))):
+            ideals = enumerate_ideals(a)
+            for bottom in ideals:
+                for top in ideals:
+                    if bottom < top:
+                        between = any(bottom < k < top for k in ideals)
+                        assert is_irreducible(FactorView(a, top, bottom)) == (not between)
 
 
 def test_split_extension_brackets():
     a = r2()
     # adjoint action of r2 on itself as a module
     actions = [a.ad(v) for v in ((1, 0), (0, 1))]
-    module = LModule(a, actions, dim=2)
-    ext = SplitExtension(module)
-    big = ext.algebra
+    big = split_extension(LieAlgebra.abelian(F3, 2), a, actions)
     assert big.dim == 4
     big.validate()
-    # acting copy first: [x_act, v_mod] = v * ad(x)
-    x = (1, 0, 0, 0)
-    v = (0, 0, 0, 1)
-    assert big.bracket(x, v) == (0, 0, 0, 1)
+    # module copy first: [x_act, v_mod] = v * ad(x)
+    x = (0, 0, 1, 0)
+    v = (0, 1, 0, 0)
+    assert big.bracket(x, v) == (0, 1, 0, 0)
+    # the acting copy keeps its own bracket [e1, e2] = e2
+    assert big.bracket(x, (0, 0, 0, 1)) == (0, 0, 0, 1)
 
 
 def test_split_extension_by_derivation():

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import time
 
 import pytest
 
@@ -80,6 +81,53 @@ def test_dim_above_cap_is_exit_2(tmp_path, capsys):
     assert err.count("\n") == 1 and err.startswith("error: ") and "dim" in err
     path = write(tmp_path, "cap.json", {"field": "GF(2)", "dim": MAX_DIM, "brackets": []})
     assert run(capsys, ["validate", path])[0] == 0
+
+
+def assert_parse_error(result):
+    code, out, err = result
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+def test_non_utf8_algebra_file_is_exit_2(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"field": "GF(2)", "dim": 1, "brackets": [], "note": "\xe9"}')
+    assert_parse_error(run(capsys, ["validate", str(path)]))
+
+
+def test_non_utf8_chain_file_is_exit_2(tmp_path, capsys):
+    algebra = write(tmp_path, "r2.json", R2_GF3)
+    chain = tmp_path / "chain.json"
+    chain.write_bytes(b'[[["1", "0"], ["0", "1"]], [["1", "2"]]]\xff')
+    argv = ["verify-chain", algebra, str(chain), "--formation", "nilpotent"]
+    assert_parse_error(run(capsys, argv))
+
+
+def test_over_long_literal_is_exit_2(tmp_path, capsys):
+    # past Python's int() digit limit: a scalar string, and a JSON number
+    scalar = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", "1" * 5000]}])
+    assert_parse_error(run(capsys, ["validate", write(tmp_path, "scalar.json", scalar)]))
+    number = tmp_path / "number.json"
+    number.write_text('{"field": "GF(2)", "dim": %s, "brackets": []}' % ("1" * 5000))
+    assert_parse_error(run(capsys, ["validate", str(number)]))
+
+
+def test_over_long_field_order_is_exit_2(tmp_path, capsys):
+    data = dict(R2_GF3, field="GF(%s)" % ("7" * 5000))
+    assert_parse_error(run(capsys, ["validate", write(tmp_path, "order.json", data)]))
+
+
+def test_huge_field_order_refused_quickly(tmp_path, capsys):
+    # a prime near 1e18: trial division would take about a minute
+    field = "GF(1000000000000000003)"
+    path = write(tmp_path, "huge.json", dict(R2_GF3, field=field))
+    for argv in (["validate", path], ["sweep", "--field", field, "--max-dim", "1"]):
+        start = time.perf_counter()
+        result = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5
+        assert_parse_error(result)
+        assert "limit" in result[2]
 
 
 def test_bad_flags_exit_2():
