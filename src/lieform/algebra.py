@@ -60,19 +60,37 @@ def _coerce(field: Field, x):
     raise ParseError("unsupported scalar %r" % (x,))
 
 
+def _check_jacobi(field: Field, table: tuple) -> None:
+    """Raise JacobiViolationError at the first basis triple that breaks Jacobi."""
+    n = len(table)
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                # minus [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
+                s = linear_combination(
+                    field,
+                    table[i][j] + table[j][k] + table[k][i],
+                    table[k] + table[i] + table[j],
+                    n,
+                )
+                if any(s):
+                    raise JacobiViolationError((i + 1, j + 1, k + 1))
+
+
 class LieAlgebra:
     """Finite-dimensional Lie algebra over Q or GF(p).
 
     table[i][j] is the coordinate tuple of [e_i, e_j]; the full table is
-    stored with antisymmetry filled in.  Construction does not check the
-    Jacobi identity; call validate() on untrusted input (from_dict does).
+    stored with antisymmetry filled in.  Construction checks the Jacobi
+    identity only with validate=True, before the table is interned, so a
+    rejected table is never kept; from_dict does this on untrusted input.
     """
 
     __slots__ = ("field", "dim", "table", "_cache")
 
     _interned: dict = {}
 
-    def __new__(cls, field: Field, dim: int, brackets=()):
+    def __new__(cls, field: Field, dim: int, brackets=(), validate: bool = False):
         if not isinstance(dim, int) or dim < 0:
             raise ParseError("dimension must be a non-negative integer")
         zero_row = tuple([field.zero()] * dim)
@@ -87,6 +105,8 @@ class LieAlgebra:
             rows[i][j] = vec
             rows[j][i] = tuple(field.neg(x) for x in vec)
         table = tuple(tuple(r) for r in rows)
+        if validate:
+            _check_jacobi(field, table)
         return cls._from_table(field, table)
 
     @classmethod
@@ -160,10 +180,7 @@ class LieAlgebra:
                     raise ParseError("scalars must be strings, got %r" % (s,))
                 vec.append(field.parse(s))
             brackets.append(((i - 1, j - 1), tuple(vec)))
-        algebra = LieAlgebra(field, dim, brackets)
-        if validate:
-            algebra.validate()
-        return algebra
+        return LieAlgebra(field, dim, brackets, validate=validate)
 
     @staticmethod
     def from_json(text: str, validate: bool = True) -> "LieAlgebra":
@@ -218,20 +235,7 @@ class LieAlgebra:
 
     def validate(self) -> None:
         """Check the Jacobi identity on all basis triples; raises on failure."""
-        n = self.dim
-        table = self.table
-        for i in range(n):
-            for j in range(i + 1, n):
-                for k in range(j + 1, n):
-                    # minus [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-                    s = linear_combination(
-                        self.field,
-                        table[i][j] + table[j][k] + table[k][i],
-                        table[k] + table[i] + table[j],
-                        n,
-                    )
-                    if any(s):
-                        raise JacobiViolationError((i + 1, j + 1, k + 1))
+        _check_jacobi(self.field, self.table)
 
     def basis_brackets(self, vectors: Sequence) -> list:
         """For each basis vector e_k, the list of [e_k, v] over the vectors."""

@@ -9,7 +9,10 @@ the part of that term killed by [L, L] into simultaneous rational
 eigenspaces of the commuting induced operators; when no rational invariant
 line exists the computation is refused rather than approximated.
 
-A chief factor is an algebra.FactorView.  split_extension is the one
+A chief factor is an algebra.FactorView.  Whether a subspace covers or
+avoids each factor is read off one rank pass along the series
+(ChiefSeries.cover_avoid); covers and avoids are the definitional,
+intersection-based predicates for one factor.  split_extension is the one
 split-extension builder: the ideal's coordinates first, then the acting
 algebra's, where a acts as [a, y] = y * R_a.  Its Jacobi check is each R_a
 being a derivation plus R_[a,b] = R_b R_a - R_a R_b.  F-centrality extends
@@ -69,6 +72,24 @@ class ChiefSeries:
 
     def __iter__(self):
         return iter(self.factors)
+
+    def cover_avoid(self, subspace: Subspace) -> list:
+        """(covered, avoided) for every factor, from one rank pass along the series.
+
+        With r_t = dim(U + I_t), U covers I_{t+1}/I_t exactly when
+        r_{t+1} = r_t and avoids it exactly when r_{t+1} - r_t is the
+        factor's dimension, since dim(U meet A) = dim U + dim A - dim(U + A).
+        One accumulator, seeded with U, takes each factor's basis in turn.
+        """
+        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.basis)
+        verdicts = []
+        for factor in self.factors:
+            before = acc.rank
+            for v in factor.space.basis:
+                acc.add(v)
+            grown = acc.rank - before
+            verdicts.append((grown == 0, grown == factor.dim))
+        return verdicts
 
 
 def _last_derived_term(algebra: LieAlgebra) -> Subspace:
@@ -288,9 +309,7 @@ def split_extension(ideal: LieAlgebra, acting: LieAlgebra, actions: Sequence[Mat
         # [y_u, a_i] = -(y_u * actions[i])
         for u, row in enumerate(action.rows):
             brackets.append(((u, m + i), tuple(map(field.neg, row)) + zero_a))
-    extension = LieAlgebra(field, m + a, brackets)
-    extension.validate()
-    return extension
+    return LieAlgebra(field, m + a, brackets, validate=True)
 
 
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:

@@ -8,10 +8,15 @@ arithmetic matrices are flattened row-major into F^(n^2).
 A subalgebra U is intravariant when every derivation splits as inner plus
 U-stabilising.  The second, extension-style criterion adjoins one outer
 generator x per basis derivation d, in D = L + Fx with [x, y] = d(y), and
-asks that the normaliser N_D(U) together with L fill D.  N_D(U) is read off
-L's structure constants plus the one row d(u) for x; D itself is never
-built.  The decomposable derivations form a subspace, so checking a basis
-of Der(L) settles both criteria exactly.
+asks that the normaliser N_D(U) together with L fill D.  That holds
+exactly when d restricted to U agrees mod U with some u |-> [y, u], y in
+L, so it is decided in Hom(U, L/U): once per (L, U) the maps
+u |-> [e_k, u] mod U, read off L's structure constants, are echelonised
+into one span W, and each derivation then costs one reduce of d|U mod U
+against W.  D itself is never built, and the check never touches the
+flattened Der(L) of the linear criterion, so the two stay independent
+computations.  The decomposable derivations form a subspace, so checking
+a basis of Der(L) settles both criteria exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, leibniz_defect
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import Matrix, Subspace, linear_combination, null_space, stabiliser
+from .linalg import EchelonAccumulator, Matrix, Subspace, linear_combination, null_space, stabiliser
 
 
 class Derivation:
@@ -165,31 +170,50 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     return (inner + stab).dim == der.dim
 
 
+def _extension_residuals(algebra: LieAlgebra, subalgebra: Subspace, derivations):
+    """Residual of each d|U mod U against W, the span of u |-> [e_k, u] mod U.
+
+    A map of U is flattened into (L/U)^dim U as its images of U's basis,
+    each reduced mod U.  W is echelonised once, however many derivations
+    follow; a residual is zero exactly when d|U lies in W mod U.
+    """
+    basis = subalgebra.basis
+
+    def flat(images):
+        return [x for v in images for x in subalgebra.reduce(v)]
+
+    span = EchelonAccumulator(
+        algebra.field, algebra.dim * len(basis), map(flat, algebra.basis_brackets(basis))
+    )
+    for d in derivations:
+        yield span.reduce(flat(d(u) for u in basis))
+
+
 def normalizer_fills_extension(
     algebra: LieAlgebra, subalgebra: Subspace, derivation: Derivation
 ) -> bool:
     """In D = L + Fx with [x, y] = d(y), N_D(U) + L = D.
 
-    An element sum_k c_k e_k + c x of D sends u in U to
-    sum_k c_k [e_k, u] + c d(u), which lies in L, so N_D(U) is the kernel
-    of the n maps u |-> [e_k, u] (read off the table) and the one map d,
-    all reduced mod U.  It fills D with L exactly when some kernel
-    vector has c != 0.  D is never built; the Derivation constructor has
-    already checked the Leibniz rule.
+    An element y + c x of D, y in L, sends u in U to [y, u] + c d(u), which
+    lies in L.  It fills D with L exactly when some normalising element has
+    c != 0, that is when d(u) = -[y, u] mod U for one y and every u:
+    d|U mod U lies in the span of the maps u |-> [e_k, u] mod U, read off
+    the table.  D is never built; the Derivation constructor has already
+    checked the Leibniz rule.
     """
     if derivation.parent != algebra or subalgebra.ambient_dim != algebra.dim:
         raise DimensionMismatchError("derivation and subalgebra must belong to the algebra")
-    maps = algebra.basis_brackets(subalgebra.basis)
-    maps.append([derivation(u) for u in subalgebra.basis])
-    return any(c[algebra.dim] for c in stabiliser(algebra.field, maps, subalgebra))
+    return not any(next(_extension_residuals(algebra, subalgebra, (derivation,))))
 
 
 def extension_defect(algebra: LieAlgebra, subalgebra: Subspace):
-    """First basis derivation whose extension breaks N_D(U) + L = D, or None."""
-    for d in derivation_algebra(algebra).basis:
-        if not normalizer_fills_extension(algebra, subalgebra, d):
-            return d
-    return None
+    """First basis derivation whose extension breaks N_D(U) + L = D, or None.
+
+    One echelonised span per (L, U) serves every basis derivation.
+    """
+    basis = derivation_algebra(algebra).basis
+    residuals = _extension_residuals(algebra, subalgebra, basis)
+    return next((d for d, r in zip(basis, residuals) if any(r)), None)
 
 
 def is_intravariant_extension(algebra: LieAlgebra, subalgebra: Subspace) -> bool:

@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from typing import Iterator
 
-from .algebra import LieAlgebra
+from .algebra import MAX_DIM, LieAlgebra
 from .chief import split_extension_by_derivation
 from .derivations import derivation_algebra
-from .errors import ParseError, UnsupportedFieldError
+from .errors import BudgetExceededError, ParseError, UnsupportedFieldError
 from .fields import Field
 from .linalg import Matrix, check_budget, enumerate_subspaces, gaussian_binomial, linear_combination
 
@@ -97,8 +97,15 @@ def check_enumerable(field: Field, n: int) -> None:
     """Raise unless the subspaces of field^n can be listed within the work budget."""
     if field.p is None:
         raise UnsupportedFieldError("exhaustive enumeration needs a finite field")
+    what = "enumerating the subspaces of %s^%d" % (field, n)
+    if n > MAX_DIM:
+        # far over the budget: refused before a count that could take
+        # unbounded time to add up, or be too long to print
+        raise BudgetExceededError(
+            "%s is over the budget: dimension above the limit of %d" % (what, MAX_DIM)
+        )
     subspaces = sum(gaussian_binomial(n, k, field.p) for k in range(n + 1))
-    check_budget(subspaces, "enumerating the subspaces of %s^%d" % (field, n))
+    check_budget(subspaces, what)
 
 
 def enumerate_subalgebras(algebra: LieAlgebra) -> list:

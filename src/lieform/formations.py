@@ -8,9 +8,12 @@ A maximal subalgebra complements exactly one factor of any chief series
 (it covers the rest), and it is classed normal precisely when that factor
 is central relative to the formation; the equivalent quotient-by-core
 membership test is evaluated independently and any disagreement is raised,
-never swallowed.  Normalisers are the end points of descending chains of
-critical maximal subalgebras, computed recursively on the restricted
-algebras so interned structures share their caches.
+never swallowed.  The factor a maximal subalgebra avoids, and whether a
+normaliser covers the central factors and avoids the eccentric ones, come
+from one rank pass along the chief series (ChiefSeries.cover_avoid), not
+from one intersection per factor.  Normalisers are the end points of
+descending chains of critical maximal subalgebras, computed recursively on
+the restricted algebras so interned structures share their caches.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from enum import Enum
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
-from .chief import ChiefFactor, avoids, chief_series, covers, split_extension
+from .chief import ChiefFactor, chief_series, split_extension
 from .enumeration import enumerate_ideals, enumerate_subalgebras
 from .errors import (
     CriteriaDisagreeError,
@@ -145,16 +148,20 @@ def _subalgebra_key(s: Subspace) -> tuple:
 
 
 def maximal_subalgebras(algebra: LieAlgebra) -> list:
-    """Maximal elements of the proper-subalgebra order, sorted canonically."""
+    """Maximal elements of the proper-subalgebra order, sorted canonically.
+
+    Every proper subalgebra lies in a maximal one of at least its
+    dimension, so walking the candidates by descending dimension, each is
+    tested only against the maximal ones already found.
+    """
 
     def compute():
         subs = [s for s in enumerate_subalgebras(algebra) if s.dim < algebra.dim]
-        subs.sort(key=_subalgebra_key)
         maximal = []
-        for s in subs:
-            if not any(other.dim > s.dim and s <= other for other in subs if other is not s):
+        for s in sorted(subs, key=lambda s: -s.dim):
+            if not any(m.dim > s.dim and s <= m for m in maximal):
                 maximal.append(s)
-        return maximal
+        return sorted(maximal, key=_subalgebra_key)
 
     return list(algebra.memo("maximal_subalgebras", compute))
 
@@ -182,16 +189,13 @@ def _classify_maximal(
     quo, _ = algebra.quotient(core)
     core_verdict = formation.contains(quo)
 
-    complemented = None
-    for factor in chief_series(algebra).factors:
-        if avoids(maximal, factor):
-            if complemented is not None:
-                raise CriteriaDisagreeError(
-                    "maximal subalgebra avoids more than one chief factor"
-                )
-            complemented = factor
-    if complemented is None:
+    series = chief_series(algebra)
+    avoided = [f for f, (_, a) in zip(series.factors, series.cover_avoid(maximal)) if a]
+    if len(avoided) > 1:
+        raise CriteriaDisagreeError("maximal subalgebra avoids more than one chief factor")
+    if not avoided:
         raise CriteriaDisagreeError("maximal subalgebra avoids no chief factor")
+    complemented = avoided[0]
     if (maximal + complemented.top).dim != algebra.dim:
         # the avoided factor of a maximal subalgebra satisfies M + A = L
         raise CriteriaDisagreeError("avoided chief factor is not complemented")
@@ -284,12 +288,11 @@ def cover_avoid_check(
     algebra: LieAlgebra, subalgebra: Subspace, formation: Formation
 ) -> CoverAvoidReport:
     """Covers every central factor, avoids every eccentric one."""
-    entries = []
-    for factor in chief_series(algebra).factors:
-        central = is_f_central(algebra, factor, formation)
-        entries.append(
-            CoverAvoidEntry(factor, central, covers(subalgebra, factor), avoids(subalgebra, factor))
-        )
+    series = chief_series(algebra)
+    entries = [
+        CoverAvoidEntry(factor, is_f_central(algebra, factor, formation), covered, avoided)
+        for factor, (covered, avoided) in zip(series.factors, series.cover_avoid(subalgebra))
+    ]
     return CoverAvoidReport(algebra, subalgebra, entries)
 
 

@@ -56,6 +56,22 @@ def test_from_dict_validates_jacobi():
     assert loaded.dim == 3
 
 
+def test_rejected_table_is_not_interned():
+    # a table no other test builds: [e1,e2] = e3, [e1,e3] = 2 e1 over GF(7)
+    bad = {
+        "field": "GF(7)",
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "value": ["0", "0", "1"]},
+            {"i": 1, "j": 3, "value": ["2", "0", "0"]},
+        ],
+    }
+    before = len(LieAlgebra._interned)
+    with pytest.raises(JacobiViolationError):
+        LieAlgebra.from_dict(bad)
+    assert len(LieAlgebra._interned) == before
+
+
 def test_roundtrip_interns():
     a = r2()
     b = LieAlgebra.from_dict(a.to_dict())

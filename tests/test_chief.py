@@ -124,6 +124,18 @@ def test_module_validate():
         split_extension(a, LieAlgebra.abelian(F3, 1), [Matrix.identity(F3, 2)])
 
 
+def test_rejected_extension_is_not_interned():
+    # identity actions of r2 on a plane over GF(5), a field no other test extends over
+    f5 = Field.gf(5)
+    a = r2("GF(5)")
+    plane = LieAlgebra.abelian(f5, 2)
+    actions = [Matrix.identity(f5, 2), Matrix.identity(f5, 2)]
+    before = len(LieAlgebra._interned)
+    with pytest.raises(JacobiViolationError):
+        split_extension(plane, a, actions)
+    assert len(LieAlgebra._interned) == before
+
+
 def test_adjoint_module_irreducible():
     a = r2()
     # quotient action on the 1-dim factor L/span{y} is trivial, irreducible

@@ -342,6 +342,18 @@ def test_sweep_over_budget_refused_up_front(capsys, monkeypatch):
     assert checked == []
 
 
+@pytest.mark.parametrize("max_dim", [MAX_DIM + 1, 300, 1000])
+def test_sweep_huge_max_dim_refused_quickly(capsys, max_dim):
+    # refused before any subspace count is added up or printed
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", str(max_dim)])
+    assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+    assert len(err) < 200
+
+
 def test_sweep_text_mode(capsys):
     code, out, _ = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "2"])
     assert code == 0

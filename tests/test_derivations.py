@@ -4,6 +4,7 @@ import pytest
 
 from lieform import (
     Derivation,
+    EnumerationBudget,
     Field,
     LieAlgebra,
     Matrix,
@@ -12,6 +13,7 @@ from lieform import (
     derivation_algebra,
     derivation_from_strings,
     derivation_matrix_strings,
+    enumerate_soluble,
     enumerate_subalgebras,
     extension_defect,
     inner_derivations,
@@ -142,6 +144,24 @@ def test_extension_criterion_matches_explicit_extension():
             for d in der.basis:
                 expected = _fills_extension_by_construction(a, u, d)
                 assert normalizer_fills_extension(a, u, d) == expected
+
+
+def test_extension_defect_is_first_failing_basis_derivation():
+    # the one span per (L, U) must name the same derivation as checking each
+    # basis derivation against its explicitly built extension, in basis order
+    algebras = [r2("GF(2)"), h3("GF(2)"), abelian("GF(2)", 3), gf3_rotation()]
+    for field in (F2, F3):
+        algebras += enumerate_soluble(EnumerationBudget(max_dim=3, field=field))
+    failing = 0
+    for a in algebras:
+        basis = derivation_algebra(a).basis
+        for u in enumerate_subalgebras(a):
+            expected = next(
+                (d for d in basis if not _fills_extension_by_construction(a, u, d)), None
+            )
+            assert extension_defect(a, u) == expected
+            failing += expected is not None
+    assert failing > 0
 
 
 def test_extension_defect_interns_nothing():

@@ -14,11 +14,14 @@ from lieform import (
     Subspace,
     UnsupportedFieldError,
     Verdict,
+    avoids,
     chief_series,
     classify_maximal,
     cover_avoid_check,
+    covers,
     enumerate_ideals,
     enumerate_soluble,
+    enumerate_subalgebras,
     f_normalisers,
     formation_by_name,
     is_f_central,
@@ -93,6 +96,21 @@ def test_maximal_subalgebras_1dim():
     maximals = maximal_subalgebras(abelian("GF(3)", 1))
     assert len(maximals) == 1
     assert maximals[0].is_zero()
+
+
+def _streams():
+    for field in (F2, F3):
+        yield from enumerate_soluble(EnumerationBudget(max_dim=3, field=field))
+
+
+def test_maximal_subalgebras_match_brute_force():
+    # the filter against maximals only must equal "no larger subalgebra
+    # contains it", order included
+    for a in _streams():
+        proper = [s for s in enumerate_subalgebras(a) if s.dim < a.dim]
+        expected = [s for s in proper if not any(t.dim > s.dim and s <= t for t in proper)]
+        expected.sort(key=lambda s: (s.dim, s.basis))
+        assert maximal_subalgebras(a) == expected
 
 
 def test_maximal_subalgebras_needs_gfp():
@@ -178,6 +196,27 @@ def test_cover_avoid_r2():
     bad = cover_avoid_check(a, Subspace.span(F3, 2, [(0, 1)]), NILPOTENT)
     assert not bad.ok
     assert bad.violations()
+
+
+def test_cover_avoid_pass_matches_definitions():
+    # the rank pass along the series against the intersection-based
+    # predicates, on every normaliser under every formation and, beyond
+    # them, on every subalgebra
+    checked = 0
+    for a in _streams():
+        series = chief_series(a)
+        subalgebras = enumerate_subalgebras(a)
+        for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
+            normalisers = [v for v, _ in f_normalisers(a, formation)]
+            assert all(v in subalgebras for v in normalisers)
+            for v in normalisers:
+                expected = [(covers(v, f), avoids(v, f)) for f in series.factors]
+                assert series.cover_avoid(v) == expected
+                checked += 1
+        for s in subalgebras:
+            expected = [(covers(s, f), avoids(s, f)) for f in series.factors]
+            assert series.cover_avoid(s) == expected
+    assert checked > 0
 
 
 def test_cover_avoid_full_member():
