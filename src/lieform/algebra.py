@@ -36,8 +36,9 @@ from .errors import (
     NotNestedError,
     NotSolubleError,
     ParseError,
+    ZeroDenominatorError,
 )
-from .fields import Field
+from .fields import Field, canonical_q
 from .linalg import EchelonAccumulator, Matrix, Subspace, close, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
@@ -54,9 +55,9 @@ def _coerce(field: Field, x):
     if isinstance(x, Fraction):
         if field.p is not None:
             if x.denominator % field.p == 0:
-                raise ZeroDivisionError("denominator divisible by %d" % field.p)
+                raise ZeroDenominatorError("denominator divisible by %d" % field.p)
             return (x.numerator * pow(x.denominator, -1, field.p)) % field.p
-        return x
+        return canonical_q(x)
     raise ParseError("unsupported scalar %r" % (x,))
 
 
@@ -211,7 +212,7 @@ class LieAlgebra:
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vectors must have length %d" % n)
         p = self.field.p
-        out = [Fraction(0)] * n if p is None else [0] * n
+        out = [0] * n
         table = self.table
         for i, xi in enumerate(x):
             if not xi:
@@ -227,7 +228,7 @@ class LieAlgebra:
                         out[k] += c * rk
         if p is not None:
             return tuple(v % p for v in out)
-        return tuple(out)
+        return tuple(map(canonical_q, out))
 
     # [v, e_k] = -[e_k, v] is minus the rows table[k] combined by v; the
     # table-driven checks below read the table this way instead of

@@ -36,6 +36,7 @@ from .errors import (
     UnsupportedFieldError,
     ZeroAlgebraError,
 )
+from .fields import canonical_q
 from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination
 
 
@@ -141,13 +142,16 @@ def is_irreducible(factor: FactorView) -> bool:
 
 
 def _char_poly(rows: list) -> list:
-    """Monic characteristic polynomial coefficients [1, c1, ..., ck]."""
+    """Monic characteristic polynomial coefficients [1, c1, ..., ck] of a rational matrix.
+
+    Faddeev-LeVerrier; the coefficients are exact Q payloads.
+    """
     k = len(rows)
-    coeffs = [Fraction(1)]
+    coeffs = [1]
     m = [row[:] for row in rows]
     for step in range(1, k + 1):
         tr = sum(m[i][i] for i in range(k))
-        c = -tr / step
+        c = canonical_q(Fraction(-tr, step))
         coeffs.append(c)
         if step == k:
             break
@@ -174,7 +178,7 @@ def _divisors(n: int) -> list:
 
 
 def _rational_roots(coeffs: list) -> list:
-    """All rational roots of a monic polynomial with Fraction coefficients."""
+    """All rational roots, as Q payloads, of a monic polynomial with rational coefficients."""
     denom = 1
     for c in coeffs:
         denom = denom * c.denominator // gcd(denom, c.denominator)
@@ -182,7 +186,7 @@ def _rational_roots(coeffs: list) -> list:
     # trailing zero coefficients mean 0 is a root; deflate them away
     roots = set()
     while len(ints) > 1 and ints[-1] == 0:
-        roots.add(Fraction(0))
+        roots.add(0)
         ints = ints[:-1]
     if len(ints) > 1:
         lead, const = ints[0], ints[-1]
@@ -193,7 +197,7 @@ def _rational_roots(coeffs: list) -> list:
                     for c in ints:
                         acc = acc * cand + c
                     if acc == 0:
-                        roots.add(cand)
+                        roots.add(canonical_q(cand))
     return sorted(roots)
 
 

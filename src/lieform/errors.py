@@ -1,6 +1,8 @@
 """Exception types shared across the library.
 
-Division by zero raises the builtin ZeroDivisionError.
+Division by zero raises the builtin ZeroDivisionError; a scalar literal
+whose denominator vanishes in its field raises ZeroDenominatorError, which
+is both that and a ParseError.
 """
 
 
@@ -14,6 +16,10 @@ class FieldMismatchError(LieformError):
 
 class ParseError(LieformError, ValueError):
     """Text does not match the scalar, field, or file grammar."""
+
+
+class ZeroDenominatorError(ParseError, ZeroDivisionError):
+    """A scalar's denominator is zero in its field, as in "1/3" over GF(3)."""
 
 
 class DimensionMismatchError(LieformError):

@@ -1,9 +1,17 @@
 """Exact scalar arithmetic over Q and GF(p).
 
-Scalars are raw payloads: ``fractions.Fraction`` over Q, plain ``int`` in
-{0, ..., p-1} over GF(p).  A Field instance supplies the operations.  Keeping
-payloads unwrapped matters: the verification sweeps spend nearly all their
-time in row reduction inner loops.
+Scalars are raw payloads and a Field instance supplies the operations.
+Over GF(p) a payload is a plain ``int`` in {0, ..., p-1}.  Over Q it is an
+``int`` when its value is integral and a ``fractions.Fraction`` otherwise:
+never ``Fraction(k, 1)`` and never a float.  canonical_q is the one place
+that contract is restored after raw arithmetic.  Python compares and hashes
+an int and the Fraction of the same value alike, so tuples of payloads key
+dicts and sort the same either way, and format prints both the same.
+
+Keeping payloads unwrapped, and integral rationals as ints, matters: the
+verification sweeps and the analysis over Q spend nearly all their time in
+row reduction inner loops, where int arithmetic is many times cheaper than
+Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -11,7 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .errors import FieldMismatchError, ParseError
+from .errors import FieldMismatchError, ParseError, ZeroDenominatorError
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?\Z")
 _FIELD_RE = re.compile(r"GF\(([0-9]+)\)\Z")
@@ -19,6 +27,11 @@ _FIELD_RE = re.compile(r"GF\(([0-9]+)\)\Z")
 # Largest field order accepted.  Primality is decided by trial division,
 # about 3 ms at this bound; the time grows with the square root of the order.
 MAX_ORDER = 2**31 - 1
+
+
+def canonical_q(x):
+    """The Q payload of the rational x: its int value when integral, else x."""
+    return x.numerator if x.denominator == 1 else x
 
 
 def _is_prime(n: int) -> bool:
@@ -86,34 +99,35 @@ class Field:
     # Element constructors
 
     def zero(self):
-        return Fraction(0) if self.p is None else 0
+        return 0
 
     def one(self):
-        return Fraction(1) if self.p is None else 1
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n) if self.p is None else n % self.p
+        return n if self.p is None else n % self.p
 
-    # Arithmetic.  GF(p) payloads are canonical representatives, so results
-    # are reduced mod p on the way out.
+    # Arithmetic.  Payloads are canonical, so results are put back in
+    # canonical form on the way out: through canonical_q over Q, reduced
+    # mod p over GF(p).
 
     def add(self, a, b):
-        return a + b if self.p is None else (a + b) % self.p
+        return canonical_q(a + b) if self.p is None else (a + b) % self.p
 
     def sub(self, a, b):
-        return a - b if self.p is None else (a - b) % self.p
+        return canonical_q(a - b) if self.p is None else (a - b) % self.p
 
     def mul(self, a, b):
-        return a * b if self.p is None else (a * b) % self.p
+        return canonical_q(a * b) if self.p is None else (a * b) % self.p
 
     def neg(self, a):
-        return -a if self.p is None else (-a) % self.p
+        return canonical_q(-a) if self.p is None else (-a) % self.p
 
     def inv(self, a):
         if self.p is None:
             if a == 0:
                 raise ZeroDivisionError("inverse of zero")
-            return 1 / Fraction(a)
+            return canonical_q(1 / Fraction(a))
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
@@ -132,15 +146,16 @@ class Field:
         except ValueError:
             raise ParseError("scalar literal of %d characters is too long" % len(text)) from None
         if self.p is None:
-            return Fraction(num, den)
+            return canonical_q(Fraction(num, den))
+        if den % self.p == 0:
+            raise ZeroDenominatorError(
+                "scalar literal %r has a denominator divisible by %d" % (text, self.p)
+            )
         return self.div(num % self.p, den % self.p)
 
     def format(self, a) -> str:
-        if self.p is None:
-            if a.denominator == 1:
-                return str(a.numerator)
-            return "%d/%d" % (a.numerator, a.denominator)
-        return str(a % self.p)
+        # str prints an int bare and a Fraction as num/den
+        return str(a) if self.p is None else str(a % self.p)
 
     def check_same(self, other: "Field") -> None:
         if self != other:

@@ -11,9 +11,12 @@ coordinates and incremental spans are built on it, and linear_combination
 is the one place vectors are summed.  stabiliser is the one "which
 combination of these maps sends a basis into B" kernel, behind
 centralisers, normalisers, intersections and stabilising derivations.
-Over GF(p) every result is reduced mod p, over Q entries are Fractions;
-each primitive branches on the field once, outside its loop, because the
-verification sweeps spend most of their time here.
+Over GF(p) every result is reduced mod p.  Over Q every result keeps the
+payload contract of fields (an int when integral, a Fraction otherwise),
+through canonical_q, and the loops skip entries where the row being added
+is zero, so integral work stays in int arithmetic and no Fraction is built
+for a zero.  Each primitive branches on the field once, outside its loop,
+because the verification sweeps spend most of their time here.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .errors import (
     DimensionMismatchError,
     UnsupportedFieldError,
 )
-from .fields import Field
+from .fields import Field, canonical_q
 
 
 def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
@@ -45,7 +48,7 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
             f = v[c]
             coeffs.append(f)
             if f:
-                v = [a - f * b for a, b in zip(v, row)]
+                v = [canonical_q(a - f * b) if b else a for a, b in zip(v, row)]
     else:
         for row, c in zip(rows, pivots):
             f = v[c]
@@ -58,12 +61,16 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
     """The vector sum of coeffs[i] * rows[i], of length n."""
     out = [field.zero()] * n
+    p = field.p
+    if p is None:
+        for c, row in zip(coeffs, rows):
+            if c:
+                out = [a + c * b if b else a for a, b in zip(out, row)]
+        return tuple(map(canonical_q, out))
     for c, row in zip(coeffs, rows):
         if c:
             out = [a + c * b for a, b in zip(out, row)]
-    p = field.p
-    if p is not None:
-        out = [a % p for a in out]
+    out = [a % p for a in out]
     return tuple(out)
 
 
@@ -427,8 +434,20 @@ WORK_BUDGET = sum(gaussian_binomial(5, k, 3) for k in range(6))
 
 
 def check_budget(steps: int, what: str) -> None:
-    """Raise BudgetExceededError when an exhaustive loop would exceed WORK_BUDGET."""
+    """Raise BudgetExceededError when an exhaustive loop would exceed WORK_BUDGET.
+
+    The message gives the exact step count up to 20 digits and otherwise
+    its order of magnitude, so a refusal stays one short line.
+    """
     if steps > WORK_BUDGET:
+        if steps < 10**20:
+            count = "%d" % steps
+        else:
+            # steps < 2^bits, so this starts at or above floor(log10(steps))
+            magnitude = steps.bit_length() * 30103 // 100000
+            while 10**magnitude > steps:
+                magnitude -= 1
+            count = "at least 10^%d" % magnitude
         raise BudgetExceededError(
-            "%s takes %d steps, over the budget of %d" % (what, steps, WORK_BUDGET)
+            "%s takes %s steps, over the budget of %d" % (what, count, WORK_BUDGET)
         )

@@ -1,6 +1,7 @@
-"""Shared fixture algebras used across the test modules."""
+"""Shared fixture algebras and reference oracles used across the test modules."""
 
 import itertools
+from fractions import Fraction
 
 from lieform import Derivation, LieAlgebra, Matrix, NotADerivationError
 
@@ -18,6 +19,51 @@ def brute_force_derivations(a):
             continue
         found.append(m)
     return found
+
+
+def is_q_payload(x):
+    """The Q payload contract: an int when integral, else a Fraction (never a float)."""
+    return type(x) is int or (type(x) is Fraction and x.denominator != 1)
+
+
+def naive_rref(rows):
+    """Textbook Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns).
+
+    Every entry is a Fraction throughout and no step is skipped: the
+    reference the library's rational kernel is compared against.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0]) if m else 0
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        found = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if found is None:
+            continue
+        m[r], m[found] = m[found], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[: len(pivots)]], pivots
+
+
+def naive_null_space(rows, ncols):
+    """Basis of {x : A x = 0} read off naive_rref, one vector per free column."""
+    red, pivots = naive_rref(rows)
+    basis = []
+    for free in range(ncols):
+        if free in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[free] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][free]
+        basis.append(tuple(v))
+    return basis
 
 
 def algebra(field, dim, brackets):

@@ -1,5 +1,8 @@
 """Minimal ideals, chief series, irreducibility, and split extensions."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from lieform import (
@@ -25,7 +28,8 @@ from lieform import (
     split_extension,
     split_extension_by_derivation,
 )
-from support import abelian, algebra, h3, r2, r2_plus_line, rotation, rotation_plus_centre
+from lieform.chief import _char_poly
+from support import abelian, algebra, h3, is_q_payload, r2, r2_plus_line, rotation, rotation_plus_centre
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -197,3 +201,27 @@ def test_split_extension_by_derivation():
     # the identity is not a derivation of r2: d[x,y] = y but [dx,y]+[x,dy] = 2y
     with pytest.raises(NotADerivationError):
         split_extension_by_derivation(a, Matrix.identity(F3, 2))
+
+
+def _det(rows):
+    """Determinant by Laplace expansion along the first row."""
+    if not rows:
+        return 1
+    return sum(
+        (-1) ** j * rows[0][j] * _det([row[:j] + row[j + 1 :] for row in rows[1:]])
+        for j in range(len(rows))
+    )
+
+
+def test_char_poly_exact_on_int_rows():
+    # int rows (the Q payload of integral entries) give the same exact
+    # coefficients as the same rows written as Fractions: no float division
+    rng = random.Random(7)
+    for _ in range(200):
+        k = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
+        coeffs = _char_poly(rows)
+        assert coeffs == _char_poly([[Fraction(x) for x in row] for row in rows])
+        assert all(is_q_payload(c) for c in coeffs)
+        assert coeffs[0] == 1 and coeffs[1] == -sum(rows[i][i] for i in range(k))
+        assert coeffs[-1] == (-1) ** k * _det(rows)

@@ -130,6 +130,23 @@ def test_huge_field_order_refused_quickly(tmp_path, capsys):
         assert "limit" in result[2]
 
 
+def test_gf_literal_with_zero_denominator_is_exit_2(tmp_path, capsys):
+    # 1/3 has no value in GF(3): a parse error, not an inverse-of-zero traceback
+    data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", "1/3"]}])
+    path = write(tmp_path, "third.json", data)
+    for command in ("validate", "analyze"):
+        result = run(capsys, [command, path])
+        assert_parse_error(result)
+        assert "1/3" in result[2]
+
+
+def test_gf_subalgebra_with_zero_denominator_is_exit_2(tmp_path, capsys):
+    path = write(tmp_path, "r2.json", R2_GF3)
+    result = run(capsys, ["check-intravariance", path, "--subalgebra", "1/3,0"])
+    assert_parse_error(result)
+    assert "1/3" in result[2]
+
+
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["normalisers", "x.json", "--formation", "abelian"])
@@ -348,6 +365,16 @@ def test_sweep_huge_max_dim_refused_quickly(capsys, max_dim):
     start = time.perf_counter()
     code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", str(max_dim)])
     assert time.perf_counter() - start < 0.5
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+    assert len(err) < 200
+
+
+def test_sweep_huge_field_budget_message_is_short(capsys):
+    # the subspace count of GF(2147483647)^16 has about 600 digits; the
+    # refusal gives its order of magnitude instead
+    code, out, err = run(capsys, ["sweep", "--field", "GF(2147483647)", "--max-dim", "16"])
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err

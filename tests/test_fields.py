@@ -1,11 +1,13 @@
 """Field arithmetic and the scalar grammar."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from lieform import Field, FieldMismatchError, ParseError
+from support import is_q_payload
 
 Q = Field.rationals()
 F5 = Field.gf(5)
@@ -89,3 +91,24 @@ def test_inverse():
 def test_check_same():
     with pytest.raises(FieldMismatchError):
         Q.check_same(F5)
+
+
+def test_q_payloads_are_canonical():
+    # random rationals with denominators 1-9: every operation returns an
+    # int exactly when the value is integral, and the int prints, compares
+    # and hashes like the Fraction of the same value
+    rng = random.Random(8)
+    texts = ["%d/%d" % (rng.randint(-12, 12), rng.randint(1, 9)) for _ in range(120)]
+    values = [Q.parse(t) for t in texts]
+    assert [Fraction(t) for t in texts] == values
+    results = [Q.zero(), Q.one()] + [Q.from_int(n) for n in range(-3, 4)]
+    for a, b in zip(values, values[1:] + values[:1]):
+        results += [Q.add(a, b), Q.sub(a, b), Q.mul(a, b), Q.neg(a)]
+        if b:
+            results += [Q.inv(b), Q.div(a, b)]
+    assert all(is_q_payload(x) for x in values + results)
+    for x in values + results:
+        same = Fraction(x)
+        assert x == same and hash(x) == hash(same) and str(x) == str(same)
+        assert Q.format(x) == Q.format(same)
+    assert sorted(values) == sorted(map(Fraction, values))

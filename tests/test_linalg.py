@@ -15,6 +15,8 @@ from lieform import (
     null_space,
     rref,
 )
+from lieform.linalg import _eliminate, linear_combination
+from support import is_q_payload, naive_null_space, naive_rref
 
 Q = Field.rationals()
 F2 = Field.gf(2)
@@ -153,3 +155,54 @@ def test_rank_nullity_random_seeded(seed):
         mat = Matrix(field, rows, ncols=m)
         assert mat.rank() + len(mat.kernel()) == m
         assert mat.rank() + len(mat.left_kernel()) == n
+
+
+def random_q_rows(rng, n, m):
+    """Rationals with denominators 1-9, half of them zero, as Q payloads."""
+    return [
+        [Q.parse("%d/%d" % (rng.randint(-4, 4), rng.randint(1, 9))) if rng.random() < 0.5 else 0 for _ in range(m)]
+        for _ in range(n)
+    ]
+
+
+def test_rational_kernel_outputs_are_canonical():
+    rng = random.Random(88)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        rows = random_q_rows(rng, n, m)
+        reduced, pivots = rref(rows, Q)
+        span = Subspace.span(Q, m, rows)
+        vec = random_q_rows(rng, 1, m)[0]
+        residual, coeffs = _eliminate(vec, span.basis, span.pivots, None)
+        outputs = [
+            linear_combination(Q, [row[0] for row in rows], rows, m),
+            residual,
+            coeffs,
+            *reduced,
+            *null_space(rows, Q),
+            *span.basis,
+        ]
+        assert all(is_q_payload(x) for out in outputs for x in out)
+
+
+def test_rational_kernel_matches_naive_oracle():
+    rng = random.Random(89)
+    for _ in range(300):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        rows = random_q_rows(rng, n, m)
+        expected, expected_pivots = naive_rref(rows)
+        rank = len(expected_pivots)
+        reduced, pivots = rref(rows, Q)
+        assert list(reduced[:rank]) == expected and list(pivots) == expected_pivots
+        assert all(not any(row) for row in reduced[rank:])
+        assert null_space(rows, Q) == naive_null_space(rows, m)
+        span = Subspace.span(Q, m, rows)
+        assert list(span.basis) == expected
+        # a known combination of the basis comes back as its coefficients
+        coeffs = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 9)) for _ in range(rank))
+        vec = [sum((c * row[j] for c, row in zip(coeffs, expected)), Fraction(0)) for j in range(m)]
+        assert span.coordinates(vec) == coeffs
+        # a vector outside the span has no coordinates
+        other = random_q_rows(rng, 1, m)[0]
+        outside = len(naive_rref(expected + [other])[1]) > rank
+        assert (span.coordinates(other) is None) == outside

@@ -4,10 +4,12 @@ The `analyze`/`derivations` digests were recorded before the linear-algebra
 kernel was merged into one elimination routine; the `check-intravariance`
 and `normalisers` digests before the extension criterion stopped building
 the extension algebra; the `sweep` and `verify-chain` digests before
-restrict and quotient returned one kind of subquotient map.  Any change to
-canonical bases, the order of the derivation basis, chief factors, maximal
-subalgebras, normalisers, the first failing derivation or the subspace text
-format shows up here as a different digest or exit code.
+restrict and quotient returned one kind of subquotient map; the
+`q-check-fractions` digest before integral rationals over Q became plain
+ints.  Any change to canonical bases, the order of the derivation basis,
+chief factors, maximal subalgebras, normalisers, the first failing
+derivation or the subspace text format shows up here as a different digest
+or exit code.
 """
 
 import hashlib
@@ -16,6 +18,7 @@ import json
 import pytest
 
 from lieform.cli import main
+from support import rotation_plus_centre
 
 # [e1,e2] = e3, [e1,e3] = -e2, [e1,e4] = e4: a 2-dimensional irreducible
 # chief factor over GF(3) (x^2 + 1 has no root mod 3), 13 maximal
@@ -90,6 +93,11 @@ PINS = [
     # a whole sweep: restrictions, quotients and lifted normaliser chains
     ("gf3-sweep", (), ["sweep", "--field", "GF(3)", "--max-dim", "3", "--json"], 0,
      "df933c0b784fa319c4955e8a588a4b6d9ff52c3be4d79c901cc45476e8d58a3c"),
+    # over Q: a line with fractional entries, canonical basis 1, 1/4, -3/10, 3/2,
+    # and the first failing derivation printed
+    ("q-check-fractions", (rotation_plus_centre().to_dict(),),
+     ["check-intravariance", "--json", "--subalgebra", "2,1/2,-3/5,3"], 3,
+     "faef41a6775736017e23f6fff871c30b2011c03b3612027381c7f518faf0987a"),
     # chain steps carried into each restricted algebra's coordinates
     ("gf3-verify-chain", (GF3_ROTATION, ROTATION_CHAIN),
      ["verify-chain", "--json", "--formation", "nilpotent"], 0,
