@@ -34,12 +34,6 @@ def canonical_q(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _shown(value) -> str:
-    """repr(value) for an error message, cut to 40 characters so it stays one short line."""
-    text = repr(value)
-    return text if len(text) <= 40 else text[:37] + "..."
-
-
 def _is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -146,7 +140,7 @@ class Field:
 
     def parse(self, text: str):
         if not isinstance(text, str) or _SCALAR_RE.match(text) is None:
-            raise ParseError("bad scalar literal %s" % _shown(text))
+            raise ParseError("bad scalar literal %r" % (text,))
         try:
             num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
         except ValueError:
@@ -155,7 +149,7 @@ class Field:
             return canonical_q(Fraction(num, den))
         if den % self.p == 0:
             raise ZeroDenominatorError(
-                "scalar literal %s has a denominator divisible by %d" % (_shown(text), self.p)
+                "scalar literal %r has a denominator divisible by %d" % (text, self.p)
             )
         return self.div(num % self.p, den % self.p)
 

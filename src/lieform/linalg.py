@@ -41,15 +41,17 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
     lies in the span of the rows, and then vec is the sum of coefficient
     times row.  p is the field characteristic, None over Q.
     """
-    v = list(vec)
     coeffs = []
     if p is None:
+        # a caller's Fraction(k, 1) becomes k here, so every output keeps the contract
+        v = list(map(canonical_q, vec))
         for row, c in zip(rows, pivots):
             f = v[c]
             coeffs.append(f)
             if f:
                 v = [canonical_q(a - f * b) if b else a for a, b in zip(v, row)]
     else:
+        v = list(vec)
         for row, c in zip(rows, pivots):
             f = v[c]
             coeffs.append(f)
@@ -440,14 +442,7 @@ def check_budget(steps: int, what: str) -> None:
     its order of magnitude, so a refusal stays one short line.
     """
     if steps > WORK_BUDGET:
-        if steps < 10**20:
-            count = "%d" % steps
-        else:
-            # steps < 2^bits, so this starts at or above floor(log10(steps))
-            magnitude = steps.bit_length() * 30103 // 100000
-            while 10**magnitude > steps:
-                magnitude -= 1
-            count = "at least 10^%d" % magnitude
+        count = "%d" % steps if steps < 10**20 else "at least 10^%d" % (len(str(steps)) - 1)
         raise BudgetExceededError(
             "%s takes %s steps, over the budget of %d" % (what, count, WORK_BUDGET)
         )

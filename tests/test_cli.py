@@ -147,15 +147,6 @@ def test_gf_subalgebra_with_zero_denominator_is_exit_2(tmp_path, capsys):
     assert "1/3" in result[2]
 
 
-@pytest.mark.parametrize("literal", ["x" * 5000, "1" * 4000 + "/3"], ids=["bad", "zero-denominator"])
-def test_bad_literal_message_is_short(tmp_path, capsys, literal):
-    # a bad literal, and one whose denominator vanishes mod 3, is quoted cut short
-    data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", literal]}])
-    result = run(capsys, ["validate", write(tmp_path, "long.json", data)])
-    assert_parse_error(result)
-    assert len(result[2]) < 200
-
-
 def test_bad_flags_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["normalisers", "x.json", "--formation", "abelian"])

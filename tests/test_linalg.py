@@ -165,24 +165,34 @@ def random_q_rows(rng, n, m):
     ]
 
 
+def as_fractions(rows):
+    """The same rows with every entry a Fraction, Fraction(k, 1) included."""
+    return [[Fraction(x) for x in row] for row in rows]
+
+
 def test_rational_kernel_outputs_are_canonical():
+    # inputs as Q payloads and as Fractions: the outputs are canonical either way
     rng = random.Random(88)
     for _ in range(300):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
-        rows = random_q_rows(rng, n, m)
-        reduced, pivots = rref(rows, Q)
-        span = Subspace.span(Q, m, rows)
-        vec = random_q_rows(rng, 1, m)[0]
-        residual, coeffs = _eliminate(vec, span.basis, span.pivots, None)
-        outputs = [
-            linear_combination(Q, [row[0] for row in rows], rows, m),
-            residual,
-            coeffs,
-            *reduced,
-            *null_space(rows, Q),
-            *span.basis,
-        ]
-        assert all(is_q_payload(x) for out in outputs for x in out)
+        payload_rows = random_q_rows(rng, n, m)
+        payload_vec = random_q_rows(rng, 1, m)
+        for rows, [vec] in ((payload_rows, payload_vec), (as_fractions(payload_rows), as_fractions(payload_vec))):
+            reduced, pivots = rref(rows, Q)
+            span = Subspace.span(Q, m, rows)
+            residual, coeffs = _eliminate(vec, span.basis, span.pivots, None)
+            outputs = [
+                linear_combination(Q, [row[0] for row in rows], rows, m),
+                residual,
+                coeffs,
+                *reduced,
+                *null_space(rows, Q),
+                *span.basis,
+                span.reduce(vec),
+            ]
+            assert all(is_q_payload(x) for out in outputs for x in out)
+    basis = Subspace.span(Q, 2, [(Fraction(1), Fraction(3))]).basis
+    assert basis == ((1, 3),) and all(type(x) is int for x in basis[0])
 
 
 def test_rational_kernel_matches_naive_oracle():

@@ -1,20 +1,19 @@
 """Alternating parent/change benchmark pairs, written as one BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent REV --pr N [--change REV]
-        [--pairs 10] [--first-seed 1] [--trace-seed 1] [--workload W ...]
-        [--note TEXT] [--dev-seeds TEXT] [--machine TEXT]
+        [--first-seed 1] [--note TEXT] [--dev-seeds TEXT] [--machine TEXT]
 
 Both revisions are exported with ``git archive`` into a scratch directory,
 so each side measures exactly its committed files and the checkout is left
 as it is (a ``git worktree`` would register itself in the repository, and
-an interrupted run would leave it there).  For every workload, by default
-the ones BENCHMARK.json lists, pair i runs
+an interrupted run would leave it there).  For every workload BENCHMARK.json
+lists, pair i of ten runs
 
     python3 bench/run.py --workload W --seed first_seed+i --seconds S --trace 0
 
 in both trees, the parent first when i is even and the change first when
 i is odd, at BENCHMARK.json's run_seconds.  Then each side gets one traced
-run at the trace seed.  The JSON keeps BENCH_6.json's layout: every run's
+run at seed 1.  The JSON keeps BENCH_6.json's layout: every run's
 value of every end-to-end metric, each side's median and quartiles, the
 parent's interquartile range, the change's win count and median change,
 operation counts, and the traced per-layer metrics.  Progress goes to
@@ -35,6 +34,8 @@ import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PAIRS = 10  # the fewest pairs a claimed gain is judged on
+TRACE_SEED = 1
 
 
 def _git(*args: str) -> bytes:
@@ -97,16 +98,11 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
     parser.add_argument("--change", default="HEAD", help="revision measured as the change (default HEAD)")
     parser.add_argument("--pr", required=True, type=int, help="number in the output name BENCH_<pr>.json")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=1)
-    parser.add_argument("--trace-seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", help="workload to pair (repeatable; default: BENCHMARK.json's)")
+    parser.add_argument("--first-seed", type=int, default=1, help="seed of the first pair; pair i runs first_seed+i")
     parser.add_argument("--note", default="", help="what the change does, stored as 'change'")
     parser.add_argument("--dev-seeds", default="", help="seeds used while the change was written, for the record")
     parser.add_argument("--machine", default="", help="a description of the machine, for the record")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2 for quartiles")
 
     scratch = tempfile.mkdtemp(prefix="bench-pairs-")
     try:
@@ -117,8 +113,8 @@ def main(argv=None) -> int:
         with open(os.path.join(trees["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
             bench = json.load(fh)
         seconds = bench["run_seconds"]
-        names = args.workload or [w["name"] for w in bench["workloads"]]
-        seeds = [args.first_seed + i for i in range(args.pairs)]
+        names = [w["name"] for w in bench["workloads"]]
+        seeds = [args.first_seed + i for i in range(PAIRS)]
 
         runs = {name: {"parent": [], "change": []} for name in names}
         for name in names:
@@ -135,7 +131,7 @@ def main(argv=None) -> int:
         for name in names:
             traces[name] = {}
             for side in ("parent", "change"):
-                result = run_bench(trees[side], name, args.trace_seed, seconds, 1)
+                result = run_bench(trees[side], name, TRACE_SEED, seconds, 1)
                 traces[name][side] = {
                     "correct": result["correct"],
                     "metrics": {key: entry["value"] for key, entry in sorted(result["metrics"].items())},
@@ -180,13 +176,13 @@ def main(argv=None) -> int:
             "change_wins": "pairs in which the change's run is better than the parent's run of the same seed",
             "command": "python3 bench/run.py --workload W --seed S --seconds %s --trace 0" % seconds,
             "per_run_value": "each run's metric as bench/run.py reports it (a median over its repeats; peak_rss_mb is the run's peak)",
-            "quartiles": "statistics.quantiles(n=4, method='inclusive') over the %d runs of one side" % args.pairs,
+            "quartiles": "statistics.quantiles(n=4, method='inclusive') over the %d runs of one side" % PAIRS,
             "seeds": seed_text,
             "tool": "python3 tools/bench_pairs.py",
         },
         "operations": operations,
         "trace": {
-            "command": "python3 bench/run.py --workload W --seed %d --seconds %s --trace 1" % (args.trace_seed, seconds),
+            "command": "python3 bench/run.py --workload W --seed %d --seconds %s --trace 1" % (TRACE_SEED, seconds),
             "workloads": traces,
         },
     }
