@@ -348,8 +348,7 @@ class LieAlgebra:
             return self.full_space()
         # [x, a_j] = sum_k c_k [e_k, a_j] for x = sum_k c_k e_k, so the
         # coefficients c form the stabiliser of the maps a_j |-> [e_k, a_j]
-        maps = self.basis_brackets(a.basis)
-        return Subspace.span(self.field, self.dim, stabiliser(self.field, maps, b))
+        return stabiliser(self.field, self.basis_brackets(a.basis), b)
 
     def centre(self) -> Subspace:
         return self.memo("centre", lambda: self.centralizer(self.full_space()))
@@ -359,15 +358,23 @@ class LieAlgebra:
         return self.centralizer_of_factor(s, s)
 
     def core(self, s: Subspace) -> Subspace:
-        """Largest ideal of the algebra contained in s."""
+        """Largest ideal of the algebra contained in s.
+
+        Starting from K = s, each step keeps the x in K with [e_k, x] in K
+        for every basis vector e_k.  For x = sum_j c_j b_j over K's basis,
+        [e_k, x] = sum_j c_j [e_k, b_j], so the coefficients c are one
+        stabiliser in K's own coordinates, F^(dim K), mapped back by
+        Subspace.combinations.  The steps stop when K stops shrinking.
+        """
 
         def compute():
-            # {x : [x, L] <= K} is the centraliser of the factor L/K; meeting
-            # it with K until nothing changes leaves the largest ideal in s.
-            full = self.full_space()
+            field, n, table = self.field, self.dim, self.table
             current = s
             while not current.is_zero():
-                nxt = self.centralizer_of_factor(full, current) & current
+                images = [
+                    [linear_combination(field, b, row, n) for row in table] for b in current.basis
+                ]
+                nxt = current.combinations(stabiliser(field, images, current))
                 if nxt.dim == current.dim:
                     break
                 current = nxt

@@ -9,15 +9,15 @@ the part of that term killed by [L, L] into simultaneous rational
 eigenspaces of the commuting induced operators; when no rational invariant
 line exists the computation is refused rather than approximated.
 
-A chief factor is an algebra.FactorView.  Whether a subspace covers or
-avoids each factor is read off one rank pass along the series
-(ChiefSeries.cover_avoid); covers and avoids are the definitional,
+A chief factor is an algebra.FactorView.  The dimensions dim(U + I_t)
+along the series come from one rank pass (ChiefSeries.ranks); whether a
+subspace covers or avoids each factor is read off them
+(ChiefSeries.cover_avoid), and covers and avoids are the definitional,
 intersection-based predicates for one factor.  split_extension is the one
 split-extension builder: the ideal's coordinates first, then the acting
 algebra's, where a acts as [a, y] = y * R_a.  Its Jacobi check is each R_a
-being a derivation plus R_[a,b] = R_b R_a - R_a R_b.  F-centrality extends
-an abelian chief factor by L over its centraliser; enumeration adjoins one
-derivation at a time.
+being a derivation plus R_[a,b] = R_b R_a - R_a R_b.  Enumeration adjoins
+one derivation at a time through it.
 """
 
 from __future__ import annotations
@@ -74,23 +74,32 @@ class ChiefSeries:
     def __iter__(self):
         return iter(self.factors)
 
+    def ranks(self, subspace: Subspace) -> list:
+        """dim(U + I_t) for t = 0, ..., k, from one rank pass along the series.
+
+        One accumulator, seeded with U, takes each factor's basis in turn;
+        that basis together with I_t spans I_{t+1}.
+        """
+        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.basis)
+        ranks = [acc.rank]
+        for factor in self.factors:
+            for v in factor.space.basis:
+                acc.add(v)
+            ranks.append(acc.rank)
+        return ranks
+
     def cover_avoid(self, subspace: Subspace) -> list:
-        """(covered, avoided) for every factor, from one rank pass along the series.
+        """(covered, avoided) for every factor, read off ranks(U).
 
         With r_t = dim(U + I_t), U covers I_{t+1}/I_t exactly when
         r_{t+1} = r_t and avoids it exactly when r_{t+1} - r_t is the
         factor's dimension, since dim(U meet A) = dim U + dim A - dim(U + A).
-        One accumulator, seeded with U, takes each factor's basis in turn.
         """
-        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.basis)
-        verdicts = []
-        for factor in self.factors:
-            before = acc.rank
-            for v in factor.space.basis:
-                acc.add(v)
-            grown = acc.rank - before
-            verdicts.append((grown == 0, grown == factor.dim))
-        return verdicts
+        ranks = self.ranks(subspace)
+        return [
+            (high == low, high - low == factor.dim)
+            for factor, low, high in zip(self.factors, ranks, ranks[1:])
+        ]
 
 
 def _last_derived_term(algebra: LieAlgebra) -> Subspace:

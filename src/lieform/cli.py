@@ -51,7 +51,7 @@ from .errors import (
     ParseError,
     UnsupportedFieldError,
 )
-from .fields import Field
+from .fields import Field, quote
 from .formations import (
     FORMATIONS,
     f_normalisers,
@@ -112,7 +112,7 @@ def _subspace_from_spec(field: Field, dim: int, spec: str) -> Subspace:
         entries = [e.strip() for e in chunk.split(",")]
         if len(entries) != dim:
             raise ParseError(
-                "basis row %r must have %d entries" % (chunk.strip(), dim)
+                "basis row %s must have %d entries" % (quote(chunk.strip()), dim)
             )
         rows.append(tuple(field.parse(e) for e in entries))
     return Subspace.span(field, dim, rows)

@@ -3,20 +3,24 @@
 Der(L) is the null space of the linear system expressing the Leibniz rule
 over all basis pairs.  Internally a derivation matrix acts on the right of
 a row coordinate vector (row i is the image of e_i); for subspace
-arithmetic matrices are flattened row-major into F^(n^2).
+arithmetic matrices are flattened row-major into F^(n^2), where Der(L) is
+kept as an echelon subspace.
 
 A subalgebra U is intravariant when every derivation splits as inner plus
-U-stabilising.  The second, extension-style criterion adjoins one outer
-generator x per basis derivation d, in D = L + Fx with [x, y] = d(y), and
-asks that the normaliser N_D(U) together with L fill D.  That holds
-exactly when d restricted to U agrees mod U with some u |-> [y, u], y in
-L, so it is decided in Hom(U, L/U): once per (L, U) the maps
-u |-> [e_k, u] mod U, read off L's structure constants, are echelonised
-into one span W, and each derivation then costs one reduce of d|U mod U
-against W.  D itself is never built, and the check never touches the
-flattened Der(L) of the linear criterion, so the two stay independent
-computations.  The decomposable derivations form a subspace, so checking
-a basis of Der(L) settles both criteria exactly.
+U-stabilising.  The linear criterion tests that as a subspace identity in
+Der-basis coordinates, F^(dim Der): the U-stabilising derivations are one
+stabiliser's coefficient space, and an inner derivation's coordinates are
+its flattened entries at Der(L)'s pivots.  The second, extension-style
+criterion adjoins one outer generator x per basis derivation d, in
+D = L + Fx with [x, y] = d(y), and asks that the normaliser N_D(U)
+together with L fill D.  That holds exactly when d restricted to U agrees
+mod U with some u |-> [y, u], y in L, so it is decided in Hom(U, L/U):
+once per (L, U) the maps u |-> [e_k, u] mod U, read off L's structure
+constants, are echelonised into one span W, and each derivation then costs
+one reduce of d|U mod U against W.  D itself is never built, and the check
+never touches the Der-basis coordinates of the linear criterion, so the
+two stay independent computations.  The decomposable derivations form a
+subspace, so checking a basis of Der(L) settles both criteria exactly.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, leibniz_defect
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import EchelonAccumulator, Matrix, Subspace, linear_combination, null_space, stabiliser
+from .linalg import EchelonAccumulator, Matrix, Subspace, null_space, stabiliser
 
 
 class Derivation:
@@ -143,31 +147,36 @@ def inner_derivations(algebra: LieAlgebra) -> Subspace:
     )
 
 
-def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
-    """{d in Der(L) : d(U) <= U}, as a flattened subspace of Der(L)."""
+def _stabilising_coordinates(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
+    """The coefficients c over the Der basis with (sum_t c_t d_t)(U) <= U, in F^(dim Der)."""
     algebra = der.parent
-    n = algebra.dim
-    if subalgebra.ambient_dim != n:
+    if subalgebra.ambient_dim != algebra.dim:
         raise DimensionMismatchError("subalgebra lives in the wrong ambient space")
     if der.dim == 0 or subalgebra.is_zero() or subalgebra.is_full():
-        return der.subspace
-    # coefficients c over the Der basis with (sum_t c_t d_t)(U) <= U
+        return Subspace.full_space(algebra.field, der.dim)
     images = [[d(u) for u in subalgebra.basis] for d in der.basis]
-    kernel = stabiliser(algebra.field, images, subalgebra)
-    flat_basis = [d.flatten() for d in der.basis]
-    return Subspace.span(
-        algebra.field,
-        n * n,
-        [linear_combination(algebra.field, c, flat_basis, n * n) for c in kernel],
-    )
+    return stabiliser(algebra.field, images, subalgebra)
+
+
+def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
+    """{d in Der(L) : d(U) <= U}, as a flattened subspace of Der(L)."""
+    return der.subspace.combinations(_stabilising_coordinates(der, subalgebra))
 
 
 def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
-    """Every derivation is inner plus U-stabilising, as a subspace identity."""
+    """Every derivation is inner plus U-stabilising, as a subspace identity.
+
+    In Der-basis coordinates: the stabilising coefficients and the inner
+    derivations' entries at Der(L)'s pivots must together span F^(dim Der).
+    """
     der = derivation_algebra(algebra)
-    inner = inner_derivations(algebra)
-    stab = stabilizing_derivations(der, subalgebra)
-    return (inner + stab).dim == der.dim
+    acc = EchelonAccumulator(algebra.field, der.dim, _stabilising_coordinates(der, subalgebra).basis)
+    pivots = der.subspace.pivots
+    # ad(e_k) has rows [e_k, e_m], which is table[k]
+    for rows in algebra.table:
+        flat = sum(rows, ())
+        acc.add(tuple(flat[c] for c in pivots))
+    return acc.rank == der.dim
 
 
 def _extension_residuals(algebra: LieAlgebra, subalgebra: Subspace, derivations):

@@ -28,6 +28,17 @@ _FIELD_RE = re.compile(r"GF\(([0-9]+)\)\Z")
 # about 3 ms at this bound; the time grows with the square root of the order.
 MAX_ORDER = 2**31 - 1
 
+# Longest text an error message quotes whole.  A longer literal is quoted as
+# a prefix of this length plus its length, so the message stays one short line.
+QUOTE_LIMIT = 40
+
+
+def quote(value) -> str:
+    """repr(value) for an error message; a string past QUOTE_LIMIT characters gives a prefix and its length."""
+    if isinstance(value, str) and len(value) > QUOTE_LIMIT:
+        return "%r... (%d characters)" % (value[:QUOTE_LIMIT], len(value))
+    return repr(value)
+
 
 def canonical_q(x):
     """The Q payload of the rational x: its int value when integral, else x."""
@@ -77,7 +88,7 @@ class Field:
             return _Q
         m = _FIELD_RE.match(text)
         if m is None:
-            raise ParseError("unrecognised field %r" % (text,))
+            raise ParseError("unrecognised field %s" % quote(text))
         try:
             order = int(m.group(1))
         except ValueError:
@@ -140,7 +151,7 @@ class Field:
 
     def parse(self, text: str):
         if not isinstance(text, str) or _SCALAR_RE.match(text) is None:
-            raise ParseError("bad scalar literal %r" % (text,))
+            raise ParseError("bad scalar literal %s" % quote(text))
         try:
             num, den = map(int, text.split("/")) if "/" in text else (int(text), 1)
         except ValueError:
@@ -149,7 +160,7 @@ class Field:
             return canonical_q(Fraction(num, den))
         if den % self.p == 0:
             raise ZeroDenominatorError(
-                "scalar literal %r has a denominator divisible by %d" % (text, self.p)
+                "scalar literal %s has a denominator divisible by %d" % (quote(text), self.p)
             )
         return self.div(num % self.p, den % self.p)
 

@@ -1,28 +1,38 @@
 """Saturated formations and the classification machinery built on them.
 
-A formation is used here purely through membership of concrete algebras:
-quotients, split extensions, and chain members.  Three instances are
-provided; quotient-closure is property-tested rather than assumed.
+A formation is a membership predicate plus a local centrality test.  By
+Barnes & Gastineau-Hills (Math. Z. 106, 1968) the saturated formations of
+soluble Lie algebras are exactly the locally defined ones, so whether a
+chief factor A/B is F-central depends only on how L acts on it.  For the
+three formations provided the test is one line: nilpotent, [L, A] <= B;
+supersoluble, dim A/B = 1; all-soluble, always.  Quotient-closure of
+membership is property-tested rather than assumed.
 
-A maximal subalgebra complements exactly one factor of any chief series
-(it covers the rest), and it is classed normal precisely when that factor
-is central relative to the formation; the equivalent quotient-by-core
-membership test is evaluated independently and any disagreement is raised,
-never swallowed.  The factor a maximal subalgebra avoids, and whether a
-normaliser covers the central factors and avoids the eccentric ones, come
-from one rank pass along the chief series (ChiefSeries.cover_avoid), not
-from one intersection per factor.  Normalisers are the end points of
-descending chains of critical maximal subalgebras, computed recursively on
-the restricted algebras so interned structures share their caches.
+Maximal subalgebras are listed as complements of chief factors (Barnes,
+Math. Z. 101, 1967): each one complements exactly one factor of a chief
+series and covers the rest, and the complements of one factor solve one
+affine linear system, so no subspace is scanned.  enumerate_subalgebras
+stays for the projector test and as the tests' oracle.
+
+A maximal subalgebra M is classed normal by two independent criteria:
+the core criterion runs membership on L/core(M), and the complement
+criterion runs the local test on the one factor M complements.  Any
+disagreement is raised, never swallowed.  That factor, and dim(M + A) for
+its top A, come from one rank pass along the chief series
+(ChiefSeries.ranks), as do a normaliser's cover/avoid verdicts.
+Normalisers are the end points of descending chains of critical maximal
+subalgebras, computed recursively on the restricted algebras so interned
+structures share their caches.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .algebra import LieAlgebra
-from .chief import ChiefFactor, chief_series, split_extension
+from .chief import ChiefFactor, chief_series
 from .enumeration import enumerate_ideals, enumerate_subalgebras
 from .errors import (
     CriteriaDisagreeError,
@@ -30,21 +40,33 @@ from .errors import (
     ParseError,
     UnsupportedFieldError,
 )
-from .linalg import Subspace
+from .linalg import Subspace, check_budget, linear_combination, null_space
 
 
 class Formation:
-    """Named membership predicate over soluble Lie algebras.
+    """Named saturated formation: a membership predicate and a local centrality test.
+
+    membership(L) decides L in F.  central(L, factor) decides whether a
+    chief factor A/B of L is F-central from the formation's local
+    definition (Barnes & Gastineau-Hills): it depends only on how
+    L/C_L(A/B) acts on A/B, so no quotient or extension is built.  Both are
+    required; the two criteria for a maximal subalgebra use one each.
 
     Cached results are keyed on the Formation object itself, not its name,
     so two formations that share a name never share an answer.
     """
 
-    __slots__ = ("name", "membership")
+    __slots__ = ("name", "membership", "central")
 
-    def __init__(self, name: str, membership: Callable[[LieAlgebra], bool]):
+    def __init__(
+        self,
+        name: str,
+        membership: Callable[[LieAlgebra], bool],
+        central: Callable[[LieAlgebra, ChiefFactor], bool],
+    ):
         self.name = name
         self.membership = membership
+        self.central = central
 
     def contains(self, algebra: LieAlgebra) -> bool:
         return self.membership(algebra)
@@ -63,9 +85,15 @@ def _supersoluble(algebra: LieAlgebra) -> bool:
     return all(f.dim == 1 for f in series.factors)
 
 
-NILPOTENT = Formation("nilpotent", lambda L: L.is_nilpotent())
-SUPERSOLUBLE = Formation("supersoluble", _supersoluble)
-ALL_SOLUBLE = Formation("all-soluble", lambda L: L.is_soluble())
+def _centralised(algebra: LieAlgebra, factor: ChiefFactor) -> bool:
+    """[L, A] <= B: L acts trivially on the factor A/B."""
+    bottom = factor.bottom
+    return all(bottom.contains(v) for row in algebra.basis_brackets(factor.space.basis) for v in row)
+
+
+NILPOTENT = Formation("nilpotent", lambda L: L.is_nilpotent(), _centralised)
+SUPERSOLUBLE = Formation("supersoluble", _supersoluble, lambda L, factor: factor.dim == 1)
+ALL_SOLUBLE = Formation("all-soluble", lambda L: L.is_soluble(), lambda L, factor: True)
 
 FORMATIONS = {f.name: f for f in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE)}
 
@@ -84,17 +112,11 @@ def is_member(formation: Formation, algebra: LieAlgebra) -> bool:
 
 
 def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation) -> bool:
-    """Split extension of the factor by L over its centraliser lies in F."""
+    """The formation's local test on the factor, cached on the factor."""
     cached = factor._central.get(formation)
-    if cached is not None:
-        return cached
-    cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
-    quo, qmap = algebra.quotient(cent)
-    actions = [factor.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
-    abelian = LieAlgebra.abelian(algebra.field, factor.dim)
-    result = formation.contains(split_extension(abelian, quo, actions))
-    factor._central[formation] = result
-    return result
+    if cached is None:
+        cached = factor._central[formation] = formation.central(algebra, factor)
+    return cached
 
 
 class Verdict(Enum):
@@ -147,21 +169,84 @@ def _subalgebra_key(s: Subspace) -> tuple:
     return (s.dim, s.basis)
 
 
-def maximal_subalgebras(algebra: LieAlgebra) -> list:
-    """Maximal elements of the proper-subalgebra order, sorted canonically.
+def _complement_space(algebra: LieAlgebra, factor: ChiefFactor):
+    """The maps delta: C -> A/B whose complements B + span{c + delta(c)} are subalgebras.
 
-    Every proper subalgebra lies in a maximal one of at least its
-    dimension, so walking the candidates by descending dimension, each is
-    tested only against the maximal ones already found.
+    C is the standard vectors off A's pivots.  Returns (C, particular,
+    homogeneous) with delta's matrices flattened row by row into
+    F^(|C| dim A/B): the solutions are the particular one plus the span of
+    the homogeneous ones.  Returns None when A/B has no complement.
+    """
+    field, n, h = algebra.field, algebra.dim, factor.dim
+    top = factor.top
+    free = [c for c in range(n) if c not in top.pivots]
+    unit = algebra.basis_vectors()
+    actions = [factor.action_matrix(unit[c]).rows for c in free]
+    m = len(free) * h
+    equations = []
+    for j, k in combinations(range(len(free)), 2):
+        # [c_j + delta_j, c_k + delta_k] = [c_j, c_k] + delta_k R_j - delta_j R_k
+        # mod B, since A/B is abelian; it lies in the complement when its
+        # A/B part is delta applied to its C part, w's residual mod A.
+        w = algebra.table[free[j]][free[k]]
+        part = top.reduce(w)
+        constant = factor.coords(tuple(map(field.sub, w, part)))
+        for s in range(h):
+            row = [field.zero()] * (m + 1)
+            for i in range(h):
+                row[k * h + i] = field.add(row[k * h + i], actions[j][i][s])
+                row[j * h + i] = field.sub(row[j * h + i], actions[k][i][s])
+            for l, c in enumerate(free):
+                row[l * h + s] = field.sub(row[l * h + s], part[c])
+            row[m] = constant[s]
+            equations.append(row)
+    # (delta, 1) in the null space of [equations | constant]; the basis
+    # vector of the last, free column is the particular solution
+    basis = null_space(equations, field, ncols=m + 1)
+    if not basis or not basis[-1][m]:
+        return None
+    return free, basis[-1][:m], [v[:m] for v in basis[:-1]]
+
+
+def maximal_subalgebras(algebra: LieAlgebra) -> list:
+    """The maximal subalgebras, listed as complements of chief factors and sorted canonically.
+
+    Each maximal subalgebra M of a soluble L complements exactly one factor
+    A/B of a chief series and covers the rest, so B <= M, M meet A = B and
+    M + A = L; conversely every such complement is maximal, because A/B is
+    an irreducible abelian ideal of L/B (Barnes, Math. Z. 101, 1967).  For
+    each factor the complements are B + span{c + delta(c)} over the solutions
+    delta of one affine linear system (_complement_space), and one budget
+    check on the number of solutions runs before any is listed.
     """
 
     def compute():
-        subs = [s for s in enumerate_subalgebras(algebra) if s.dim < algebra.dim]
-        maximal = []
-        for s in sorted(subs, key=lambda s: -s.dim):
-            if not any(m.dim > s.dim and s <= m for m in maximal):
-                maximal.append(s)
-        return sorted(maximal, key=_subalgebra_key)
+        field, n = algebra.field, algebra.dim
+        if field.p is None:
+            raise UnsupportedFieldError("maximal-subalgebra listing needs a finite field")
+        systems = []
+        for factor in chief_series(algebra).factors:
+            solutions = _complement_space(algebra, factor)
+            if solutions is not None:
+                systems.append((factor,) + solutions)
+        check_budget(
+            sum(field.p ** len(homogeneous) for *_, homogeneous in systems),
+            "listing chief-factor complements over %s in dimension %d" % (field, n),
+        )
+        unit = algebra.basis_vectors()
+        found = []
+        for factor, free, particular, homogeneous in systems:
+            h, basis = factor.dim, list(factor.space.basis)
+            for coeffs in product(range(field.p), repeat=len(homogeneous)):
+                delta = linear_combination(
+                    field, (1,) + coeffs, [particular] + homogeneous, len(particular)
+                )
+                gens = [
+                    linear_combination(field, (1,) + delta[l * h : (l + 1) * h], [unit[c]] + basis, n)
+                    for l, c in enumerate(free)
+                ]
+                found.append(algebra.span(list(factor.bottom.basis) + gens))
+        return sorted(found, key=_subalgebra_key)
 
     return list(algebra.memo("maximal_subalgebras", compute))
 
@@ -189,14 +274,19 @@ def _classify_maximal(
     quo, _ = algebra.quotient(core)
     core_verdict = formation.contains(quo)
 
+    # r_t = dim(M + I_t): M avoids I_{t+1}/I_t when r grows by the factor's
+    # dimension there, and r_{t+1} is dim(M + A) for that factor's top A
     series = chief_series(algebra)
-    avoided = [f for f, (_, a) in zip(series.factors, series.cover_avoid(maximal)) if a]
+    ranks = series.ranks(maximal)
+    avoided = [
+        t for t, f in enumerate(series.factors) if ranks[t + 1] - ranks[t] == f.dim
+    ]
     if len(avoided) > 1:
         raise CriteriaDisagreeError("maximal subalgebra avoids more than one chief factor")
     if not avoided:
         raise CriteriaDisagreeError("maximal subalgebra avoids no chief factor")
-    complemented = avoided[0]
-    if (maximal + complemented.top).dim != algebra.dim:
+    complemented = series.factors[avoided[0]]
+    if ranks[avoided[0] + 1] != algebra.dim:
         # the avoided factor of a maximal subalgebra satisfies M + A = L
         raise CriteriaDisagreeError("avoided chief factor is not complemented")
     complement_verdict = is_f_central(algebra, complemented, formation)

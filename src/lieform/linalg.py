@@ -10,7 +10,11 @@ pivot columns of a vector against echelon rows; RREF, membership,
 coordinates and incremental spans are built on it, and linear_combination
 is the one place vectors are summed.  stabiliser is the one "which
 combination of these maps sends a basis into B" kernel, behind
-centralisers, normalisers, intersections and stabilising derivations.
+centralisers, normalisers, cores, intersections and stabilising
+derivations.  It takes one echelon pass over the rows [reduced images |
+identity] and returns the coefficient vectors as a subspace, already in
+RREF; Subspace.combinations maps such coefficients over an RREF basis back
+to a canonical basis without a second elimination.
 Over GF(p) every result is reduced mod p.  Over Q every result keeps the
 payload contract of fields (an int when integral, a Fraction otherwise),
 through canonical_q, and the loops skip entries where the row being added
@@ -307,9 +311,27 @@ class Subspace:
         if other.dim < self.dim and other <= self:
             return other
         # combinations c of A's basis with c*A in B
-        kernel = stabiliser(self.field, [[v] for v in self.basis], other)
-        vecs = [linear_combination(self.field, c, self.basis, self.ambient_dim) for c in kernel]
-        return Subspace.span(self.field, self.ambient_dim, vecs)
+        return self.combinations(stabiliser(self.field, [[v] for v in self.basis], other))
+
+    def combinations(self, coefficients: "Subspace") -> "Subspace":
+        """The combinations of this basis whose coefficient rows span `coefficients`.
+
+        Both bases are in RREF and this one is the identity at its pivot
+        columns, so the combined rows are already the canonical basis, with
+        pivots at this basis's pivots picked by the coefficients' pivots.
+        """
+        if coefficients.field != self.field or coefficients.ambient_dim != self.dim:
+            raise AmbientMismatchError(
+                "coefficients in %s^%d for a basis of %d vectors over %s"
+                % (coefficients.field, coefficients.ambient_dim, self.dim, self.field)
+            )
+        rows = tuple(
+            linear_combination(self.field, c, self.basis, self.ambient_dim)
+            for c in coefficients.basis
+        )
+        return Subspace(
+            self.field, self.ambient_dim, rows, tuple(self.pivots[k] for k in coefficients.pivots)
+        )
 
 
 class EchelonAccumulator:
@@ -361,15 +383,33 @@ class EchelonAccumulator:
         )
 
 
-def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> list:
-    """Basis of the coefficient vectors c for which sum_t c_t f_t maps a basis into `into`.
+def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> Subspace:
+    """The coefficient vectors c for which sum_t c_t f_t maps a basis into `into`.
 
     images[t] lists the images of one fixed basis under the map f_t.
     Reduction mod `into` is linear, so the answer is the left kernel of the
-    reduced images laid side by side, one row per map.
+    reduced images laid side by side, one row per map.  One echelon pass
+    over the rows [reduced images of f_t | e_t] finds it: a row whose pivot
+    lies in the identity block has a zero image part, and the identity
+    parts of those rows are the left kernel, already in RREF.  It is
+    returned as a subspace of F^t, t the number of maps.
     """
-    rows = [sum((into.reduce(v) for v in row), []) for row in images]
-    return Matrix(field, rows).left_kernel()
+    t = len(images)
+    zero, one = field.zero(), field.one()
+    rows = []
+    for k, row in enumerate(images):
+        unit = [zero] * t
+        unit[k] = one
+        rows.append([x for v in row for x in into.reduce(v)] + unit)
+    width = len(rows[0]) - t if rows else 0
+    acc = EchelonAccumulator(field, width + t, rows)
+    kept = [k for k, c in enumerate(acc.pivots) if c >= width]
+    return Subspace(
+        field,
+        t,
+        tuple(tuple(acc.rows[k][width:]) for k in kept),
+        tuple(acc.pivots[k] - width for k in kept),
+    )
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) -> Iterator[Subspace]:

@@ -233,8 +233,10 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
     on the process count.
     """
     budget = config.budget()
-    # every algebra of the top dimension lists its subalgebras, so an
-    # over-budget dimension is refused before the stream is walked
+    # The checks list no subspaces (maximal subalgebras are chief-factor
+    # complements), but a sweep stays within the dimensions whose subspaces
+    # could be listed within the work budget: that bounds the stream's
+    # size, and an over-large --max-dim is refused before it is walked.
     check_enumerable(budget.field, budget.max_dim)
     if threads <= 0:
         threads = _threads_from_env()

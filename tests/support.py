@@ -3,7 +3,17 @@
 import itertools
 from fractions import Fraction
 
-from lieform import Derivation, LieAlgebra, Matrix, NotADerivationError
+from lieform import (
+    Derivation,
+    EnumerationBudget,
+    Field,
+    LieAlgebra,
+    Matrix,
+    NotADerivationError,
+    enumerate_soluble,
+    enumerate_subalgebras,
+    split_extension,
+)
 
 
 def brute_force_derivations(a):
@@ -19,6 +29,37 @@ def brute_force_derivations(a):
             continue
         found.append(m)
     return found
+
+
+def split_extension_central(algebra, factor, formation):
+    """F-centrality by definition: the factor split-extended by L over its centraliser lies in F."""
+    cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
+    quo, qmap = algebra.quotient(cent)
+    actions = [factor.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
+    abelian = LieAlgebra.abelian(algebra.field, factor.dim)
+    return formation.contains(split_extension(abelian, quo, actions))
+
+
+def brute_force_maximals(algebra):
+    """Proper subalgebras in no larger proper subalgebra, from the exhaustive listing, sorted canonically.
+
+    Every proper subalgebra lies in a maximal one of at least its
+    dimension, so walking by descending dimension each candidate is tested
+    against the maximal ones already found.
+    """
+    proper = [s for s in enumerate_subalgebras(algebra) if s.dim < algebra.dim]
+    maximal = []
+    for s in sorted(proper, key=lambda s: -s.dim):
+        if not any(m.dim > s.dim and s <= m for m in maximal):
+            maximal.append(s)
+    return sorted(maximal, key=lambda s: (s.dim, s.basis))
+
+
+def small_streams():
+    """GF(2) up to dimension 4 (cap 60, seed 1) and GF(3) up to dimension 3, as one list."""
+    gf2 = enumerate_soluble(EnumerationBudget(max_dim=4, field=Field.gf(2), per_step_cap=60, seed=1))
+    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=Field.gf(3)))
+    return list(gf2) + list(gf3)
 
 
 def is_q_payload(x):
@@ -110,3 +151,15 @@ def rotation_plus_centre():
     # rotation block plus a central e4: the only minimal ideal a line
     # search can find is span{e4}
     return algebra("Q", 4, {(1, 2): (0, 0, 1, 0), (1, 3): (0, -1, 0, 0)})
+
+
+def gf2_rotation_sum():
+    # over GF(2): [e1,e2] = e3, [e1,e3] = e2 + e3 (x^2 + x + 1 has no root
+    # mod 2), [e1,e4] = e4, with e5 and e6 central.  span{e1,e4,e5,e6}
+    # complements the 2-dimensional chief factor span{e2,e3}; GF(2)^6 has
+    # 2,825 subspaces, more than the work budget lets a listing scan.
+    return algebra(
+        "GF(2)",
+        6,
+        {(1, 2): (0, 0, 1, 0, 0, 0), (1, 3): (0, 1, 1, 0, 0, 0), (1, 4): (0, 0, 0, 1, 0, 0)},
+    )

@@ -1,4 +1,4 @@
-"""Acceptance gate: seven exhaustive checks, one verdict line each.
+"""Acceptance gate: nine exhaustive checks, one verdict line each.
 
 Each test prints a single pass/fail line on the real terminal (bypassing
 capture) so the gate can be read off a plain pytest run. The two sweep
@@ -14,7 +14,9 @@ from fractions import Fraction
 import pytest
 
 from lieform import (
+    ALL_SOLUBLE,
     NILPOTENT,
+    SUPERSOLUBLE,
     EnumerationBudget,
     Field,
     Matrix,
@@ -31,14 +33,16 @@ from lieform import (
     is_intravariant_extension,
     is_intravariant_linear,
     is_member,
+    chief_series,
     maximal_subalgebras,
     minimal_ideals_exhaustive,
     sweep_run,
 )
-from support import brute_force_derivations, h3, r2
+from support import brute_force_derivations, brute_force_maximals, h3, r2, split_extension_central
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
+F5 = Field.gf(5)
 Q = Field.rationals()
 
 RUNTIME_BUDGET_SECONDS = 600.0
@@ -76,6 +80,12 @@ def both_universes():
     )
     gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=F3))
     return list(gf2) + list(gf3)
+
+
+def oracle_universes():
+    """Both acceptance universes plus GF(5), max_dim 3, cap 60, seed 1."""
+    gf5 = enumerate_soluble(EnumerationBudget(max_dim=3, field=F5, per_step_cap=60, seed=1))
+    return both_universes() + list(gf5)
 
 
 def report(capsys, number, label, detail, failures):
@@ -231,3 +241,31 @@ def test_criterion_7_fixed_points(capsys):
         failures.append("h3 self-normalising")
 
     report(capsys, 7, "worked fixed points", "4 fixtures", failures)
+
+
+def test_criterion_8_maximal_subalgebras(capsys):
+    """Complement listing equals the exhaustive maximal filter, order included."""
+    failures = []
+    algebras = maximals = 0
+    for a in oracle_universes():
+        algebras += 1
+        listed = maximal_subalgebras(a)
+        maximals += len(listed)
+        if listed != brute_force_maximals(a):
+            failures.append(a.to_json())
+    detail = "%d algebras, %d maximals" % (algebras, maximals)
+    report(capsys, 8, "maximal subalgebras", detail, failures)
+
+
+def test_criterion_9_local_centrality(capsys):
+    """Each formation's local test equals the split-extension test on every chief factor."""
+    failures = []
+    pairs = 0
+    for a in oracle_universes():
+        for factor in chief_series(a).factors:
+            for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
+                pairs += 1
+                local = formation.central(a, factor)
+                if local != split_extension_central(a, factor, formation):
+                    failures.append((formation.name, a.to_json(), factor.top.basis))
+    report(capsys, 9, "local centrality", "%d factor-formation pairs" % pairs, failures)

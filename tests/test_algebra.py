@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from lieform import (
     Field,
+    enumerate_ideals,
+    enumerate_subalgebras,
     JacobiViolationError,
     LieAlgebra,
     NotAnIdealError,
@@ -13,7 +15,7 @@ from lieform import (
     Subspace,
 )
 from lieform.linalg import linear_combination
-from support import abelian, algebra, h3, r2, r2_plus_line
+from support import abelian, algebra, h3, r2, r2_plus_line, small_streams
 
 F3 = Field.gf(3)
 
@@ -162,6 +164,16 @@ def test_core():
     assert a.core(x).is_zero()
     assert a.core(y) == y
     assert a.core(a.full_space()) == a.full_space()
+
+
+def test_core_is_the_largest_ideal_inside():
+    # the one-stabiliser steps against the exhaustive ideal listing, on
+    # every subalgebra of the small streams
+    for a in small_streams():
+        ideals = enumerate_ideals(a)
+        for s in enumerate_subalgebras(a):
+            largest = max((i for i in ideals if i <= s), key=lambda i: i.dim)
+            assert a.core(s) == largest
 
 
 def test_nilradical_fixtures():

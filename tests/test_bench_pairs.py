@@ -25,3 +25,14 @@ def test_compare_counts_wins_by_direction_and_ties_for_neither():
     assert abs(lower["median_change_frac"] + 1 / 3) < 1e-12
     higher = compare({"better": "higher", "bound": 0.25, "unit": "1/s"}, parent, change)
     assert higher["change_wins"] == "1 of 5 pairs"
+
+
+def test_environment_records_bytecode_writing(monkeypatch):
+    describe = _load_tool().describe_environment
+    env = {"implementation": "CPython", "nproc": 2, "platform": "Linux", "python": "3.11.7", "src_sha256": "x"}
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", "1")
+    recorded = describe(env, "a 2-core VM")
+    assert recorded["PYTHONDONTWRITEBYTECODE"] == "1"
+    assert recorded["machine"] == "a 2-core VM" and "src_sha256" not in recorded
+    monkeypatch.delenv("PYTHONDONTWRITEBYTECODE")
+    assert describe(env)["PYTHONDONTWRITEBYTECODE"] is None

@@ -12,7 +12,7 @@ from lieform.algebra import MAX_DIM
 from lieform.cli import main
 from lieform.derivations import derivation_matrix_strings
 from lieform.linalg import Subspace
-from support import abelian, h3, r2
+from support import abelian, gf2_rotation_sum, h3, r2
 
 R2_GF3 = {
     "field": "GF(3)",
@@ -111,6 +111,30 @@ def test_over_long_literal_is_exit_2(tmp_path, capsys):
     number = tmp_path / "number.json"
     number.write_text('{"field": "GF(2)", "dim": %s, "brackets": []}' % ("1" * 5000))
     assert_parse_error(run(capsys, ["validate", str(number)]))
+
+
+def test_over_long_bad_literal_in_file_is_quoted_short(tmp_path, capsys):
+    # a bad literal is quoted as a prefix plus its length, not in full
+    for literal in ("1" * 4999 + "x", "1" * 4000 + "/3"):
+        data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", literal]}])
+        result = run(capsys, ["validate", write(tmp_path, "long.json", data)])
+        assert_parse_error(result)
+        assert len(result[2].encode()) < 200
+        assert "(%d characters)" % len(literal) in result[2]
+
+
+def test_over_long_bad_literal_in_subalgebra_is_quoted_short(tmp_path, capsys):
+    path = write(tmp_path, "r2.json", R2_GF3)
+    for spec in ("1" * 4999 + "x,0", "1" * 4000 + "/3,0", ",".join(["1"] * 3000)):
+        result = run(capsys, ["check-intravariance", path, "--subalgebra", spec])
+        assert_parse_error(result)
+        assert len(result[2].encode()) < 200
+
+
+def test_short_bad_literal_is_quoted_whole(tmp_path, capsys):
+    data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", "1x"]}])
+    result = run(capsys, ["validate", write(tmp_path, "short.json", data)])
+    assert result[2] == "error: bad scalar literal '1x'\n"
 
 
 def test_over_long_field_order_is_exit_2(tmp_path, capsys):
@@ -289,6 +313,37 @@ def test_verify_chain_ok(tmp_path, capsys):
     assert payload["terminal_dim"] == 1
     assert payload["steps"][0]["maximality_certified"] is True
     assert payload["uncertified_steps"] == []
+
+
+def test_verify_chain_certifies_codim_2_step_over_listing_budget(tmp_path, capsys):
+    # GF(2)^6 has too many subspaces to list, but the maximal subalgebras
+    # come from the chief factors' complements, so the codimension-2 step
+    # span{e1, e4, e5, e6} is certified maximal
+    algebra = write(tmp_path, "rot.json", gf2_rotation_sum().to_dict())
+    unit = [["1" if i == j else "0" for j in range(6)] for i in range(6)]
+    chain = write(tmp_path, "chain.json", [unit, [unit[0], unit[3], unit[4], unit[5]], [unit[0], unit[4], unit[5]]])
+    code, out, _ = run(
+        capsys, ["verify-chain", "--json", algebra, chain, "--formation", "nilpotent"]
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ok"] is True and payload["terminal_dim"] == 3
+    assert [s["codim"] for s in payload["steps"]] == [2, 1]
+    assert payload["steps"][0]["maximality_certified"] is True
+    assert payload["uncertified_steps"] == []
+
+
+def test_analyze_and_normalisers_answer_over_listing_budget(tmp_path, capsys):
+    # refused as over budget while maximal subalgebras came from a subspace scan
+    path = write(tmp_path, "rot.json", gf2_rotation_sum().to_dict())
+    code, out, _ = run(capsys, ["analyze", "--json", path])
+    assert code == 0
+    nil = json.loads(out)["formations"]["nilpotent"]
+    assert "skipped" not in nil
+    assert nil["maximal_subalgebras"] and nil["normalisers"]
+    code, out, _ = run(capsys, ["normalisers", "--json", path, "--formation", "nilpotent"])
+    assert code == 0
+    assert len(json.loads(out)["normalisers"]) == len(nil["normalisers"])
 
 
 def test_verify_chain_rejects_non_critical_step(tmp_path, capsys):

@@ -23,7 +23,7 @@ from lieform import (
     split_extension_by_derivation,
     stabilizing_derivations,
 )
-from support import abelian, algebra, brute_force_derivations, gf3_rotation, h3, r2
+from support import abelian, algebra, brute_force_derivations, gf3_rotation, h3, r2, small_streams
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -186,3 +186,13 @@ def test_matrix_strings_roundtrip():
     assert derivation_matrix_strings(d) == [["0", "0"], ["0", "1"]]
     d2 = Derivation(r2(), Matrix(F3, [[0, 0], [1, 0]]), check=False)
     assert derivation_matrix_strings(d2) == [["0", "1"], ["0", "0"]]
+
+
+def test_linear_criterion_matches_flattened_identity():
+    # Der-basis coordinates against inner + stabilising = Der(L) in F^(n^2)
+    for a in small_streams():
+        der = derivation_algebra(a)
+        inner = inner_derivations(a)
+        for u in enumerate_subalgebras(a):
+            expected = (inner + stabilizing_derivations(der, u)).dim == der.dim
+            assert is_intravariant_linear(a, u) == expected

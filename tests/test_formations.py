@@ -4,6 +4,8 @@ import pytest
 
 from lieform import (
     ALL_SOLUBLE,
+    BudgetExceededError,
+    LieAlgebra,
     NILPOTENT,
     SUPERSOLUBLE,
     EnumerationBudget,
@@ -30,7 +32,8 @@ from lieform import (
     is_member,
     maximal_subalgebras,
 )
-from support import abelian, h3, r2, rotation
+from lieform import linalg
+from support import abelian, brute_force_maximals, gf2_rotation_sum, h3, r2, rotation
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -118,6 +121,32 @@ def test_maximal_subalgebras_needs_gfp():
         maximal_subalgebras(r2("Q"))
 
 
+def test_complement_listing_refuses_over_budget_before_listing(monkeypatch):
+    # abelian GF(7)^3 has 7^2 + 7 + 1 = 57 maximal subalgebras, one per
+    # solution of the three complement systems, and 116 subspaces
+    a = abelian("GF(7)", 3)
+    chief_series(a)
+    built = []
+    real_span = LieAlgebra.span
+    monkeypatch.setattr(LieAlgebra, "span", lambda self, vectors: built.append(1) or real_span(self, vectors))
+    monkeypatch.setattr(linalg, "WORK_BUDGET", 56)
+    with pytest.raises(BudgetExceededError, match="57 steps"):
+        maximal_subalgebras(a)
+    assert built == []
+    monkeypatch.setattr(linalg, "WORK_BUDGET", 57)
+    assert len(maximal_subalgebras(a)) == len(built) == 57
+
+
+def test_complement_listing_beyond_the_listing_budget(monkeypatch):
+    # GF(2)^6 is over the budget for a subspace scan, not for the
+    # complement listing; a raised budget lets the scan check the answer
+    a = gf2_rotation_sum()
+    listed = maximal_subalgebras(a)
+    assert any(m.dim == 4 for m in listed)
+    monkeypatch.setattr(linalg, "WORK_BUDGET", 2825)
+    assert listed == brute_force_maximals(a)
+
+
 def test_classify_maximal_r2():
     a = r2()
     y = Subspace.span(F3, 2, [(0, 1)])
@@ -172,7 +201,7 @@ def test_caches_key_on_the_formation_not_its_name():
     # not be served the nilpotent answers cached on the same algebra
     a = r2()
     assert len(f_normalisers(a, NILPOTENT)) == 3
-    impostor = Formation("nilpotent", lambda L: L.is_soluble())
+    impostor = Formation("nilpotent", lambda L: L.is_soluble(), lambda L, factor: True)
     pairs = f_normalisers(a, impostor)
     assert [v for v, _ in pairs] == [a.full_space()]
     for m in maximal_subalgebras(a):
@@ -181,7 +210,7 @@ def test_caches_key_on_the_formation_not_its_name():
 
 
 def test_no_critical_descent_diagnostic():
-    nothing = Formation("nothing", lambda L: False)
+    nothing = Formation("nothing", lambda L: False, lambda L, factor: False)
     with pytest.raises(NoCriticalDescentError):
         f_normalisers(abelian("GF(2)", 1), nothing)
 

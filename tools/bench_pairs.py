@@ -93,6 +93,20 @@ def compare(spec: dict, parent_runs: list, change_runs: list) -> dict:
     }
 
 
+def describe_environment(env: dict, machine: str = "") -> dict:
+    """The environment block of the file, from one run's environment line.
+
+    It adds PYTHONDONTWRITEBYTECODE as every run inherits it (null when
+    unset): when it is set, no bytecode is cached, each fresh interpreter
+    compiles lieform again, and setup_s includes that.
+    """
+    environment = {key: env[key] for key in ("implementation", "nproc", "platform", "python")}
+    environment["PYTHONDONTWRITEBYTECODE"] = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    if machine:
+        environment["machine"] = machine
+    return environment
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, help="revision measured as the parent")
@@ -159,10 +173,7 @@ def main(argv=None) -> int:
             for side, results in runs[name].items()
         }
 
-    env = runs[names[0]]["change"][0]["environment"]
-    environment = {key: env[key] for key in ("implementation", "nproc", "platform", "python")}
-    if args.machine:
-        environment["machine"] = args.machine
+    environment = describe_environment(runs[names[0]]["change"][0]["environment"], args.machine)
     seed_text = "%d-%d, one pair per seed; the parent runs first at seeds %s, the change first at the others" % (
         seeds[0], seeds[-1], ", ".join(str(s) for s in seeds[::2]))
     if args.dev_seeds:
