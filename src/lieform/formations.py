@@ -172,10 +172,11 @@ def _subalgebra_key(s: Subspace) -> tuple:
 def _complement_space(algebra: LieAlgebra, factor: ChiefFactor):
     """The maps delta: C -> A/B whose complements B + span{c + delta(c)} are subalgebras.
 
-    C is the standard vectors off A's pivots.  Returns (C, particular,
-    homogeneous) with delta's matrices flattened row by row into
-    F^(|C| dim A/B): the solutions are the particular one plus the span of
-    the homogeneous ones.  Returns None when A/B has no complement.
+    C is the standard vectors at the columns off A's pivots.  Returns
+    (columns, particular, homogeneous): the solutions delta, as matrices
+    flattened row by row into F^(|C| dim A/B), are the particular one plus
+    the span of the homogeneous ones.  Returns None when A/B has no
+    complement.
     """
     field, n, h = algebra.field, algebra.dim, factor.dim
     top = factor.top
