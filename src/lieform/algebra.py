@@ -38,8 +38,8 @@ from .errors import (
     ParseError,
     ZeroDenominatorError,
 )
-from .fields import Field, canonical_q
-from .linalg import EchelonAccumulator, Matrix, Subspace, close, linear_combination, stabiliser
+from .fields import Field, canonical_q, quote
+from .linalg import EchelonAccumulator, Subspace, close, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -178,7 +178,7 @@ class LieAlgebra:
             vec = []
             for s in value:
                 if not isinstance(s, str):
-                    raise ParseError("scalars must be strings, got %r" % (s,))
+                    raise ParseError("scalars must be strings, got %s" % quote(s))
                 vec.append(field.parse(s))
             brackets.append(((i - 1, j - 1), tuple(vec)))
         return LieAlgebra(field, dim, brackets, validate=validate)
@@ -242,12 +242,6 @@ class LieAlgebra:
         """For each basis vector e_k, the list of [e_k, v] over the vectors."""
         field, n = self.field, self.dim
         return [[linear_combination(field, v, row, n) for v in vectors] for row in self.table]
-
-    def ad(self, x: Sequence) -> Matrix:
-        """Matrix of ad x in the right-action convention: [x, y] = y * ad(x)."""
-        minus_x = [self.field.neg(c) for c in x]
-        rows = [linear_combination(self.field, minus_x, row, self.dim) for row in self.table]
-        return Matrix(self.field, rows, ncols=self.dim)
 
     # Subspaces of the algebra
 
@@ -508,7 +502,6 @@ class FactorView:
         vecs = [self.lift(v) for v in s.basis] + list(self.bottom.basis)
         return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
 
-    def action_matrix(self, x: Sequence) -> Matrix:
-        """Action of x on factor coordinates via the bracket."""
-        rows = [self.coords(self.algebra.bracket(x, row)) for row in self.space.basis]
-        return Matrix(self.algebra.field, rows, ncols=self.dim)
+    def action(self, x: Sequence) -> tuple:
+        """The rows of ad x on the factor: row i is the coordinates of [x, b_i]."""
+        return tuple(self.coords(self.algebra.bracket(x, row)) for row in self.space.basis)

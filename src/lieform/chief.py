@@ -13,11 +13,10 @@ A chief factor is an algebra.FactorView.  The dimensions dim(U + I_t)
 along the series come from one rank pass (ChiefSeries.ranks); whether a
 subspace covers or avoids each factor is read off them
 (ChiefSeries.cover_avoid), and covers and avoids are the definitional,
-intersection-based predicates for one factor.  split_extension is the one
-split-extension builder: the ideal's coordinates first, then the acting
-algebra's, where a acts as [a, y] = y * R_a.  Its Jacobi check is each R_a
-being a derivation plus R_[a,b] = R_b R_a - R_a R_b.  Enumeration adjoins
-one derivation at a time through it.
+intersection-based predicates for one factor.  The one split-extension
+builder, split_extension_by_derivation, writes the table of L + Fx, with
+[x, y] = d(y), straight from L's table and the rows of d after the
+Leibniz check.  Enumeration adjoins one derivation at a time through it.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .errors import (
     ZeroAlgebraError,
 )
 from .fields import canonical_q
-from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination
+from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination, stabiliser
 
 
 class ChiefFactor(FactorView):
@@ -115,14 +114,15 @@ def _spin(algebra: LieAlgebra, top: Subspace, bottom: Subspace):
 
     Over GF(p), in a fixed order, after one budget check on the p^k vectors.
     """
-    field = algebra.field
+    field, n, table = algebra.field, algebra.dim, algebra.table
     basis = FactorView(algebra, top, bottom).space.basis
     check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
     for coeffs in product(range(field.p), repeat=len(basis)):
         if any(coeffs):
-            vec = linear_combination(field, coeffs, basis, algebra.dim)
-            acc = EchelonAccumulator(field, algebra.dim, bottom.basis + (vec,))
-            yield close(acc, lambda v: algebra.ad(v).rows)
+            vec = linear_combination(field, coeffs, basis, n)
+            acc = EchelonAccumulator(field, n, bottom.basis + (vec,))
+            # [e_k, v] is the rows table[k] combined by v
+            yield close(acc, lambda v: [linear_combination(field, v, row, n) for row in table])
 
 
 def _minimal_ideal_gfp(algebra: LieAlgebra, last: bool = False) -> Subspace:
@@ -230,21 +230,27 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
     w1 = residual & algebra.centralizer(algebra.derived_subalgebra())
     if w1.is_zero():
         raise UnsupportedFieldError("no rational invariant line available")
+    field = algebra.field
     queue = [w1]
     while queue:
         space = queue.pop(0)
         split = False
         # ad(e_i) on the invariant subspace, in its canonical basis
         view = FactorView(algebra, space, algebra.zero_space())
-        identity = Matrix.identity(algebra.field, view.dim)
+        zero = Subspace.zero_space(field, view.dim)
         for x in algebra.basis_vectors():
-            action = view.action_matrix(x)
-            rows = [list(r) for r in action.rows]
+            rows = [list(r) for r in view.action(x)]
             if _is_scalar(rows):
                 continue
             branches = []
             for lam in _rational_roots(_char_poly(rows)):
-                eig = (action - identity.scale(lam)).left_kernel()
+                # the left eigenvectors: the combinations of the rows of
+                # ad(x) - lam that vanish
+                shifted = [
+                    [field.sub(a, lam) if i == j else a for j, a in enumerate(row)]
+                    for i, row in enumerate(rows)
+                ]
+                eig = stabiliser(field, [[row] for row in shifted], zero).basis
                 sub = algebra.span(view.lift(coords) for coords in eig)
                 if not sub.is_zero():
                     branches.append(sub)
@@ -301,35 +307,15 @@ def avoids(subspace: Subspace, factor: ChiefFactor) -> bool:
     return (subspace & factor.top) <= factor.bottom
 
 
-def split_extension(ideal: LieAlgebra, acting: LieAlgebra, actions: Sequence[Matrix]) -> LieAlgebra:
-    """The split extension of an ideal by an acting algebra.
-
-    The ideal keeps coordinates 0..m-1 and the acting algebra's basis
-    follows; its i-th element acts by [a_i, y] = y * actions[i].  Raises
-    JacobiViolationError unless every action is a derivation of the ideal
-    and the actions represent the acting algebra.
-    """
-    field, m, a = ideal.field, ideal.dim, acting.dim
-    field.check_same(acting.field)
-    for action in actions:
-        field.check_same(action.field)
-    if len(actions) != a or any(x.nrows != m or x.ncols != m for x in actions):
-        raise DimensionMismatchError("need one %d x %d action per acting basis element" % (m, m))
-    zero_m, zero_a = (field.zero(),) * m, (field.zero(),) * a
-    brackets = [((i, j), ideal.table[i][j] + zero_a) for i, j in combinations(range(m), 2)]
-    brackets += [((m + i, m + j), zero_m + acting.table[i][j]) for i, j in combinations(range(a), 2)]
-    for i, action in enumerate(actions):
-        # [y_u, a_i] = -(y_u * actions[i])
-        for u, row in enumerate(action.rows):
-            brackets.append(((u, m + i), tuple(map(field.neg, row)) + zero_a))
-    return LieAlgebra(field, m + a, brackets, validate=True)
-
-
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:
     """Adjoin one outer generator x acting as the given derivation.
 
-    The original algebra keeps coordinates 0..n-1; x is the last basis
-    vector, with [x, y] = d(y).  Requires the Leibniz identity.
+    The derivation is a Matrix or a sequence of rows, row i being d(e_i).
+    The original algebra keeps coordinates 0..n-1 and its brackets; x is
+    the last basis vector, with [x, y] = d(y), so the table gains
+    [e_u, x] = -d(e_u).  Raises NotADerivationError unless the Leibniz
+    identity holds, and the table is checked for Jacobi before it is
+    interned, so a rejected extension is never kept.
     """
     rows = derivation.rows if isinstance(derivation, Matrix) else tuple(tuple(r) for r in derivation)
     n = algebra.dim
@@ -339,4 +325,7 @@ def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra
     if defect is not None:
         raise NotADerivationError("Leibniz identity fails on pair (%d, %d)" % defect)
     field = algebra.field
-    return split_extension(algebra, LieAlgebra.abelian(field, 1), [Matrix(field, rows, ncols=n)])
+    zero = (field.zero(),)
+    brackets = [((i, j), algebra.table[i][j] + zero) for i, j in combinations(range(n), 2)]
+    brackets += [((u, n), tuple(map(field.neg, row)) + zero) for u, row in enumerate(rows)]
+    return LieAlgebra(field, n + 1, brackets, validate=True)

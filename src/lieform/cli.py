@@ -57,7 +57,6 @@ from .formations import (
     f_normalisers,
     formation_by_name,
     is_f_critical,
-    is_member,
     maximal_subalgebras,
 )
 from .linalg import Subspace
@@ -342,7 +341,7 @@ def cmd_verify_chain(args) -> int:
         current, new_map = current.restrict(local)
         maps.append(new_map)
 
-    if not is_member(formation, current):
+    if not formation.contains(current):
         return _chain_failure(
             args, steps, "terminal subalgebra is not in the formation"
         )

@@ -20,7 +20,7 @@ from .chief import split_extension_by_derivation
 from .derivations import derivation_algebra
 from .errors import BudgetExceededError, ParseError, UnsupportedFieldError
 from .fields import Field
-from .linalg import Matrix, check_budget, enumerate_subspaces, gaussian_binomial, linear_combination
+from .linalg import check_budget, enumerate_subspaces, gaussian_binomial, linear_combination
 
 
 class EnumerationBudget:
@@ -56,17 +56,17 @@ def _mix(seed: int, p: int, level: int, parent_index: int) -> int:
     return h
 
 
-def _derivation_from_index(der, index: int, p: int) -> Matrix:
+def _derivation_from_index(der, index: int, p: int) -> list:
+    """The rows of the derivation whose base-p digits of index are its Der-basis coordinates."""
     coeffs = []
     for _ in range(der.dim):
         coeffs.append(index % p)
         index //= p
     field, n = der.parent.field, der.parent.dim
-    rows = [
+    return [
         linear_combination(field, coeffs, [d.matrix.rows[r] for d in der.basis], n)
         for r in range(n)
     ]
-    return Matrix(field, rows, ncols=n)
 
 
 def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:

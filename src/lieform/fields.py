@@ -28,16 +28,25 @@ _FIELD_RE = re.compile(r"GF\(([0-9]+)\)\Z")
 # about 3 ms at this bound; the time grows with the square root of the order.
 MAX_ORDER = 2**31 - 1
 
-# Longest text an error message quotes whole.  A longer literal is quoted as
+# Longest text an error message quotes whole.  A longer value is quoted as
 # a prefix of this length plus its length, so the message stays one short line.
 QUOTE_LIMIT = 40
 
 
 def quote(value) -> str:
-    """repr(value) for an error message; a string past QUOTE_LIMIT characters gives a prefix and its length."""
-    if isinstance(value, str) and len(value) > QUOTE_LIMIT:
-        return "%r... (%d characters)" % (value[:QUOTE_LIMIT], len(value))
-    return repr(value)
+    """repr(value) for an error message, cut after QUOTE_LIMIT characters.
+
+    A longer string gives the repr of its prefix and its length; any other
+    value whose repr is longer gives that repr's prefix and its length.
+    """
+    if isinstance(value, str):
+        if len(value) > QUOTE_LIMIT:
+            return "%r... (%d characters)" % (value[:QUOTE_LIMIT], len(value))
+        return repr(value)
+    text = repr(value)
+    if len(text) > QUOTE_LIMIT:
+        return "%s... (%d characters)" % (text[:QUOTE_LIMIT], len(text))
+    return text
 
 
 def canonical_q(x):

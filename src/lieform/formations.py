@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from enum import Enum
 from itertools import combinations, product
-from typing import Callable, Sequence
+from typing import Callable
 
 from .algebra import LieAlgebra
 from .chief import ChiefFactor, chief_series
@@ -107,10 +107,6 @@ def formation_by_name(name: str) -> Formation:
         ) from None
 
 
-def is_member(formation: Formation, algebra: LieAlgebra) -> bool:
-    return formation.contains(algebra)
-
-
 def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation) -> bool:
     """The formation's local test on the factor, cached on the factor."""
     cached = factor._central.get(formation)
@@ -143,28 +139,6 @@ class MaximalClassification:
         return "MaximalClassification(%s)" % self.verdict.value
 
 
-class NormaliserChain:
-    """Descending chain of subalgebras from the algebra to a normaliser."""
-
-    __slots__ = ("chain",)
-
-    def __init__(self, chain: Sequence[Subspace]):
-        self.chain = tuple(chain)
-
-    @property
-    def terminal(self) -> Subspace:
-        return self.chain[-1]
-
-    def __len__(self) -> int:
-        return len(self.chain)
-
-    def __iter__(self):
-        return iter(self.chain)
-
-    def __repr__(self) -> str:
-        return "NormaliserChain(%s)" % " > ".join(str(s.dim) for s in self.chain)
-
-
 def _subalgebra_key(s: Subspace) -> tuple:
     return (s.dim, s.basis)
 
@@ -182,7 +156,7 @@ def _complement_space(algebra: LieAlgebra, factor: ChiefFactor):
     top = factor.top
     free = [c for c in range(n) if c not in top.pivots]
     unit = algebra.basis_vectors()
-    actions = [factor.action_matrix(unit[c]).rows for c in free]
+    actions = [factor.action(unit[c]) for c in free]
     m = len(free) * h
     equations = []
     for j, k in combinations(range(len(free)), 2):
@@ -313,7 +287,8 @@ def f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
     """All normaliser subalgebras with one witnessing chain each.
 
     Results are (subspace, chain) pairs in the algebra's coordinates,
-    deduplicated by canonical subspace and sorted.
+    deduplicated by canonical subspace and sorted; a chain is the tuple of
+    subalgebras from the full algebra down to the normaliser.
     """
     cached = algebra.memo(("f_normalisers", formation), lambda: _f_normalisers(algebra, formation))
     return list(cached)
@@ -322,7 +297,7 @@ def f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
 def _f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
     full = algebra.full_space()
     if formation.contains(algebra):
-        return [(full, NormaliserChain([full]))]
+        return [(full, (full,))]
     if algebra.field.p is None:
         raise UnsupportedFieldError("normaliser computation needs a finite field")
     critical = [
@@ -338,8 +313,7 @@ def _f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
         for v_sub, chain_sub in f_normalisers(sub, formation):
             v = view.lift_subspace(v_sub)
             if v not in found:
-                lifted = [view.lift_subspace(c) for c in chain_sub]
-                found[v] = NormaliserChain([full] + lifted)
+                found[v] = (full,) + tuple(view.lift_subspace(c) for c in chain_sub)
     return sorted(found.items(), key=lambda item: _subalgebra_key(item[0]))
 
 

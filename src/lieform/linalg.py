@@ -1,9 +1,10 @@
 """Exact dense linear algebra: RREF, kernels, subspace lattice.
 
-Vectors are coordinate tuples; linear maps act on the right, v |-> v * M,
-so row i of M is the image of the i-th basis vector.  Subspaces keep a
-canonical reduced-row-echelon basis, which makes equality, hashing and
-deduplication exact.
+Vectors are coordinate tuples.  A linear map is the tuple of its rows and
+acts on the right, v |-> v * M, so row i is the image of the i-th basis
+vector; Matrix is only the immutable record of such rows that a
+derivation stores.  Subspaces keep a canonical reduced-row-echelon basis,
+which makes equality, hashing and deduplication exact.
 
 All row reduction goes through one kernel, _eliminate, which clears the
 pivot columns of a vector against echelon rows; RREF, membership,
@@ -118,7 +119,11 @@ def null_space(rows: Sequence[Sequence], field: Field, ncols: int | None = None)
 
 
 class Matrix:
-    """Immutable exact matrix over a fixed field."""
+    """The immutable record of a linear map that a Derivation stores.
+
+    Row i is the image of the i-th basis vector.  It has no arithmetic of
+    its own: code that combines maps works on the row tuples.
+    """
 
     __slots__ = ("field", "rows", "nrows", "ncols")
 
@@ -136,21 +141,6 @@ class Matrix:
         self.nrows = len(rs)
         self.ncols = ncols
 
-    @staticmethod
-    def identity(field: Field, n: int) -> "Matrix":
-        z, o = field.zero(), field.one()
-        return Matrix(field, [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def _check(self, other: "Matrix", square_match: bool = False) -> None:
-        self.field.check_same(other.field)
-        if square_match:
-            if self.ncols != other.nrows:
-                raise DimensionMismatchError(
-                    "%dx%d times %dx%d" % (self.nrows, self.ncols, other.nrows, other.ncols)
-                )
-        elif (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise DimensionMismatchError("shape mismatch")
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Matrix)
@@ -165,45 +155,11 @@ class Matrix:
     def __repr__(self) -> str:
         return "Matrix(%s, %d x %d)" % (self.field, self.nrows, self.ncols)
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._check(other)
-        f = self.field
-        return Matrix(
-            self.field,
-            [[f.add(a, b) for a, b in zip(ra, rb)] for ra, rb in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        return self + other.scale(self.field.neg(self.field.one()))
-
-    def __mul__(self, other: "Matrix") -> "Matrix":
-        self._check(other, square_match=True)
-        return Matrix(self.field, [other.act(row) for row in self.rows], ncols=other.ncols)
-
-    def scale(self, c) -> "Matrix":
-        f = self.field
-        return Matrix(self.field, [[f.mul(c, a) for a in r] for r in self.rows], ncols=self.ncols)
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.field, list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
-
     def act(self, vec: Sequence) -> tuple:
         """Right action v * M on a coordinate row vector."""
         if len(vec) != self.nrows:
             raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), self.nrows))
         return linear_combination(self.field, vec, self.rows, self.ncols)
-
-    def rank(self) -> int:
-        return len(rref(self.rows, self.field)[1])
-
-    def kernel(self) -> list:
-        """Basis of {x : M x = 0} (column-vector null space, as row tuples)."""
-        return null_space(self.rows, self.field, ncols=self.ncols)
-
-    def left_kernel(self) -> list:
-        """Basis of {v : v M = 0}."""
-        return self.transpose().kernel()
 
 
 class Subspace:
@@ -238,7 +194,10 @@ class Subspace:
 
     @staticmethod
     def full_space(field: Field, ambient_dim: int) -> "Subspace":
-        basis = Matrix.identity(field, ambient_dim).rows
+        zero, one = field.zero(), field.one()
+        basis = tuple(
+            tuple(one if i == j else zero for j in range(ambient_dim)) for i in range(ambient_dim)
+        )
         return Subspace(field, ambient_dim, basis, tuple(range(ambient_dim)))
 
     @property

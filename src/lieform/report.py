@@ -19,7 +19,6 @@ from .formations import (
     classify_maximal,
     cover_avoid_check,
     f_normalisers,
-    is_member,
     maximal_subalgebras,
 )
 from .linalg import Subspace
@@ -91,7 +90,7 @@ class AnalysisReport:
 
     def _formation_section(self, formation: Formation, series) -> dict:
         algebra = self.algebra
-        section = {"member": is_member(formation, algebra)}
+        section = {"member": formation.contains(algebra)}
         if algebra.field.p is None and not section["member"]:
             section["skipped"] = "maximal-subalgebra enumeration needs a finite field"
             return section

@@ -29,7 +29,7 @@ from .derivations import (
 )
 from .enumeration import EnumerationBudget, check_enumerable, enumerate_soluble
 from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError, UnsupportedFieldError
-from .fields import Field
+from .fields import Field, quote
 from .formations import (
     Formation,
     classify_maximal,
@@ -122,15 +122,6 @@ class SweepResult:
         data.update((attr, getattr(self, attr)) for attr, _ in FAILURE_KINDS)
         return data
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "SweepResult":
-        return cls(
-            algebras=data["algebras"],
-            maximals_classified=data["maximals_classified"],
-            normalisers_checked=data["normalisers_checked"],
-            **{attr: list(data[attr]) for attr, _ in FAILURE_KINDS},
-        )
-
 
 def _base_record(algebra: LieAlgebra, formation: Formation) -> dict:
     return {
@@ -201,7 +192,7 @@ def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> Sweep
     return result
 
 
-def _worker(args) -> dict:
+def _worker(args) -> SweepResult:
     config, index, stride = args
     formations = config.formation_objects()
     partial = SweepResult()
@@ -209,7 +200,7 @@ def _worker(args) -> dict:
         if position % stride != index:
             continue
         partial.merge(check_algebra(algebra, formations))
-    return partial.to_dict()
+    return partial
 
 
 def _threads_from_env() -> int:
@@ -220,7 +211,7 @@ def _threads_from_env() -> int:
     except ValueError:
         count = 0
     if count < 1:
-        raise ParseError("LIEFORM_THREADS must be a positive integer, got %r" % text)
+        raise ParseError("LIEFORM_THREADS must be a positive integer, got %s" % quote(text))
     return min(count, os.cpu_count() or 1)
 
 
@@ -251,7 +242,7 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
         jobs = [(config, index, threads) for index in range(threads)]
         with context.Pool(processes=threads) as pool:
             for partial in pool.map(_worker, jobs):
-                result.merge(SweepResult.from_dict(partial))
+                result.merge(partial)
     result.sort()
     result.elapsed = time.perf_counter() - started
     return result

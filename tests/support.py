@@ -5,6 +5,7 @@ from fractions import Fraction
 
 from lieform import (
     Derivation,
+    DimensionMismatchError,
     EnumerationBudget,
     Field,
     LieAlgebra,
@@ -12,7 +13,6 @@ from lieform import (
     NotADerivationError,
     enumerate_soluble,
     enumerate_subalgebras,
-    split_extension,
 )
 
 
@@ -31,11 +31,40 @@ def brute_force_derivations(a):
     return found
 
 
+def identity_rows(n):
+    """The rows of the n x n identity map."""
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def split_extension(ideal, acting, actions):
+    """The split extension of an ideal by an acting algebra: the tests' reference builder.
+
+    The ideal keeps coordinates 0..m-1 and the acting algebra's basis
+    follows; its i-th element acts by [a_i, y] = y * R_i, where actions[i]
+    is the rows of R_i.  Raises JacobiViolationError unless every action is
+    a derivation of the ideal and the actions represent the acting algebra.
+    """
+    field, m, a = ideal.field, ideal.dim, acting.dim
+    field.check_same(acting.field)
+    if len(actions) != a or any(len(rows) != m or any(len(r) != m for r in rows) for rows in actions):
+        raise DimensionMismatchError("need one %d x %d action per acting basis element" % (m, m))
+    zero_m, zero_a = (field.zero(),) * m, (field.zero(),) * a
+    brackets = [((i, j), ideal.table[i][j] + zero_a) for i, j in itertools.combinations(range(m), 2)]
+    brackets += [
+        ((m + i, m + j), zero_m + acting.table[i][j]) for i, j in itertools.combinations(range(a), 2)
+    ]
+    for i, rows in enumerate(actions):
+        # [y_u, a_i] = -(y_u * R_i)
+        for u, row in enumerate(rows):
+            brackets.append(((u, m + i), tuple(map(field.neg, row)) + zero_a))
+    return LieAlgebra(field, m + a, brackets, validate=True)
+
+
 def split_extension_central(algebra, factor, formation):
     """F-centrality by definition: the factor split-extended by L over its centraliser lies in F."""
     cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
     quo, qmap = algebra.quotient(cent)
-    actions = [factor.action_matrix(qmap.lift(x)) for x in quo.basis_vectors()]
+    actions = [factor.action(qmap.lift(x)) for x in quo.basis_vectors()]
     abelian = LieAlgebra.abelian(algebra.field, factor.dim)
     return formation.contains(split_extension(abelian, quo, actions))
 

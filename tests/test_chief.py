@@ -25,11 +25,21 @@ from lieform import (
     is_irreducible,
     minimal_ideal,
     minimal_ideals_exhaustive,
-    split_extension,
     split_extension_by_derivation,
 )
 from lieform.chief import _char_poly
-from support import abelian, algebra, h3, is_q_payload, r2, r2_plus_line, rotation, rotation_plus_centre
+from support import (
+    abelian,
+    algebra,
+    h3,
+    identity_rows,
+    is_q_payload,
+    r2,
+    r2_plus_line,
+    rotation,
+    rotation_plus_centre,
+    split_extension,
+)
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -115,17 +125,22 @@ def test_covers_avoids():
     assert covers(y, bottom_factor)
 
 
+def ad_rows(a, x):
+    """The rows of ad x in the right-action convention: row k is [x, e_k]."""
+    return [a.bracket(x, e) for e in a.basis_vectors()]
+
+
 def test_module_validate():
     a = r2()
     plane = LieAlgebra.abelian(F3, 2)
     # identity actions cannot represent a nonzero bracket
     with pytest.raises(JacobiViolationError):
-        split_extension(plane, a, [Matrix.identity(F3, 2), Matrix.identity(F3, 2)])
+        split_extension(plane, a, [identity_rows(2), identity_rows(2)])
     # the adjoint actions do satisfy the identity
-    split_extension(plane, a, [a.ad((1, 0)), a.ad((0, 1))])
+    split_extension(plane, a, [ad_rows(a, (1, 0)), ad_rows(a, (0, 1))])
     # an action on a nonabelian ideal must also be a derivation of it
     with pytest.raises(JacobiViolationError):
-        split_extension(a, LieAlgebra.abelian(F3, 1), [Matrix.identity(F3, 2)])
+        split_extension(a, LieAlgebra.abelian(F3, 1), [identity_rows(2)])
 
 
 def test_rejected_extension_is_not_interned():
@@ -133,10 +148,22 @@ def test_rejected_extension_is_not_interned():
     f5 = Field.gf(5)
     a = r2("GF(5)")
     plane = LieAlgebra.abelian(f5, 2)
-    actions = [Matrix.identity(f5, 2), Matrix.identity(f5, 2)]
+    actions = [identity_rows(2), identity_rows(2)]
     before = len(LieAlgebra._interned)
     with pytest.raises(JacobiViolationError):
         split_extension(plane, a, actions)
+    assert len(LieAlgebra._interned) == before
+
+
+def test_rejected_derivation_extension_is_not_interned():
+    # the zero derivation passes the Leibniz check on any table, so only the
+    # Jacobi check before interning can refuse an extension of a non-Jacobi parent
+    bad = LieAlgebra(Field.gf(7), 3, {(0, 1): (1, 0, 0), (0, 2): (0, 1, 0)})
+    with pytest.raises(JacobiViolationError):
+        bad.validate()
+    before = len(LieAlgebra._interned)
+    with pytest.raises(JacobiViolationError):
+        split_extension_by_derivation(bad, [[0] * 3] * 3)
     assert len(LieAlgebra._interned) == before
 
 
@@ -177,7 +204,7 @@ def test_irreducible_matches_ideal_lattice():
 def test_split_extension_brackets():
     a = r2()
     # adjoint action of r2 on itself as a module
-    actions = [a.ad(v) for v in ((1, 0), (0, 1))]
+    actions = [ad_rows(a, v) for v in ((1, 0), (0, 1))]
     big = split_extension(LieAlgebra.abelian(F3, 2), a, actions)
     assert big.dim == 4
     big.validate()
@@ -200,7 +227,7 @@ def test_split_extension_by_derivation():
     assert big.bracket((1, 0, 0), (0, 0, 1)) == (0, 0, 0)
     # the identity is not a derivation of r2: d[x,y] = y but [dx,y]+[x,dy] = 2y
     with pytest.raises(NotADerivationError):
-        split_extension_by_derivation(a, Matrix.identity(F3, 2))
+        split_extension_by_derivation(a, identity_rows(2))
 
 
 def _det(rows):

