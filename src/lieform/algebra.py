@@ -3,8 +3,11 @@
 An algebra is a field, a dimension n, and the brackets [e_i, e_j] of basis
 pairs; everything else (series, centralisers, cores, quotients) is linear
 algebra over that table.  Instances are interned on (field, table), so
-structurally equal algebras are the same object and share their cache of
-derived data.  That sharing is what keeps the exhaustive sweeps fast.
+while an algebra is interned, structurally equal algebras are the same
+object and share its cache of derived data.  That sharing is what keeps
+the exhaustive sweeps fast.  LieAlgebra.release drops one algebra's cache
+and intern entry once nothing later will ask for it again; a sweep
+releases each algebra of its top dimension after checking it.
 LieAlgebra.memo is the one per-algebra cache: every derived value (full
 space, series, centre, cores, quotients, derivations, chief series,
 subalgebra listings, classifications, normalisers) is stored through it,
@@ -85,6 +88,8 @@ class LieAlgebra:
     stored with antisymmetry filled in.  Construction checks the Jacobi
     identity only with validate=True, before the table is interned, so a
     rejected table is never kept; from_dict does this on untrusted input.
+    Constructing a table that is interned returns the interned instance;
+    after release() the same table gives a new one.
     """
 
     __slots__ = ("field", "dim", "table", "_cache")
@@ -122,6 +127,17 @@ class LieAlgebra:
             inst._cache = {}
             cls._interned[key] = inst
         return inst
+
+    def release(self) -> None:
+        """Drop the cached derived data and, if this instance is the interned one, its intern entry.
+
+        The algebra stays usable and recomputes what it is asked for.  A
+        stale instance never evicts the live one interned for its table.
+        """
+        self._cache.clear()
+        key = (self.field, self.table)
+        if LieAlgebra._interned.get(key) is self:
+            del LieAlgebra._interned[key]
 
     # Interning makes identity and structural equality coincide.
 

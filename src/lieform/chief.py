@@ -310,14 +310,20 @@ def avoids(subspace: Subspace, factor: ChiefFactor) -> bool:
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:
     """Adjoin one outer generator x acting as the given derivation.
 
-    The derivation is a Matrix or a sequence of rows, row i being d(e_i).
+    The derivation is a Matrix over the algebra's field (else
+    FieldMismatchError) or a sequence of rows of its field's payloads, row
+    i being d(e_i).
     The original algebra keeps coordinates 0..n-1 and its brackets; x is
     the last basis vector, with [x, y] = d(y), so the table gains
     [e_u, x] = -d(e_u).  Raises NotADerivationError unless the Leibniz
     identity holds, and the table is checked for Jacobi before it is
     interned, so a rejected extension is never kept.
     """
-    rows = derivation.rows if isinstance(derivation, Matrix) else tuple(tuple(r) for r in derivation)
+    if isinstance(derivation, Matrix):
+        algebra.field.check_same(derivation.field)
+        rows = derivation.rows
+    else:
+        rows = tuple(tuple(r) for r in derivation)
     n = algebra.dim
     if len(rows) != n or any(len(r) != n for r in rows):
         raise DimensionMismatchError("derivation matrix must be %d x %d" % (n, n))

@@ -70,7 +70,12 @@ def _derivation_from_index(der, index: int, p: int) -> list:
 
 
 def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
-    """Stream soluble algebras per the budget, dimension by dimension."""
+    """Stream soluble algebras per the budget, dimension by dimension.
+
+    Only the current level is held, as the parents of the next one; the
+    algebras of dimension max_dim are yielded and not kept, so a caller
+    may release each of them once it is done with it.
+    """
     field = budget.field
     p = field.p
     level = [LieAlgebra.abelian(field, 1)]
@@ -88,7 +93,8 @@ def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
             for index in indices:
                 d = _derivation_from_index(der, index, p)
                 child = split_extension_by_derivation(parent, d)
-                next_level.append(child)
+                if k + 1 < budget.max_dim:
+                    next_level.append(child)
                 yield child
         level = next_level
 

@@ -11,6 +11,12 @@ check from the command line, never raised, so one bad algebra cannot
 mask later ones.  Worker processes split the stream by index stride and
 the merged outcome is sorted canonically, making the result independent
 of the process count.
+
+Resident memory does not grow with the top level of the stream.  A sweep
+keeps interned, with their caches, the algebras below --max-dim (the
+parents of the next level) and the subquotients its checks built; each
+algebra of dimension --max-dim is never a parent or a subquotient of a
+later one, so it is released as soon as its position has been passed.
 """
 
 from __future__ import annotations
@@ -192,15 +198,22 @@ def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> Sweep
     return result
 
 
-def _worker(args) -> SweepResult:
-    config, index, stride = args
+def _check_stream(config: SweepConfig, index: int = 0, stride: int = 1) -> SweepResult:
+    """Check the stream positions congruent to index mod stride, releasing each top-dimension algebra."""
     formations = config.formation_objects()
     partial = SweepResult()
     for position, algebra in enumerate(enumerate_soluble(config.budget())):
-        if position % stride != index:
-            continue
-        partial.merge(check_algebra(algebra, formations))
+        if position % stride == index:
+            partial.merge(check_algebra(algebra, formations))
+        if algebra.dim == config.max_dim:
+            algebra.release()
     return partial
+
+
+def _worker(args) -> SweepResult:
+    # the entry of a forked worker only: the benchmark's tracer wraps it
+    # as one, so the in-process sweep calls _check_stream directly
+    return _check_stream(*args)
 
 
 def _threads_from_env() -> int:
@@ -234,9 +247,7 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
     started = time.perf_counter()
     result = SweepResult()
     if threads <= 1:
-        formations = config.formation_objects()
-        for algebra in enumerate_soluble(budget):
-            result.merge(check_algebra(algebra, formations))
+        result.merge(_check_stream(config))
     else:
         context = get_context("fork")
         jobs = [(config, index, threads) for index in range(threads)]

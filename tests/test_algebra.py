@@ -5,6 +5,8 @@ from hypothesis import given, strategies as st
 
 from lieform import (
     Field,
+    chief_series,
+    derivation_algebra,
     enumerate_ideals,
     enumerate_subalgebras,
     JacobiViolationError,
@@ -72,6 +74,41 @@ def test_rejected_table_is_not_interned():
     with pytest.raises(JacobiViolationError):
         LieAlgebra.from_dict(bad)
     assert len(LieAlgebra._interned) == before
+
+
+def _diagonal_gf7():
+    # e1 acts on e2, e3 with eigenvalues 1 and 3: a table no other test builds
+    return LieAlgebra(Field.gf(7), 3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 3)})
+
+
+def _derived_data(a):
+    return (
+        a.derived_series(),
+        a.centre(),
+        chief_series(a).ideals,
+        derivation_algebra(a).subspace,
+    )
+
+
+def test_released_algebra_gives_the_same_answers():
+    a = _diagonal_gf7()
+    before = _derived_data(a)
+    assert a._cache
+    a.release()
+    assert not a._cache
+    assert _derived_data(a) == before
+
+
+def test_release_reinterns_and_stale_release_keeps_the_live_instance():
+    old = _diagonal_gf7()
+    old.release()
+    new = _diagonal_gf7()
+    assert new is not old and new == old
+    assert _diagonal_gf7() is new
+    new.centre()
+    old.release()
+    assert _diagonal_gf7() is new
+    assert "centre" in new._cache
 
 
 def test_roundtrip_interns():

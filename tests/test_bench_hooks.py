@@ -54,3 +54,15 @@ def test_interning_state_read_by_tracer():
     assert a in LieAlgebra._interned.values()
     enumerate_subalgebras(a)
     assert "all_subalgebras" in a._cache
+
+
+def test_in_process_sweep_does_not_enter_the_worker(monkeypatch):
+    # the tracer wraps sweep._worker as a forked worker that dumps and resets
+    # its recorder on return, so an in-process sweep must not run through it
+    from lieform import SweepConfig, sweep
+
+    def forked_only(args):
+        raise AssertionError("sweep._worker entered in-process")
+
+    monkeypatch.setattr(sweep, "_worker", forked_only)
+    assert sweep.sweep_run(SweepConfig(field="GF(2)", max_dim=3), threads=1).ok

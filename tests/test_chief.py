@@ -9,6 +9,7 @@ from lieform import (
     EnumerationBudget,
     FactorView,
     Field,
+    FieldMismatchError,
     JacobiViolationError,
     LieAlgebra,
     Matrix,
@@ -165,6 +166,16 @@ def test_rejected_derivation_extension_is_not_interned():
     with pytest.raises(JacobiViolationError):
         split_extension_by_derivation(bad, [[0] * 3] * 3)
     assert len(LieAlgebra._interned) == before
+
+
+def test_derivation_matrix_over_another_field_refused():
+    # a Q matrix holding 1/2 must not be read mod 3 as 2; row lists stay accepted
+    line = LieAlgebra.abelian(F3, 1)
+    before = len(LieAlgebra._interned)
+    with pytest.raises(FieldMismatchError):
+        split_extension_by_derivation(line, Matrix(Field.rationals(), [[Fraction(1, 2)]]))
+    assert len(LieAlgebra._interned) == before
+    assert split_extension_by_derivation(line, Matrix(F3, [[2]])).dim == 2
 
 
 def test_adjoint_module_irreducible():

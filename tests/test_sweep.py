@@ -3,9 +3,11 @@
 from lieform import (
     ALL_SOLUBLE,
     NILPOTENT,
+    LieAlgebra,
     SweepConfig,
     SweepResult,
     check_algebra,
+    enumerate_soluble,
     sweep_run,
 )
 import os
@@ -55,6 +57,18 @@ def test_process_count_does_not_change_output():
     single = sweep_run(config, threads=1)
     forked = sweep_run(config, threads=3)
     assert single.to_dict() == forked.to_dict()
+
+
+def test_sweep_leaves_no_top_dimension_algebra_interned():
+    config = SweepConfig(field="GF(3)", max_dim=3)
+    top = [
+        (algebra.field, algebra.table)
+        for algebra in enumerate_soluble(config.budget())
+        if algebra.dim == config.max_dim
+    ]
+    assert top
+    assert sweep_run(config, threads=1).ok
+    assert not any(key in LieAlgebra._interned for key in top)
 
 
 def test_thread_count_from_environment(monkeypatch):
