@@ -199,7 +199,11 @@ def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> Sweep
 
 
 def _check_stream(config: SweepConfig, index: int = 0, stride: int = 1) -> SweepResult:
-    """Check the stream positions congruent to index mod stride, releasing each top-dimension algebra."""
+    """Check the stream positions congruent to index mod stride.
+
+    Every algebra of dimension max_dim is released after its position,
+    checked or skipped.
+    """
     formations = config.formation_objects()
     partial = SweepResult()
     for position, algebra in enumerate(enumerate_soluble(config.budget())):
