@@ -12,10 +12,7 @@ from .algebra import FactorView, LieAlgebra
 from .chief import (
     ChiefFactor,
     ChiefSeries,
-    avoids,
     chief_series,
-    covers,
-    is_irreducible,
     minimal_ideal,
     split_extension_by_derivation,
 )
@@ -30,14 +27,12 @@ from .derivations import (
     is_intravariant_extension,
     is_intravariant_linear,
     normalizer_fills_extension,
-    stabilizing_derivations,
 )
 from .enumeration import (
     EnumerationBudget,
     enumerate_ideals,
     enumerate_soluble,
     enumerate_subalgebras,
-    minimal_ideals_exhaustive,
 )
 from .errors import (
     AmbientMismatchError,
@@ -75,7 +70,6 @@ from .formations import (
     formation_by_name,
     is_f_central,
     is_f_critical,
-    is_f_projector,
     maximal_subalgebras,
 )
 from .linalg import (
@@ -133,13 +127,11 @@ __all__ = [
     "Verdict",
     "ZeroAlgebraError",
     "ZeroDenominatorError",
-    "avoids",
     "basis_strings",
     "check_algebra",
     "chief_series",
     "classify_maximal",
     "cover_avoid_check",
-    "covers",
     "derivation_algebra",
     "derivation_from_strings",
     "derivation_matrix_strings",
@@ -155,17 +147,13 @@ __all__ = [
     "inner_derivations",
     "is_f_central",
     "is_f_critical",
-    "is_f_projector",
     "is_intravariant_extension",
     "is_intravariant_linear",
-    "is_irreducible",
     "maximal_subalgebras",
     "minimal_ideal",
-    "minimal_ideals_exhaustive",
     "normalizer_fills_extension",
     "null_space",
     "rref",
     "split_extension_by_derivation",
-    "stabilizing_derivations",
     "sweep_run",
 ]

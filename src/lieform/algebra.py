@@ -42,7 +42,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .fields import Field, canonical_q, quote
-from .linalg import EchelonAccumulator, Subspace, close, linear_combination, stabiliser
+from .linalg import EchelonAccumulator, Subspace, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -199,14 +199,6 @@ class LieAlgebra:
             brackets.append(((i - 1, j - 1), tuple(vec)))
         return LieAlgebra(field, dim, brackets, validate=validate)
 
-    @staticmethod
-    def from_json(text: str, validate: bool = True) -> "LieAlgebra":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError("invalid JSON: %s" % exc) from exc
-        return LieAlgebra.from_dict(data, validate=validate)
-
     def to_dict(self) -> dict:
         fmt = self.field.format
         brackets = []
@@ -295,13 +287,6 @@ class LieAlgebra:
                 if not s.contains(self.bracket(x, y)):
                     return False
         return True
-
-    def subalgebra_closure(self, vectors) -> Subspace:
-        """Smallest subalgebra containing the given subspace or vectors."""
-        if isinstance(vectors, Subspace):
-            vectors = vectors.basis
-        acc = EchelonAccumulator(self.field, self.dim, vectors)
-        return close(acc, lambda x: [self.bracket(x, y) for y in acc.rows])
 
     # Series and structural subspaces.  Results are cached per instance;
     # interning makes the cache shared across every appearance of the same

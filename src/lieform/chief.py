@@ -1,20 +1,18 @@
-"""Chief series, minimal ideals, irreducibility and split extensions.
+"""Chief series, minimal ideals and split extensions.
 
 A chief series is a maximal chain of ideals 0 = I_0 < ... < I_k = L; each
 factor I_{t+1}/I_t is a minimal ideal of L/I_t.  Over GF(p) one spinning
-loop, _spin, closes every nonzero vector of a factor A/B, with B, into an
-ideal: the smallest closure from the last derived term is a minimal ideal,
-and A/B is irreducible when every closure is A.  Over Q the search refines
-the part of that term killed by [L, L] into simultaneous rational
-eigenspaces of the commuting induced operators; when no rational invariant
-line exists the computation is refused rather than approximated.
+loop, _spin, closes every nonzero vector of the last nonzero derived term
+into an ideal, and the smallest closure is a minimal ideal.  Over Q the
+search refines the part of that term killed by [L, L] into simultaneous
+rational eigenspaces of the commuting induced operators; when no rational
+invariant line exists the computation is refused rather than approximated.
 
 A chief factor is an algebra.FactorView.  The dimensions dim(U + I_t)
 along the series come from one rank pass (ChiefSeries.ranks); whether a
 subspace covers or avoids each factor is read off them
-(ChiefSeries.cover_avoid), and covers and avoids are the definitional,
-intersection-based predicates for one factor.  The one split-extension
-builder, split_extension_by_derivation, writes the table of L + Fx, with
+(ChiefSeries.cover_avoid).  The one split-extension builder,
+split_extension_by_derivation, writes the table of L + Fx, with
 [x, y] = d(y), straight from L's table and the rows of d after the
 Leibniz check.  Enumeration adjoins one derivation at a time through it.
 """
@@ -109,45 +107,28 @@ def _last_derived_term(algebra: LieAlgebra) -> Subspace:
     return series[0]
 
 
-def _spin(algebra: LieAlgebra, top: Subspace, bottom: Subspace):
-    """Ideal closures of bottom + v, one per nonzero vector v of the factor top/bottom.
+def _spin(algebra: LieAlgebra, space: Subspace):
+    """Ideal closures of v, one per nonzero vector v of the space.
 
     Over GF(p), in a fixed order, after one budget check on the p^k vectors.
     """
     field, n, table = algebra.field, algebra.dim, algebra.table
-    basis = FactorView(algebra, top, bottom).space.basis
+    basis = space.basis
     check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
     for coeffs in product(range(field.p), repeat=len(basis)):
         if any(coeffs):
             vec = linear_combination(field, coeffs, basis, n)
-            acc = EchelonAccumulator(field, n, bottom.basis + (vec,))
+            acc = EchelonAccumulator(field, n, (vec,))
             # [e_k, v] is the rows table[k] combined by v
             yield close(acc, lambda v: [linear_combination(field, v, row, n) for row in table])
 
 
-def _minimal_ideal_gfp(algebra: LieAlgebra, last: bool = False) -> Subspace:
+def _minimal_ideal_gfp(algebra: LieAlgebra) -> Subspace:
     # The smallest-dimension ideal closure of a vector of the last nonzero
     # derived term is a minimal ideal; ties are broken by canonical basis.
-    # With last=True the basis tie-break flips, giving an alternate choice
-    # for series cross-validation.
     w = _last_derived_term(algebra)
-    closures = {(ideal.dim, ideal.basis): ideal for ideal in _spin(algebra, w, algebra.zero_space())}
-    least_dim = min(key[0] for key in closures)
-    candidates = sorted(key for key in closures if key[0] == least_dim)
-    return closures[candidates[-1] if last else candidates[0]]
-
-
-def is_irreducible(factor: FactorView) -> bool:
-    """No ideal lies strictly between the bottom and top ideals of a chief factor.
-
-    Decided over GF(p) by spinning every nonzero factor vector into an
-    ideal closure; over Q only the one-dimensional case is decidable here.
-    """
-    if factor.dim <= 1:
-        return factor.dim == 1
-    if factor.algebra.field.p is None:
-        raise UnsupportedFieldError("irreducibility over Q is only decided in dimension 1")
-    return all(ideal == factor.top for ideal in _spin(factor.algebra, factor.top, factor.bottom))
+    closures = {(ideal.dim, ideal.basis): ideal for ideal in _spin(algebra, w)}
+    return closures[min(closures)]
 
 
 def _char_poly(rows: list) -> list:
@@ -263,14 +244,12 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
     raise UnsupportedFieldError("no rational invariant line available")
 
 
-def minimal_ideal(algebra: LieAlgebra, alternate: bool = False) -> Subspace:
+def minimal_ideal(algebra: LieAlgebra) -> Subspace:
     """A minimal ideal, chosen deterministically.
 
     Requires a soluble nonzero algebra.  Over Q the search finds an
     invariant line and raises UnsupportedFieldError when none exists, which
-    happens exactly when every minimal ideal has dimension above 1.  Over
-    GF(p), alternate=True flips the tie-break among candidates, supplying a
-    second choice for series cross-validation.
+    happens exactly when every minimal ideal has dimension above 1.
     """
     if algebra.dim == 0:
         raise ZeroAlgebraError("the zero algebra has no minimal ideal")
@@ -278,10 +257,10 @@ def minimal_ideal(algebra: LieAlgebra, alternate: bool = False) -> Subspace:
         raise NotSolubleError("minimal ideal search implemented for soluble algebras")
     if algebra.field.p is None:
         return _minimal_ideal_q(algebra)
-    return _minimal_ideal_gfp(algebra, last=alternate)
+    return _minimal_ideal_gfp(algebra)
 
 
-def chief_series(algebra: LieAlgebra, alternate: bool = False) -> ChiefSeries:
+def chief_series(algebra: LieAlgebra) -> ChiefSeries:
     """Chief series built by repeatedly lifting a minimal ideal of the quotient."""
 
     def compute():
@@ -290,21 +269,11 @@ def chief_series(algebra: LieAlgebra, alternate: bool = False) -> ChiefSeries:
         ideals = [algebra.zero_space()]
         while ideals[-1].dim < algebra.dim:
             quo, view = algebra.quotient(ideals[-1])
-            bottom_up = minimal_ideal(quo, alternate=alternate)
+            bottom_up = minimal_ideal(quo)
             ideals.append(view.lift_subspace(bottom_up))
         return ChiefSeries(algebra, ideals)
 
-    return algebra.memo("chief_series_alt" if alternate else "chief_series", compute)
-
-
-def covers(subspace: Subspace, factor: ChiefFactor) -> bool:
-    """U covers A/B: U + B contains A."""
-    return factor.top <= (subspace + factor.bottom)
-
-
-def avoids(subspace: Subspace, factor: ChiefFactor) -> bool:
-    """U avoids A/B: U meet A lies inside B."""
-    return (subspace & factor.top) <= factor.bottom
+    return algebra.memo("chief_series", compute)
 
 
 def split_extension_by_derivation(algebra: LieAlgebra, derivation) -> LieAlgebra:

@@ -68,9 +68,6 @@ class Derivation:
     def flatten(self) -> tuple:
         return tuple(x for row in self.matrix.rows for x in row)
 
-    def is_inner(self) -> bool:
-        return inner_derivations(self.parent).contains(self.flatten())
-
 
 def _unflatten(field: Field, vec: Sequence, n: int) -> Matrix:
     return Matrix(field, [vec[i * n : (i + 1) * n] for i in range(n)], ncols=n)
@@ -156,11 +153,6 @@ def _stabilising_coordinates(der: DerivationAlgebra, subalgebra: Subspace) -> Su
         return Subspace.full_space(algebra.field, der.dim)
     images = [[d(u) for u in subalgebra.basis] for d in der.basis]
     return stabiliser(algebra.field, images, subalgebra)
-
-
-def stabilizing_derivations(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
-    """{d in Der(L) : d(U) <= U}, as a flattened subspace of Der(L)."""
-    return der.subspace.combinations(_stabilising_coordinates(der, subalgebra))
 
 
 def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:

@@ -133,9 +133,3 @@ def enumerate_ideals(algebra: LieAlgebra) -> list:
         return [s for s in enumerate_subalgebras(algebra) if algebra.is_ideal(s)]
 
     return list(algebra.memo("all_ideals", compute))
-
-
-def minimal_ideals_exhaustive(algebra: LieAlgebra) -> list:
-    """All minimal nonzero ideals, straight from the ideal listing."""
-    nonzero = [s for s in enumerate_ideals(algebra) if not s.is_zero()]
-    return [a for a in nonzero if not any(b.dim < a.dim and b <= a for b in nonzero)]

@@ -11,8 +11,7 @@ membership is property-tested rather than assumed.
 Maximal subalgebras are listed as complements of chief factors (Barnes,
 Math. Z. 101, 1967): each one complements exactly one factor of a chief
 series and covers the rest, and the complements of one factor solve one
-affine linear system, so no subspace is scanned.  enumerate_subalgebras
-stays for the projector test and as the tests' oracle.
+affine linear system, so no subspace is scanned.
 
 A maximal subalgebra M is classed normal by two independent criteria:
 the core criterion runs membership on L/core(M), and the complement
@@ -33,7 +32,6 @@ from typing import Callable
 
 from .algebra import LieAlgebra
 from .chief import ChiefFactor, chief_series
-from .enumeration import enumerate_ideals, enumerate_subalgebras
 from .errors import (
     CriteriaDisagreeError,
     NoCriticalDescentError,
@@ -359,30 +357,3 @@ def cover_avoid_check(
         for factor, (covered, avoided) in zip(series.factors, series.cover_avoid(subalgebra))
     ]
     return CoverAvoidReport(algebra, subalgebra, entries)
-
-
-def is_f_projector(algebra: LieAlgebra, subalgebra: Subspace, formation: Formation) -> bool:
-    """Brute-force projector test.
-
-    U must lie in F, and for every ideal K the image of U + K in the
-    quotient must be F-maximal there: no strictly larger F-subalgebra of
-    the quotient contains it.
-    """
-    if algebra.field.p is None:
-        raise UnsupportedFieldError("projector test needs a finite field")
-    # restrict raises NotASubalgebraError when U is not a subalgebra
-    sub_algebra, _ = algebra.restrict(subalgebra)
-    if not formation.contains(sub_algebra):
-        return False
-    for ideal in enumerate_ideals(algebra):
-        quo, qmap = algebra.quotient(ideal)
-        image = qmap.project_subspace(subalgebra + ideal)
-        image_algebra, _ = quo.restrict(image)
-        if not formation.contains(image_algebra):
-            return False
-        for t in enumerate_subalgebras(quo):
-            if image < t:
-                talg, _ = quo.restrict(t)
-                if formation.contains(talg):
-                    return False
-    return True

@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 from lieform import (
+    ChiefSeries,
     Derivation,
     DimensionMismatchError,
     EnumerationBudget,
@@ -11,8 +12,12 @@ from lieform import (
     LieAlgebra,
     Matrix,
     NotADerivationError,
+    Subspace,
+    UnsupportedFieldError,
+    enumerate_ideals,
     enumerate_soluble,
     enumerate_subalgebras,
+    null_space,
 )
 
 
@@ -82,6 +87,87 @@ def brute_force_maximals(algebra):
         if not any(m.dim > s.dim and s <= m for m in maximal):
             maximal.append(s)
     return sorted(maximal, key=lambda s: (s.dim, s.basis))
+
+
+def minimal_ideals_exhaustive(algebra):
+    """All minimal nonzero ideals, straight from the ideal listing."""
+    nonzero = [s for s in enumerate_ideals(algebra) if not s.is_zero()]
+    return [a for a in nonzero if not any(b.dim < a.dim and b <= a for b in nonzero)]
+
+
+def is_irreducible(factor):
+    """No listed ideal lies strictly between the bottom and top of a factor: the definition."""
+    bottom, top = factor.bottom, factor.top
+    return bottom < top and not any(bottom < k < top for k in enumerate_ideals(factor.algebra))
+
+
+def alternate_chief_series(algebra):
+    """A second chief series for cross-validation, built from the exhaustive listing.
+
+    Each step lifts the minimal ideal of the quotient of least dimension
+    and, among those, of greatest canonical basis, where the library's spin
+    takes the least basis among the closures of the last derived term.
+    """
+    ideals = [algebra.zero_space()]
+    while ideals[-1].dim < algebra.dim:
+        quo, view = algebra.quotient(ideals[-1])
+        chosen = max(minimal_ideals_exhaustive(quo), key=lambda s: (-s.dim, s.basis))
+        ideals.append(view.lift_subspace(chosen))
+    return ChiefSeries(algebra, ideals)
+
+
+def covers(subspace, factor):
+    """U covers A/B: U + B contains A."""
+    return factor.top <= (subspace + factor.bottom)
+
+
+def avoids(subspace, factor):
+    """U avoids A/B: U meet A lies inside B."""
+    return (subspace & factor.top) <= factor.bottom
+
+
+def is_f_projector(algebra, subalgebra, formation):
+    """Brute-force projector test.
+
+    U must lie in F, and for every ideal K the image of U + K in the
+    quotient must be F-maximal there: no strictly larger F-subalgebra of
+    the quotient contains it.
+    """
+    if algebra.field.p is None:
+        raise UnsupportedFieldError("projector test needs a finite field")
+    # restrict raises NotASubalgebraError when U is not a subalgebra
+    sub_algebra, _ = algebra.restrict(subalgebra)
+    if not formation.contains(sub_algebra):
+        return False
+    for ideal in enumerate_ideals(algebra):
+        quo, qmap = algebra.quotient(ideal)
+        image = qmap.project_subspace(subalgebra + ideal)
+        image_algebra, _ = quo.restrict(image)
+        if not formation.contains(image_algebra):
+            return False
+        for t in enumerate_subalgebras(quo):
+            if image < t:
+                talg, _ = quo.restrict(t)
+                if formation.contains(talg):
+                    return False
+    return True
+
+
+def stabilizing_derivations(der, subalgebra):
+    """{D in Der(L) : D(U) <= U} by definition, flattened row-major into F^(n^2).
+
+    D(U) <= U exactly when w . D(u) = 0 for every u in U's basis and every
+    w in the annihilator of U.  Row i of D is the image of e_i, so
+    w . D(u) is the sum over i, k of u_i w_k D[i][k]: one linear equation.
+    """
+    field, n = der.parent.field, der.parent.dim
+    annihilator = null_space(subalgebra.basis, field, ncols=n)
+    equations = [
+        [field.mul(u[i], w[k]) for i in range(n) for k in range(n)]
+        for u in subalgebra.basis
+        for w in annihilator
+    ]
+    return der.subspace & Subspace.span(field, n * n, null_space(equations, field, ncols=n * n))
 
 
 def small_streams():

@@ -28,17 +28,18 @@ from lieform import (
     f_normalisers,
     gaussian_binomial,
     inner_derivations,
-    is_f_projector,
     is_intravariant_extension,
     is_intravariant_linear,
     chief_series,
     maximal_subalgebras,
-    minimal_ideals_exhaustive,
     null_space,
     rref,
     sweep_run,
 )
-from support import brute_force_derivations, brute_force_maximals, h3, r2, split_extension_central
+from support import (
+    brute_force_derivations, brute_force_maximals, h3, is_f_projector, minimal_ideals_exhaustive,
+    r2, split_extension_central,
+)
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)

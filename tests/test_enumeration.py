@@ -15,11 +15,10 @@ from lieform import (
     enumerate_subspaces,
     gaussian_binomial,
     minimal_ideal,
-    minimal_ideals_exhaustive,
 )
 from lieform.enumeration import check_enumerable
 from lieform.linalg import WORK_BUDGET
-from support import abelian, h3, r2
+from support import abelian, h3, minimal_ideals_exhaustive, r2
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)

@@ -16,11 +16,9 @@ from lieform import (
     Subspace,
     UnsupportedFieldError,
     Verdict,
-    avoids,
     chief_series,
     classify_maximal,
     cover_avoid_check,
-    covers,
     enumerate_ideals,
     enumerate_soluble,
     enumerate_subalgebras,
@@ -28,11 +26,13 @@ from lieform import (
     formation_by_name,
     is_f_central,
     is_f_critical,
-    is_f_projector,
     maximal_subalgebras,
 )
 from lieform import linalg
-from support import abelian, brute_force_maximals, gf2_rotation_sum, h3, r2, rotation
+from support import (
+    abelian, alternate_chief_series, avoids, brute_force_maximals, covers, gf2_rotation_sum, h3,
+    is_f_projector, r2, rotation,
+)
 
 F2 = Field.gf(2)
 F3 = Field.gf(3)
@@ -273,7 +273,7 @@ def test_centrality_consistent_across_series():
                 )
                 second = sorted(
                     (f.dim, is_f_central(a, f, formation))
-                    for f in chief_series(a, alternate=True).factors
+                    for f in alternate_chief_series(a).factors
                 )
                 assert first == second
 
