@@ -42,7 +42,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .fields import Field, canonical_q, quote
-from .linalg import EchelonAccumulator, Subspace, linear_combination, stabiliser
+from .linalg import EchelonAccumulator, Subspace, gf2_pack, gf2_unpack, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -220,8 +220,18 @@ class LieAlgebra:
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vectors must have length %d" % n)
         p = self.field.p
-        out = [0] * n
         table = self.table
+        if p == 2:
+            # XOR the packed table entries of the pairs with both coordinates odd
+            packed = 0
+            for i, xi in enumerate(x):
+                if xi % 2:
+                    ti = table[i]
+                    for j, yj in enumerate(y):
+                        if yj % 2:
+                            packed ^= gf2_pack(ti[j])
+            return gf2_unpack(packed, n)
+        out = [0] * n
         for i, xi in enumerate(x):
             if not xi:
                 continue
@@ -378,17 +388,23 @@ class LieAlgebra:
         return self.memo(("core", s), compute)
 
     def nilradical(self) -> Subspace:
-        """Largest nilpotent ideal, via centralisers of a chief series."""
+        """Largest nilpotent ideal: the meet of the centralisers of the chief factors.
+
+        With A the bottom factor of the chief series, this is C_L(A) meet
+        the lift of the nilradical of L/A: every factor above A is a factor
+        of L/A, and its centraliser in L contains A.
+        """
 
         def compute():
             if not self.is_soluble():
                 raise NotSolubleError("nilradical computed for soluble algebras only")
             from .chief import chief_series
 
-            out = self.full_space()
-            for factor in chief_series(self).factors:
-                out = out & self.centralizer_of_factor(factor.top, factor.bottom)
-            return out
+            ideals = chief_series(self).ideals
+            if len(ideals) == 1:
+                return self.full_space()
+            quo, view = self.quotient(ideals[1])
+            return self.centralizer(ideals[1]) & view.lift_subspace(quo.nilradical())
 
         return self.memo("nilradical", compute)
 

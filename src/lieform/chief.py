@@ -1,9 +1,12 @@
 """Chief series, minimal ideals and split extensions.
 
 A chief series is a maximal chain of ideals 0 = I_0 < ... < I_k = L; each
-factor I_{t+1}/I_t is a minimal ideal of L/I_t.  Over GF(p) one spinning
-loop, _spin, closes every nonzero vector of the last nonzero derived term
-into an ideal, and the smallest closure is a minimal ideal.  Over Q the
+factor I_{t+1}/I_t is a minimal ideal of L/I_t.  chief_series takes a
+minimal ideal A = I_1 of L and lifts the chief series of the interned
+quotient L/A, so the series of every quotient up the tower is computed
+once and shared by all algebras with that quotient.  Over GF(p) one
+spinning loop, _spin, closes every nonzero vector of the last nonzero
+derived term into an ideal, and the smallest closure is a minimal ideal.  Over Q the
 search refines the part of that term killed by [L, L] into simultaneous
 rational eigenspaces of the commuting induced operators; when no rational
 invariant line exists the computation is refused rather than approximated.
@@ -261,17 +264,23 @@ def minimal_ideal(algebra: LieAlgebra) -> Subspace:
 
 
 def chief_series(algebra: LieAlgebra) -> ChiefSeries:
-    """Chief series built by repeatedly lifting a minimal ideal of the quotient."""
+    """0 followed by the lifts of the chief series of L/A, for A = minimal_ideal(L).
+
+    This is the series that lifts a minimal ideal of each quotient L/I_t in
+    turn: for an ideal J containing A, (L/A)/(J/A) has the same table as
+    L/J, both written in the standard vectors at the free columns, so each
+    step picks the same minimal ideal.  L/A is interned, so its series is
+    computed once for every algebra with that quotient.
+    """
 
     def compute():
         if not algebra.is_soluble():
             raise NotSolubleError("chief series implemented for soluble algebras")
-        ideals = [algebra.zero_space()]
-        while ideals[-1].dim < algebra.dim:
-            quo, view = algebra.quotient(ideals[-1])
-            bottom_up = minimal_ideal(quo)
-            ideals.append(view.lift_subspace(bottom_up))
-        return ChiefSeries(algebra, ideals)
+        zero = algebra.zero_space()
+        if algebra.dim == 0:
+            return ChiefSeries(algebra, [zero])
+        quo, view = algebra.quotient(minimal_ideal(algebra))
+        return ChiefSeries(algebra, [zero] + [view.lift_subspace(j) for j in chief_series(quo).ideals])
 
     return algebra.memo("chief_series", compute)
 

@@ -69,18 +69,25 @@ def _derivation_from_index(der, index: int, p: int) -> list:
     ]
 
 
-def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
+def enumerate_soluble(budget: EnumerationBudget, index: int = 0, stride: int = 1) -> Iterator[LieAlgebra]:
     """Stream soluble algebras per the budget, dimension by dimension.
 
-    Only the current level is held, as the parents of the next one; the
-    algebras of dimension max_dim are yielded and not kept, so a caller
-    may release each of them once it is done with it.
+    Only the stream positions congruent to index mod stride are yielded.
+    Every lower level is built whole, as the parents of the next, but an
+    algebra of dimension max_dim at another position is never built, so
+    forked workers that each take one residue class share out the top
+    level.  Only the current level is held; the algebras of dimension
+    max_dim are yielded and not kept, so a caller may release each of them
+    once it is done with it.
     """
     field = budget.field
     p = field.p
     level = [LieAlgebra.abelian(field, 1)]
-    yield level[0]
+    position = 0
+    if index == 0:
+        yield level[0]
     for k in range(1, budget.max_dim):
+        top = k + 1 == budget.max_dim
         next_level = []
         for parent_index, parent in enumerate(level):
             der = derivation_algebra(parent)
@@ -90,12 +97,17 @@ def enumerate_soluble(budget: EnumerationBudget) -> Iterator[LieAlgebra]:
                 indices = sorted(rng.sample(range(total), budget.per_step_cap))
             else:
                 indices = range(total)
-            for index in indices:
-                d = _derivation_from_index(der, index, p)
+            for derivation_index in indices:
+                position += 1
+                wanted = position % stride == index
+                if top and not wanted:
+                    continue
+                d = _derivation_from_index(der, derivation_index, p)
                 child = split_extension_by_derivation(parent, d)
-                if k + 1 < budget.max_dim:
+                if not top:
                     next_level.append(child)
-                yield child
+                if wanted:
+                    yield child
         level = next_level
 
 

@@ -18,7 +18,13 @@ the core criterion runs membership on L/core(M), and the complement
 criterion runs the local test on the one factor M complements.  Any
 disagreement is raised, never swallowed.  That factor, and dim(M + A) for
 its top A, come from one rank pass along the chief series
-(ChiefSeries.ranks), as do a normaliser's cover/avoid verdicts.
+(ChiefSeries.ranks), as do a normaliser's cover/avoid verdicts.  When M
+contains the bottom chief factor A/0, both criteria are answered for M/A
+in the interned L/A (Barnes, Math. Z. 101, 1967: the maximal subalgebras
+containing A correspond to those of L/A): its core quotient is L/core(M)
+again, and the factor M/A complements is L's factor one place higher, on
+which the local test depends only on how L/A acts.  Only a complement of
+A/0 is classified in L itself.
 Normalisers are the end points of descending chains of critical maximal
 subalgebras, computed recursively on the restricted algebras so interned
 structures share their caches.
@@ -243,13 +249,22 @@ def classify_maximal(
 def _classify_maximal(
     algebra: LieAlgebra, maximal: Subspace, formation: Formation
 ) -> MaximalClassification:
+    series = chief_series(algebra)
+    if series.factors and series.ideals[1] <= maximal:
+        # M contains the bottom factor A: classify M/A in the interned L/A,
+        # whose core quotient is L/core(M) and whose series is L's above A
+        quo, view = algebra.quotient(series.ideals[1])
+        inner = classify_maximal(quo, view.project_subspace(maximal), formation)
+        complemented = series.factors[chief_series(quo).factors.index(inner.complemented) + 1]
+        witness = complemented if inner.is_normal else None
+        return MaximalClassification(maximal, inner.verdict, witness, complemented)
+
     core = algebra.core(maximal)
     quo, _ = algebra.quotient(core)
     core_verdict = formation.contains(quo)
 
     # r_t = dim(M + I_t): M avoids I_{t+1}/I_t when r grows by the factor's
     # dimension there, and r_{t+1} is dim(M + A) for that factor's top A
-    series = chief_series(algebra)
     ranks = series.ranks(maximal)
     avoided = [
         t for t, f in enumerate(series.factors) if ranks[t + 1] - ranks[t] == f.dim

@@ -1,27 +1,37 @@
 """Exact dense linear algebra: RREF, kernels, subspace lattice.
 
-Vectors are coordinate tuples.  A linear map is the tuple of its rows and
-acts on the right, v |-> v * M, so row i is the image of the i-th basis
-vector; Matrix is only the immutable record of such rows that a
-derivation stores.  Subspaces keep a canonical reduced-row-echelon basis,
-which makes equality, hashing and deduplication exact.
+Vectors are coordinate tuples in every result (a residual is a list).  A
+linear map is the tuple of its rows and acts on the right, v |-> v * M, so
+row i is the image of the i-th basis vector; Matrix is only the immutable
+record of such rows that a derivation stores.  Subspaces keep a canonical
+reduced-row-echelon basis, which makes equality, hashing and deduplication
+exact.
 
-All row reduction goes through one kernel, _eliminate, which clears the
-pivot columns of a vector against echelon rows; RREF, membership,
-coordinates and incremental spans are built on it, and linear_combination
-is the one place vectors are summed.  stabiliser is the one "which
-combination of these maps sends a basis into B" kernel, behind
+Row reduction clears the pivot columns of a vector against echelon rows,
+through one kernel per representation: _eliminate on tuples, over Q and
+GF(p) for p > 2, and _xor_reduce on packed rows over GF(2).  RREF,
+membership, coordinates and incremental spans are built on them, and
+linear_combination is the one place vectors are summed.  stabiliser is the
+one "which combination of these maps sends a basis into B" kernel, behind
 centralisers, normalisers, cores, intersections and stabilising
 derivations.  It takes one echelon pass over the rows [reduced images |
 identity] and returns the coefficient vectors as a subspace, already in
 RREF; Subspace.combinations maps such coefficients over an RREF basis back
 to a canonical basis without a second elimination.
+
 Over GF(p) every result is reduced mod p.  Over Q every result keeps the
 payload contract of fields (an int when integral, a Fraction otherwise),
 through canonical_q, and the loops skip entries where the row being added
 is zero, so integral work stays in int arithmetic and no Fraction is built
-for a zero.  Each primitive branches on the field once, outside its loop,
-because the verification sweeps spend most of their time here.
+for a zero.  Over GF(2) the kernel holds a vector as one integer with a
+byte per coordinate, the first coordinate most significant (gf2_pack):
+adding two rows is one XOR, and a row's leading coordinate is its highest
+set bit.  EchelonAccumulator keeps its rows packed and a Subspace its
+basis, packed on first use; linear_combination and LieAlgebra.bracket XOR
+packed rows too.  Entries are reduced mod 2 as they are packed, and
+results are unpacked to tuples.  Each primitive branches on the field
+once, outside its loop, because the verification sweeps spend most of
+their time here.
 """
 
 from __future__ import annotations
@@ -39,12 +49,49 @@ from .errors import (
 from .fields import Field, canonical_q
 
 
+_PARITY = bytes(k & 1 for k in range(256))
+
+
+def gf2_pack(vec: Sequence) -> int:
+    """A GF(2) vector as an integer with one byte per coordinate, each entry reduced mod 2."""
+    try:
+        raw = bytes(vec).translate(_PARITY)
+    except ValueError:
+        # bytes() takes entries in 0..255 only
+        raw = bytes(x % 2 for x in vec)
+    return int.from_bytes(raw, "big")
+
+
+def gf2_unpack(v: int, n: int) -> tuple:
+    """The n coordinates of a packed GF(2) vector."""
+    return tuple(v.to_bytes(n, "big"))
+
+
+def _xor_reduce(v: int, rows: Sequence[int]) -> int:
+    """Packed v with the pivot coordinates of packed echelon rows cleared.
+
+    XOR with a row changes no bit above the row's leading one and flips
+    that one, so it lowers v exactly when v has the row's pivot set.
+    """
+    for row in rows:
+        w = v ^ row
+        if w < v:
+            v = w
+    return v
+
+
+def _check_length(vec: Sequence, n: int) -> None:
+    if len(vec) != n:
+        raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), n))
+
+
 def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
     """Clear the pivot columns of vec with the matching echelon rows.
 
     Returns (residual, coefficients): the residual is zero exactly when vec
     lies in the span of the rows, and then vec is the sum of coefficient
-    times row.  p is the field characteristic, None over Q.
+    times row.  p is the field characteristic, None over Q.  The library
+    reduces over GF(2) by _xor_reduce on packed rows instead.
     """
     coeffs = []
     if p is None:
@@ -56,7 +103,8 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
             if f:
                 v = [canonical_q(a - f * b) if b else a for a, b in zip(v, row)]
     else:
-        v = list(vec)
+        # an entry outside 0..p-1 is reduced here, so every output is too
+        v = [x % p for x in vec]
         for row, c in zip(rows, pivots):
             f = v[c]
             coeffs.append(f)
@@ -67,8 +115,14 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
 
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
     """The vector sum of coeffs[i] * rows[i], of length n."""
-    out = [field.zero()] * n
     p = field.p
+    if p == 2:
+        packed = 0
+        for c, row in zip(coeffs, rows):
+            if c % 2:
+                packed ^= gf2_pack(row)
+        return gf2_unpack(packed, n)
+    out = [field.zero()] * n
     if p is None:
         for c, row in zip(coeffs, rows):
             if c:
@@ -166,16 +220,18 @@ class Subspace:
     """Subspace of F^n with a canonical RREF basis.
 
     Canonicality makes == and hash structural: two spans are equal exactly
-    when they reduce to the same rows.
+    when they reduce to the same rows.  Over GF(2) the basis is also held
+    packed, from the accumulator that built it or packed on first use.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_packed")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple):
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple, packed=None):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
+        self._packed = packed
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -230,17 +286,35 @@ class Subspace:
     def __repr__(self) -> str:
         return "Subspace(%s^%d, dim %d)" % (self.field, self.ambient_dim, self.dim)
 
+    def _packed_basis(self) -> tuple:
+        """The basis packed over GF(2), packed once on first use."""
+        if self._packed is None:
+            self._packed = tuple(map(gf2_pack, self.basis))
+        return self._packed
+
     def reduce(self, vec: Sequence) -> list:
         """Residual of vec after elimination by the basis; zero iff contained."""
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
+        _check_length(vec, self.ambient_dim)
+        if self.field.p == 2:
+            return list(_xor_reduce(gf2_pack(vec), self._packed_basis()).to_bytes(len(vec), "big"))
         return _eliminate(vec, self.basis, self.pivots, self.field.p)[0]
 
     def contains(self, vec: Sequence) -> bool:
+        if self.field.p == 2:
+            _check_length(vec, self.ambient_dim)
+            return not _xor_reduce(gf2_pack(vec), self._packed_basis())
         return not any(self.reduce(vec))
 
     def coordinates(self, vec: Sequence):
         """Coefficients of vec in the canonical basis, or None if outside."""
+        _check_length(vec, self.ambient_dim)
+        if self.field.p == 2:
+            v = gf2_pack(vec)
+            if _xor_reduce(v, self._packed_basis()):
+                return None
+            # the basis is the identity at its pivots, so those entries are the coefficients
+            raw = v.to_bytes(len(vec), "big")
+            return tuple(raw[c] for c in self.pivots)
         residual, coeffs = _eliminate(vec, self.basis, self.pivots, self.field.p)
         return None if any(residual) else tuple(coeffs)
 
@@ -297,30 +371,51 @@ class EchelonAccumulator:
     """Grows a subspace one vector at a time, keeping the basis in RREF.
 
     The workhorse behind rref, closure computations and spanning checks;
-    add() reports whether the vector enlarged the span.
+    add() reports whether the vector enlarged the span.  Over GF(2) the
+    rows are kept packed.
     """
 
-    __slots__ = ("field", "ambient_dim", "rows", "pivots")
+    __slots__ = ("field", "ambient_dim", "_rows", "pivots")
 
     def __init__(self, field: Field, ambient_dim: int, vectors: Iterable[Sequence] = ()):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.rows: list = []
+        self._rows: list = []
         self.pivots: list = []
         for v in vectors:
             self.add(v)
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
+
+    @property
+    def rows(self) -> list:
+        """The echelon rows as coordinate sequences."""
+        if self.field.p == 2:
+            return [gf2_unpack(r, self.ambient_dim) for r in self._rows]
+        return self._rows
 
     def reduce(self, vec: Sequence) -> list:
-        if len(vec) != self.ambient_dim:
-            raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), self.ambient_dim))
-        return _eliminate(vec, self.rows, self.pivots, self.field.p)[0]
+        _check_length(vec, self.ambient_dim)
+        if self.field.p == 2:
+            return list(_xor_reduce(gf2_pack(vec), self._rows).to_bytes(len(vec), "big"))
+        return _eliminate(vec, self._rows, self.pivots, self.field.p)[0]
 
     def add(self, vec: Sequence) -> bool:
         """Insert vec; True when the rank grew."""
+        if self.field.p == 2:
+            _check_length(vec, self.ambient_dim)
+            v = _xor_reduce(gf2_pack(vec), self._rows)
+            if not v:
+                return False
+            # the leading coordinate is the highest set bit; back-substitute as below
+            top = v.bit_length() - 1
+            for k, row in enumerate(self._rows):
+                if row >> top & 1:
+                    self._rows[k] = row ^ v
+            self._insert(v, self.ambient_dim - 1 - top // 8)
+            return True
         v = self.reduce(vec)
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
@@ -328,17 +423,21 @@ class EchelonAccumulator:
         if v[c] != 1:
             v = list(linear_combination(self.field, (self.field.inv(v[c]),), (v,), self.ambient_dim))
         # back-substitute so the other rows stay zero in the new pivot column
-        for k, row in enumerate(self.rows):
+        for k, row in enumerate(self._rows):
             if row[c]:
-                self.rows[k] = _eliminate(row, (v,), (c,), self.field.p)[0]
-        pos = bisect(self.pivots, c)
-        self.rows.insert(pos, v)
-        self.pivots.insert(pos, c)
+                self._rows[k] = _eliminate(row, (v,), (c,), self.field.p)[0]
+        self._insert(v, c)
         return True
 
+    def _insert(self, row, c: int) -> None:
+        pos = bisect(self.pivots, c)
+        self._rows.insert(pos, row)
+        self.pivots.insert(pos, c)
+
     def to_subspace(self) -> Subspace:
+        packed = tuple(self._rows) if self.field.p == 2 else None
         return Subspace(
-            self.field, self.ambient_dim, tuple(tuple(r) for r in self.rows), tuple(self.pivots)
+            self.field, self.ambient_dim, tuple(map(tuple, self.rows)), tuple(self.pivots), packed
         )
 
 

@@ -8,15 +8,16 @@ report for each normaliser against a chief series.
 
 Failures are collected as plain dicts with enough data to replay the
 check from the command line, never raised, so one bad algebra cannot
-mask later ones.  Worker processes split the stream by index stride and
-the merged outcome is sorted canonically, making the result independent
-of the process count.
+mask later ones.  Worker processes split the stream by index stride,
+each building only its own algebras of the top dimension, and the merged
+outcome is sorted canonically, making the result independent of the
+process count.
 
 Resident memory does not grow with the top level of the stream.  A sweep
 keeps interned, with their caches, the algebras below --max-dim (the
 parents of the next level) and the subquotients its checks built; each
 algebra of dimension --max-dim is never a parent or a subquotient of a
-later one, so it is released as soon as its position has been passed.
+later one, so it is released as soon as it has been checked.
 """
 
 from __future__ import annotations
@@ -201,14 +202,13 @@ def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> Sweep
 def _check_stream(config: SweepConfig, index: int = 0, stride: int = 1) -> SweepResult:
     """Check the stream positions congruent to index mod stride.
 
-    Every algebra of dimension max_dim is released after its position,
-    checked or skipped.
+    The stream builds no algebra of dimension max_dim at another position,
+    and each one it yields is released once checked.
     """
     formations = config.formation_objects()
     partial = SweepResult()
-    for position, algebra in enumerate(enumerate_soluble(config.budget())):
-        if position % stride == index:
-            partial.merge(check_algebra(algebra, formations))
+    for algebra in enumerate_soluble(config.budget(), index, stride):
+        partial.merge(check_algebra(algebra, formations))
         if algebra.dim == config.max_dim:
             algebra.release()
     return partial

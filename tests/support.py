@@ -5,6 +5,8 @@ from fractions import Fraction
 
 from lieform import (
     ChiefSeries,
+    MaximalClassification,
+    Verdict,
     Derivation,
     DimensionMismatchError,
     EnumerationBudget,
@@ -17,6 +19,8 @@ from lieform import (
     enumerate_ideals,
     enumerate_soluble,
     enumerate_subalgebras,
+    is_f_central,
+    minimal_ideal,
     null_space,
 )
 
@@ -116,6 +120,42 @@ def alternate_chief_series(algebra):
     return ChiefSeries(algebra, ideals)
 
 
+def iterative_chief_series(algebra):
+    """The chief series by lifting a minimal ideal of each quotient L/I_t in turn, from L/0 up."""
+    ideals = [algebra.zero_space()]
+    while ideals[-1].dim < algebra.dim:
+        quo, view = algebra.quotient(ideals[-1])
+        ideals.append(view.lift_subspace(minimal_ideal(quo)))
+    return ChiefSeries(algebra, ideals)
+
+
+def classify_directly(series, maximal, formation):
+    """Both criteria computed in L itself, along a chief series of L such as iterative_chief_series.
+
+    Core criterion: membership of L/core(M).  Complement criterion: the
+    local test on the one factor M avoids, read off dim(M + I_t).
+    """
+    algebra = series.algebra
+    quo, _ = algebra.quotient(algebra.core(maximal))
+    core_verdict = formation.contains(quo)
+    ranks = series.ranks(maximal)
+    [complemented] = [
+        f for f, low, high in zip(series.factors, ranks, ranks[1:]) if high - low == f.dim
+    ]
+    assert core_verdict == is_f_central(algebra, complemented, formation)
+    verdict = Verdict.F_NORMAL if core_verdict else Verdict.F_ABNORMAL
+    return MaximalClassification(maximal, verdict, complemented if core_verdict else None, complemented)
+
+
+def nilradical_by_centralisers(series):
+    """The meet of the centralisers of every factor of a chief series."""
+    algebra = series.algebra
+    out = algebra.full_space()
+    for factor in series.factors:
+        out = out & algebra.centralizer_of_factor(factor.top, factor.bottom)
+    return out
+
+
 def covers(subspace, factor):
     """U covers A/B: U + B contains A."""
     return factor.top <= (subspace + factor.bottom)
@@ -182,13 +222,19 @@ def is_q_payload(x):
     return type(x) is int or (type(x) is Fraction and x.denominator != 1)
 
 
-def naive_rref(rows):
-    """Textbook Gauss-Jordan over Fraction: (nonzero RREF rows, pivot columns).
+def naive_rref(rows, p=None):
+    """Textbook Gauss-Jordan: (nonzero RREF rows, pivot columns).
 
-    Every entry is a Fraction throughout and no step is skipped: the
-    reference the library's rational kernel is compared against.
+    Over Q (p None) every entry is a Fraction throughout; over GF(p) every
+    entry is reduced to 0..p-1 first and after each step.  No step is
+    skipped: the reference the library's kernels are compared against.
     """
-    m = [[Fraction(x) for x in row] for row in rows]
+    if p is None:
+        m = [[Fraction(x) for x in row] for row in rows]
+        inverse, reduce = (lambda x: 1 / x), (lambda x: x)
+    else:
+        m = [[int(x) % p for x in row] for row in rows]
+        inverse, reduce = (lambda x: pow(x, -1, p)), (lambda x: x % p)
     ncols = len(m[0]) if m else 0
     pivots = []
     for c in range(ncols):
@@ -197,27 +243,28 @@ def naive_rref(rows):
         if found is None:
             continue
         m[r], m[found] = m[found], m[r]
-        lead = m[r][c]
-        m[r] = [x / lead for x in m[r]]
+        lead = inverse(m[r][c])
+        m[r] = [reduce(x * lead) for x in m[r]]
         for i in range(len(m)):
             if i != r:
                 f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                m[i] = [reduce(a - f * b) for a, b in zip(m[i], m[r])]
         pivots.append(c)
     return [tuple(row) for row in m[: len(pivots)]], pivots
 
 
-def naive_null_space(rows, ncols):
+def naive_null_space(rows, ncols, p=None):
     """Basis of {x : A x = 0} read off naive_rref, one vector per free column."""
-    red, pivots = naive_rref(rows)
+    red, pivots = naive_rref(rows, p)
+    zero, one = (Fraction(0), Fraction(1)) if p is None else (0, 1)
     basis = []
     for free in range(ncols):
         if free in pivots:
             continue
-        v = [Fraction(0)] * ncols
-        v[free] = Fraction(1)
+        v = [zero] * ncols
+        v[free] = one
         for r, c in enumerate(pivots):
-            v[c] = -red[r][free]
+            v[c] = -red[r][free] if p is None else -red[r][free] % p
         basis.append(tuple(v))
     return basis
 

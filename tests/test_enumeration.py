@@ -66,6 +66,28 @@ def test_capped_stream_is_deterministic():
     assert first != [a.to_json() for a in enumerate_soluble(other_seed)]
 
 
+def test_strided_stream_builds_only_its_top_level(monkeypatch):
+    # each residue class gets its positions of the whole stream, in order;
+    # every lower level is built as parents, the top level only at its positions
+    from lieform import enumeration
+
+    budget = lambda: EnumerationBudget(max_dim=4, field=F2, per_step_cap=5, seed=3)
+    whole = [a.to_json() for a in enumerate_soluble(budget())]
+    lower = sum(1 for text in whole if '"dim": 4' not in text) - 1
+    built = []
+    real = enumeration.split_extension_by_derivation
+    monkeypatch.setattr(
+        enumeration, "split_extension_by_derivation", lambda *args: built.append(1) or real(*args)
+    )
+    for stride in (1, 2, 3):
+        for index in range(stride):
+            built.clear()
+            part = [a.to_json() for a in enumerate_soluble(budget(), index, stride)]
+            assert part == whole[index::stride]
+            mine = sum(1 for position in range(index, len(whole), stride) if '"dim": 4' in whole[position])
+            assert len(built) == lower + mine
+
+
 def test_cap_bounds_each_extension_step():
     capped = EnumerationBudget(max_dim=4, field=F2, per_step_cap=5, seed=1)
     dims = [a.dim for a in enumerate_soluble(capped)]

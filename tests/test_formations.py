@@ -30,8 +30,9 @@ from lieform import (
 )
 from lieform import linalg
 from support import (
-    abelian, alternate_chief_series, avoids, brute_force_maximals, covers, gf2_rotation_sum, h3,
-    is_f_projector, r2, rotation,
+    abelian, alternate_chief_series, avoids, brute_force_maximals, classify_directly, covers,
+    gf2_rotation_sum, h3, is_f_projector, iterative_chief_series, nilradical_by_centralisers, r2,
+    rotation, small_streams,
 )
 
 F2 = Field.gf(2)
@@ -303,3 +304,28 @@ def test_normaliser_members_and_chains():
                 current, new_map = current.restrict(local)
                 maps.append(new_map)
             assert chain[-1] == v
+
+
+def test_quotient_first_structure_matches_direct_computation():
+    # the chief series, the nilradical and every maximal's classification,
+    # answered through L/A, against today's computations in L itself
+    formations = (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE)
+    classified = 0
+    for a in small_streams():
+        direct = iterative_chief_series(a)
+        assert chief_series(a).ideals == direct.ideals
+        assert a.nilradical() == nilradical_by_centralisers(direct)
+        for m in maximal_subalgebras(a):
+            for formation in formations:
+                got = classify_maximal(a, m, formation)
+                want = classify_directly(direct, m, formation)
+                assert got.verdict is want.verdict
+                assert (got.witness is None) == (want.witness is None)
+                if got.witness is not None:
+                    assert got.witness.dim == want.witness.dim
+                assert (got.complemented.top, got.complemented.bottom) == (
+                    want.complemented.top, want.complemented.bottom
+                )
+                assert got.complemented.algebra is a
+                classified += 1
+    assert classified > 1000

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieform import (
+    EchelonAccumulator,
     Field,
     Matrix,
     Subspace,
@@ -16,7 +17,9 @@ from lieform import (
     rref,
 )
 from lieform.linalg import _eliminate, linear_combination, stabiliser
-from support import is_q_payload, naive_null_space, naive_rref
+from support import (
+    gf2_rotation_sum, gf3_rotation, h3, is_q_payload, naive_null_space, naive_rref, r2_plus_line,
+)
 
 Q = Field.rationals()
 F2 = Field.gf(2)
@@ -235,3 +238,101 @@ def test_stabiliser_matches_transposed_left_kernel():
             rows = [[x for v in row for x in into.reduce(v)] for row in images]
             kernel = left_kernel(rows, field)
             assert stabiliser(field, images, into) == Subspace.span(field, maps, kernel)
+
+
+def unreduced(rng, x, p):
+    """A random representative of x mod p among -3..5 and the bools."""
+    choices = [y for y in range(-3, 6) if (y - x) % p == 0]
+    choices += [b for b in (False, True) if (b - x) % p == 0]
+    return rng.choice(choices)
+
+
+def oracle_residual(vec, basis, pivots, p):
+    """vec mod p with the pivot columns cleared by an RREF basis, and the coefficients used."""
+    v = [int(x) % p for x in vec]
+    coeffs = [v[c] for c in pivots]
+    for f, row in zip(coeffs, basis):
+        v = [(a - f * b) % p for a, b in zip(v, row)]
+    return v, coeffs
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_finite_field_kernel_matches_naive_oracle(p):
+    # entries -3..5 and bools, reduced by nothing before the call: GF(2) runs
+    # the packed kernel, GF(3) the tuple kernel, against one textbook oracle
+    field = Field.gf(p)
+    rng = random.Random(2030 + p)
+    ranks_seen = set()
+    for _ in range(400):
+        m = rng.randint(1, 20)
+        rank = rng.randint(0, min(m, 6))
+        gens = [[rng.randrange(p) for _ in range(m)] for _ in range(rank)]
+        rows = [
+            [unreduced(rng, x, p) for x in linear_combination(field, [rng.randrange(p) for _ in gens], gens, m)]
+            for _ in range(rng.randint(0, 7))
+        ]
+        expected, pivots = naive_rref(rows, p)
+        ranks_seen.add(len(pivots))
+        r = len(pivots)
+
+        reduced, got_pivots = rref(rows, field)
+        if rows:
+            assert list(reduced[:r]) == expected and list(got_pivots) == pivots
+            assert all(not any(row) for row in reduced[r:]) and len(reduced) == len(rows)
+            assert null_space(rows, field) == naive_null_space(rows, m, p)
+        assert null_space(rows, field, ncols=m) == naive_null_space(rows, m, p)
+        span = Subspace.span(field, m, rows)
+        assert list(span.basis) == expected and list(span.pivots) == pivots
+
+        acc = EchelonAccumulator(field, m)
+        for k, row in enumerate(rows):
+            before = acc.rank
+            assert acc.add(row) == (len(naive_rref(rows[: k + 1], p)[1]) > before)
+        assert [tuple(row) for row in acc.rows] == expected and acc.pivots == pivots
+        assert acc.to_subspace() == span
+
+        coeffs = [rng.randrange(p) for _ in range(r)]
+        inside = [unreduced(rng, x, p) for x in linear_combination(field, coeffs, expected, m)]
+        other = [unreduced(rng, rng.randrange(p), p) for _ in range(m)]
+        for vec in (inside, other):
+            residual, used = oracle_residual(vec, expected, pivots, p)
+            contained = not any(residual)
+            assert _eliminate(vec, span.basis, span.pivots, p) == (residual, used)
+            assert span.reduce(vec) == residual and acc.reduce(vec) == residual
+            assert span.contains(vec) == contained
+            assert span.coordinates(vec) == (tuple(used) if contained else None)
+        assert span.coordinates(inside) == tuple(coeffs)
+
+        raw_coeffs = [unreduced(rng, rng.randrange(p), p) for _ in rows]
+        total = [sum(int(c) * int(row[j]) for c, row in zip(raw_coeffs, rows)) % p for j in range(m)]
+        assert linear_combination(field, raw_coeffs, rows, m) == tuple(total)
+
+        # stabiliser: the left kernel of the images reduced mod the span
+        n = rng.randint(1, 5)
+        into_rows = [[unreduced(rng, rng.randrange(p), p) for _ in range(n)] for _ in range(rng.randint(0, n))]
+        into = Subspace.span(field, n, into_rows)
+        into_basis, into_pivots = naive_rref(into_rows, p)
+        k = rng.randint(1, 3)
+        images = [[[unreduced(rng, rng.randrange(p), p) for _ in range(n)] for _ in range(k)] for _ in range(rng.randint(1, 4))]
+        flat = [[x for v in row for x in oracle_residual(v, into_basis, into_pivots, p)[0]] for row in images]
+        kernel = naive_null_space(list(zip(*flat)), len(images), p)
+        got = stabiliser(field, images, into)
+        assert list(got.basis) == naive_rref(kernel, p)[0]
+    assert ranks_seen == set(range(7))
+
+
+@pytest.mark.parametrize(
+    "algebra", [gf2_rotation_sum(), h3("GF(2)"), r2_plus_line("GF(2)"), gf3_rotation(), h3(), r2_plus_line()],
+    ids=["gf2-rotation-sum", "gf2-h3", "gf2-r2-line", "gf3-rotation", "gf3-h3", "gf3-r2-line"],
+)
+def test_bracket_matches_table_oracle(algebra):
+    p, n, table = algebra.field.p, algebra.dim, algebra.table
+    rng = random.Random(2031 + n)
+    for _ in range(200):
+        x = [unreduced(rng, rng.randrange(p), p) for _ in range(n)]
+        y = [unreduced(rng, rng.randrange(p), p) for _ in range(n)]
+        expected = tuple(
+            sum(int(x[i]) * int(y[j]) * table[i][j][k] for i in range(n) for j in range(n)) % p
+            for k in range(n)
+        )
+        assert algebra.bracket(x, y) == expected
