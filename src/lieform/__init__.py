@@ -10,7 +10,6 @@ the exhaustive property sweeps behind the `lieform` command.
 
 from .algebra import FactorView, LieAlgebra
 from .chief import (
-    ChiefFactor,
     ChiefSeries,
     chief_series,
     minimal_ideal,
@@ -63,7 +62,6 @@ from .formations import (
     CoverAvoidReport,
     Formation,
     MaximalClassification,
-    Verdict,
     classify_maximal,
     cover_avoid_check,
     f_normalisers,
@@ -91,7 +89,6 @@ __all__ = [
     "AmbientMismatchError",
     "AnalysisReport",
     "BudgetExceededError",
-    "ChiefFactor",
     "ChiefSeries",
     "CoverAvoidEntry",
     "CoverAvoidReport",
@@ -124,7 +121,6 @@ __all__ = [
     "SweepConfig",
     "SweepResult",
     "UnsupportedFieldError",
-    "Verdict",
     "ZeroAlgebraError",
     "ZeroDenominatorError",
     "basis_strings",

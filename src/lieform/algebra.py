@@ -10,10 +10,11 @@ and intern entry once nothing later will ask for it again; a sweep
 releases each algebra of its top dimension after checking it.
 LieAlgebra.memo is the one per-algebra cache: every derived value (full
 space, series, centre, cores, quotients, derivations, chief series,
-subalgebra listings, classifications, normalisers) is stored through it,
-under a fixed key.  FactorView is the one coordinate map on a subquotient
-A/B: restrict and quotient return one with the algebra they build, and
-chief factors are views.
+the F-centrality of its chief factors, subalgebra listings,
+classifications, normalisers) is stored through it, under a fixed key.
+FactorView is the one coordinate map on a subquotient A/B: restrict and
+quotient return one with the algebra they build, and chief factors are
+views.
 
 Parsed documents are refused above MAX_DIM, before any table is allocated.
 

@@ -40,33 +40,19 @@ from .fields import canonical_q
 from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination, stabiliser
 
 
-class ChiefFactor(FactorView):
-    """One factor top/bottom of a chief series, with its cached F-centrality verdicts."""
-
-    __slots__ = ("_central",)
-
-    def __init__(self, algebra: LieAlgebra, top: Subspace, bottom: Subspace):
-        if not bottom < top:
-            raise NotNestedError("chief factor requires bottom < top")
-        super().__init__(algebra, top, bottom)
-        self._central = {}
-
-    def __repr__(self) -> str:
-        return "ChiefFactor(dim %d over dim %d)" % (self.top.dim, self.bottom.dim)
-
-
 class ChiefSeries:
-    """Ascending chain of ideals with irreducible factors."""
+    """Ascending chain of ideals with irreducible factors, each a FactorView."""
 
     __slots__ = ("algebra", "ideals", "factors")
 
     def __init__(self, algebra: LieAlgebra, ideals: Sequence[Subspace]):
         self.algebra = algebra
         self.ideals = tuple(ideals)
-        self.factors = tuple(
-            ChiefFactor(algebra, top, bottom)
-            for bottom, top in zip(self.ideals, self.ideals[1:])
-        )
+        pairs = tuple(zip(self.ideals, self.ideals[1:]))
+        # FactorView refuses a pair that is not nested; a chain must also grow
+        if any(bottom.dim >= top.dim for bottom, top in pairs):
+            raise NotNestedError("chief factor requires bottom < top")
+        self.factors = tuple(FactorView(algebra, top, bottom) for bottom, top in pairs)
 
     def __len__(self) -> int:
         return len(self.factors)

@@ -10,6 +10,7 @@ Exit codes distinguish outcome classes so scripts can branch on them:
     4  a cover-avoid check failed
     5  the two maximal-subalgebra criteria disagreed
     6  critical descent stalled outside the formation
+    7  a sweep check raised an error, recorded and passed over
   141  standard output was closed early (a broken pipe, e.g. `| head`);
        128 + SIGPIPE, the status a shell reports for a writer killed by it
 
@@ -71,14 +72,6 @@ EXIT_COVER_AVOID = 4
 EXIT_CRITERIA_DISAGREE = 5
 EXIT_NO_DESCENT = 6
 EXIT_BROKEN_PIPE = 141
-
-# exit code of each sweep failure kind, in FAILURE_KINDS order
-SWEEP_FAILURE_EXITS = (
-    EXIT_INTRAVARIANCE,
-    EXIT_COVER_AVOID,
-    EXIT_CRITERIA_DISAGREE,
-    EXIT_NO_DESCENT,
-)
 
 
 def _read_json(path: str):
@@ -372,11 +365,11 @@ def cmd_sweep(args) -> int:
     )
     result = sweep_run(config)
     lines = sweep_summary_lines(result)
-    for attr, title in FAILURE_KINDS:
+    for attr, title, _ in FAILURE_KINDS:
         for record in getattr(result, attr):
             lines.append("%s: %s" % (title, json.dumps(record, sort_keys=True)))
     _emit(args, result.to_dict(), lines)
-    for (attr, _), code in zip(FAILURE_KINDS, SWEEP_FAILURE_EXITS):
+    for attr, _, code in FAILURE_KINDS:
         if getattr(result, attr):
             return code
     return EXIT_OK

@@ -32,12 +32,11 @@ structures share their caches.
 
 from __future__ import annotations
 
-from enum import Enum
 from itertools import combinations, product
 from typing import Callable
 
-from .algebra import LieAlgebra
-from .chief import ChiefFactor, chief_series
+from .algebra import FactorView, LieAlgebra
+from .chief import chief_series
 from .errors import (
     CriteriaDisagreeError,
     NoCriticalDescentError,
@@ -50,30 +49,28 @@ from .linalg import Subspace, check_budget, linear_combination, null_space
 class Formation:
     """Named saturated formation: a membership predicate and a local centrality test.
 
-    membership(L) decides L in F.  central(L, factor) decides whether a
+    contains(L) decides L in F.  central(L, factor) decides whether a
     chief factor A/B of L is F-central from the formation's local
     definition (Barnes & Gastineau-Hills): it depends only on how
     L/C_L(A/B) acts on A/B, so no quotient or extension is built.  Both are
     required; the two criteria for a maximal subalgebra use one each.
 
-    Cached results are keyed on the Formation object itself, not its name,
-    so two formations that share a name never share an answer.
+    Results are cached on the algebra through LieAlgebra.memo, keyed on
+    the Formation object itself, not its name, so two formations that
+    share a name never share an answer.
     """
 
-    __slots__ = ("name", "membership", "central")
+    __slots__ = ("name", "contains", "central")
 
     def __init__(
         self,
         name: str,
-        membership: Callable[[LieAlgebra], bool],
-        central: Callable[[LieAlgebra, ChiefFactor], bool],
+        contains: Callable[[LieAlgebra], bool],
+        central: Callable[[LieAlgebra, FactorView], bool],
     ):
         self.name = name
-        self.membership = membership
+        self.contains = contains
         self.central = central
-
-    def contains(self, algebra: LieAlgebra) -> bool:
-        return self.membership(algebra)
 
     def __repr__(self) -> str:
         return "Formation(%s)" % self.name
@@ -89,7 +86,7 @@ def _supersoluble(algebra: LieAlgebra) -> bool:
     return all(f.dim == 1 for f in series.factors)
 
 
-def _centralised(algebra: LieAlgebra, factor: ChiefFactor) -> bool:
+def _centralised(algebra: LieAlgebra, factor: FactorView) -> bool:
     """[L, A] <= B: L acts trivially on the factor A/B."""
     bottom = factor.bottom
     return all(bottom.contains(v) for row in algebra.basis_brackets(factor.space.basis) for v in row)
@@ -111,43 +108,38 @@ def formation_by_name(name: str) -> Formation:
         ) from None
 
 
-def is_f_central(algebra: LieAlgebra, factor: ChiefFactor, formation: Formation) -> bool:
-    """The formation's local test on the factor, cached on the factor."""
-    cached = factor._central.get(formation)
-    if cached is None:
-        cached = factor._central[formation] = formation.central(algebra, factor)
-    return cached
+def is_f_central(algebra: LieAlgebra, factor: FactorView, formation: Formation) -> bool:
+    """The formation's local test on a chief factor, cached on the algebra.
 
-
-class Verdict(Enum):
-    F_NORMAL = "f-normal"
-    F_ABNORMAL = "f-abnormal"
+    The key holds the factor object, which hashes by identity, and the
+    formation object.
+    """
+    return algebra.memo(("is_f_central", factor, formation), lambda: formation.central(algebra, factor))
 
 
 class MaximalClassification:
-    """Outcome of classifying one maximal subalgebra."""
+    """Outcome of classifying one maximal subalgebra: F-normal or not, and the factor it complements."""
 
-    __slots__ = ("subalgebra", "verdict", "witness", "complemented")
+    __slots__ = ("is_normal", "complemented")
 
-    def __init__(self, subalgebra: Subspace, verdict: Verdict, witness, complemented: ChiefFactor):
-        self.subalgebra = subalgebra
-        self.verdict = verdict
-        self.witness = witness
+    def __init__(self, is_normal: bool, complemented: FactorView):
+        self.is_normal = is_normal
         self.complemented = complemented
 
     @property
-    def is_normal(self) -> bool:
-        return self.verdict is Verdict.F_NORMAL
+    def witness(self):
+        """The complemented factor when M is F-normal, else None."""
+        return self.complemented if self.is_normal else None
 
     def __repr__(self) -> str:
-        return "MaximalClassification(%s)" % self.verdict.value
+        return "MaximalClassification(%s)" % ("f-normal" if self.is_normal else "f-abnormal")
 
 
 def _subalgebra_key(s: Subspace) -> tuple:
     return (s.dim, s.basis)
 
 
-def _complement_space(algebra: LieAlgebra, factor: ChiefFactor):
+def _complement_space(algebra: LieAlgebra, factor: FactorView):
     """The maps delta: C -> A/B whose complements B + span{c + delta(c)} are subalgebras.
 
     C is the standard vectors at the columns off A's pivots.  Returns
@@ -256,8 +248,7 @@ def _classify_maximal(
         quo, view = algebra.quotient(series.ideals[1])
         inner = classify_maximal(quo, view.project_subspace(maximal), formation)
         complemented = series.factors[chief_series(quo).factors.index(inner.complemented) + 1]
-        witness = complemented if inner.is_normal else None
-        return MaximalClassification(maximal, inner.verdict, witness, complemented)
+        return MaximalClassification(inner.is_normal, complemented)
 
     core = algebra.core(maximal)
     quo, _ = algebra.quotient(core)
@@ -284,9 +275,7 @@ def _classify_maximal(
             "core criterion says %s, complement criterion says %s"
             % (core_verdict, complement_verdict)
         )
-    verdict = Verdict.F_NORMAL if core_verdict else Verdict.F_ABNORMAL
-    witness = complemented if core_verdict else None
-    return MaximalClassification(maximal, verdict, witness, complemented)
+    return MaximalClassification(core_verdict, complemented)
 
 
 def is_f_critical(algebra: LieAlgebra, maximal: Subspace, formation: Formation) -> bool:
@@ -333,7 +322,7 @@ def _f_normalisers(algebra: LieAlgebra, formation: Formation) -> list:
 class CoverAvoidEntry:
     __slots__ = ("factor", "central", "covered", "avoided")
 
-    def __init__(self, factor: ChiefFactor, central: bool, covered: bool, avoided: bool):
+    def __init__(self, factor: FactorView, central: bool, covered: bool, avoided: bool):
         self.factor = factor
         self.central = central
         self.covered = covered
@@ -347,11 +336,9 @@ class CoverAvoidEntry:
 class CoverAvoidReport:
     """Per-factor cover/avoid verdicts for one subalgebra."""
 
-    __slots__ = ("algebra", "subalgebra", "entries")
+    __slots__ = ("entries",)
 
-    def __init__(self, algebra: LieAlgebra, subalgebra: Subspace, entries):
-        self.algebra = algebra
-        self.subalgebra = subalgebra
+    def __init__(self, entries):
         self.entries = tuple(entries)
 
     @property
@@ -371,4 +358,4 @@ def cover_avoid_check(
         CoverAvoidEntry(factor, is_f_central(algebra, factor, formation), covered, avoided)
         for factor, (covered, avoided) in zip(series.factors, series.cover_avoid(subalgebra))
     ]
-    return CoverAvoidReport(algebra, subalgebra, entries)
+    return CoverAvoidReport(entries)

@@ -8,16 +8,16 @@ reduced-row-echelon basis, which makes equality, hashing and deduplication
 exact.
 
 Row reduction clears the pivot columns of a vector against echelon rows,
-through one kernel per representation: _eliminate on tuples, over Q and
-GF(p) for p > 2, and _xor_reduce on packed rows over GF(2).  RREF,
-membership, coordinates and incremental spans are built on them, and
-linear_combination is the one place vectors are summed.  stabiliser is the
-one "which combination of these maps sends a basis into B" kernel, behind
-centralisers, normalisers, cores, intersections and stabilising
-derivations.  It takes one echelon pass over the rows [reduced images |
-identity] and returns the coefficient vectors as a subspace, already in
-RREF; Subspace.combinations maps such coefficients over an RREF basis back
-to a canonical basis without a second elimination.
+through one kernel per representation: _eliminate on tuples, over Q, GF(p)
+for p > 2 and GF(2) coordinates, and _xor_reduce on packed rows over GF(2)
+otherwise.  RREF, membership, coordinates and incremental spans are built
+on them, and linear_combination is the one place vectors are summed.
+stabiliser is the one "which combination of these maps sends a basis
+into B" kernel, behind centralisers, normalisers, cores, intersections and
+stabilising derivations.  It takes one echelon pass over the rows [reduced
+images | identity] and returns the coefficient vectors as a subspace,
+already in RREF; Subspace.combinations maps such coefficients over an RREF
+basis back to a canonical basis without a second elimination.
 
 Over GF(p) every result is reduced mod p.  Over Q every result keeps the
 payload contract of fields (an int when integral, a Fraction otherwise),
@@ -90,8 +90,8 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
 
     Returns (residual, coefficients): the residual is zero exactly when vec
     lies in the span of the rows, and then vec is the sum of coefficient
-    times row.  p is the field characteristic, None over Q.  The library
-    reduces over GF(2) by _xor_reduce on packed rows instead.
+    times row.  p is the field characteristic, None over Q.  Over GF(2)
+    only Subspace.coordinates uses it, where packing first does not pay.
     """
     coeffs = []
     if p is None:
@@ -235,14 +235,8 @@ class Subspace:
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
-        vecs = [tuple(v) for v in vectors]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise AmbientMismatchError(
-                    "vector of length %d in ambient of dimension %d" % (len(v), ambient_dim)
-                )
-        red, pivots = rref(vecs, field)
-        return Subspace(field, ambient_dim, red[: len(pivots)], pivots)
+        """The span of the vectors, in one echelon pass; AmbientMismatchError on a wrong length."""
+        return EchelonAccumulator(field, ambient_dim, vectors).to_subspace()
 
     @staticmethod
     def zero_space(field: Field, ambient_dim: int) -> "Subspace":
@@ -308,13 +302,6 @@ class Subspace:
     def coordinates(self, vec: Sequence):
         """Coefficients of vec in the canonical basis, or None if outside."""
         _check_length(vec, self.ambient_dim)
-        if self.field.p == 2:
-            v = gf2_pack(vec)
-            if _xor_reduce(v, self._packed_basis()):
-                return None
-            # the basis is the identity at its pivots, so those entries are the coefficients
-            raw = v.to_bytes(len(vec), "big")
-            return tuple(raw[c] for c in self.pivots)
         residual, coeffs = _eliminate(vec, self.basis, self.pivots, self.field.p)
         return None if any(residual) else tuple(coeffs)
 
@@ -461,12 +448,12 @@ def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspac
         rows.append([x for v in row for x in into.reduce(v)] + unit)
     width = len(rows[0]) - t if rows else 0
     acc = EchelonAccumulator(field, width + t, rows)
-    kept = [k for k, c in enumerate(acc.pivots) if c >= width]
+    kept = [(row, c) for row, c in zip(acc.rows, acc.pivots) if c >= width]
     return Subspace(
         field,
         t,
-        tuple(tuple(acc.rows[k][width:]) for k in kept),
-        tuple(acc.pivots[k] - width for k in kept),
+        tuple(tuple(row[width:]) for row, _ in kept),
+        tuple(c - width for _, c in kept),
     )
 
 

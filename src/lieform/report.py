@@ -102,7 +102,7 @@ class AnalysisReport:
                     maximals.append(
                         {
                             "basis": basis_strings(m),
-                            "verdict": cls.verdict.value,
+                            "verdict": "f-normal" if cls.is_normal else "f-abnormal",
                             "witness_factor_dim": cls.witness.dim if cls.witness else None,
                         }
                     )

@@ -8,10 +8,11 @@ report for each normaliser against a chief series.
 
 Failures are collected as plain dicts with enough data to replay the
 check from the command line, never raised, so one bad algebra cannot
-mask later ones.  Worker processes split the stream by index stride,
-each building only its own algebras of the top dimension, and the merged
-outcome is sorted canonically, making the result independent of the
-process count.
+mask later ones; any other exception a check raises, such as a refused
+budget, becomes a check-error record.  Worker processes split the stream
+by index stride, each building only its own algebras of the top
+dimension, and the merged outcome is sorted canonically, making the
+result independent of the process count.
 
 Resident memory does not grow with the top level of the stream.  A sweep
 keeps interned, with their caches, the algebras below --max-dim (the
@@ -70,14 +71,16 @@ class SweepConfig:
         return [formation_by_name(name) for name in self.formations]
 
 
-# Failure kinds in precedence order: the SweepResult list that holds them
-# and their title in text output.  The CLI's exit code reports the first
-# kind present.
+# Failure kinds in precedence order: the SweepResult list that holds them,
+# their title in text output and the CLI's exit code for the first kind
+# present.  check_errors is listed in output only when it holds a record,
+# so a sweep whose checks all ran keeps its pinned output.
 FAILURE_KINDS = (
-    ("intravariance_failures", "intravariance failure"),
-    ("cover_avoid_failures", "cover-avoid failure"),
-    ("criteria_disagreements", "criteria disagreement"),
-    ("descent_failures", "descent failure"),
+    ("intravariance_failures", "intravariance failure", 3),
+    ("cover_avoid_failures", "cover-avoid failure", 4),
+    ("criteria_disagreements", "criteria disagreement", 5),
+    ("descent_failures", "descent failure", 6),
+    ("check_errors", "check error", 7),
 )
 
 
@@ -92,17 +95,22 @@ class SweepResult:
     cover_avoid_failures: list = dataclass_field(default_factory=list)
     criteria_disagreements: list = dataclass_field(default_factory=list)
     descent_failures: list = dataclass_field(default_factory=list)
+    check_errors: list = dataclass_field(default_factory=list)
     elapsed: float = 0.0
 
     @property
     def ok(self) -> bool:
-        return not any(getattr(self, attr) for attr, _ in FAILURE_KINDS)
+        return not any(getattr(self, attr) for attr, *_ in FAILURE_KINDS)
+
+    def listed_kinds(self) -> list:
+        """The FAILURE_KINDS rows that output lists: check_errors only when it holds a record."""
+        return [kind for kind in FAILURE_KINDS if kind[0] != "check_errors" or self.check_errors]
 
     def merge(self, other: "SweepResult") -> None:
         self.algebras += other.algebras
         self.maximals_classified += other.maximals_classified
         self.normalisers_checked += other.normalisers_checked
-        for attr, _ in FAILURE_KINDS:
+        for attr, *_ in FAILURE_KINDS:
             getattr(self, attr).extend(getattr(other, attr))
 
     def sort(self) -> None:
@@ -114,7 +122,7 @@ class SweepResult:
                 str(record.get("maximal", "")),
             )
 
-        for attr, _ in FAILURE_KINDS:
+        for attr, *_ in FAILURE_KINDS:
             getattr(self, attr).sort(key=key)
 
     def to_dict(self) -> dict:
@@ -126,7 +134,7 @@ class SweepResult:
             "normalisers_checked": self.normalisers_checked,
             "ok": self.ok,
         }
-        data.update((attr, getattr(self, attr)) for attr, _ in FAILURE_KINDS)
+        data.update((attr, getattr(self, attr)) for attr, *_ in self.listed_kinds())
         return data
 
 
@@ -139,64 +147,78 @@ def _base_record(algebra: LieAlgebra, formation: Formation) -> dict:
 
 
 def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> SweepResult:
-    """Run every sweep check on one algebra; failures become records."""
+    """Run every sweep check on one algebra; failures become records.
+
+    Any other exception ends that formation's checks and becomes a
+    check-error record naming the exception's class and message.
+    """
     result = SweepResult(algebras=1)
     for formation in formations:
-        for maximal in maximal_subalgebras(algebra):
-            try:
-                classify_maximal(algebra, maximal, formation)
-                result.maximals_classified += 1
-            except CriteriaDisagreeError as exc:
-                record = _base_record(algebra, formation)
-                record["maximal"] = basis_strings(maximal)
-                record["detail"] = str(exc)
-                result.criteria_disagreements.append(record)
+        try:
+            _check_formation(algebra, formation, result)
+        except Exception as exc:
+            record = _base_record(algebra, formation)
+            record["detail"] = "%s: %s" % (type(exc).__name__, exc)
+            result.check_errors.append(record)
+    return result
+
+
+def _check_formation(algebra: LieAlgebra, formation: Formation, result: SweepResult) -> None:
+    """Every sweep check of one formation on one algebra, its failures added to result."""
+    for maximal in maximal_subalgebras(algebra):
+        try:
+            classify_maximal(algebra, maximal, formation)
+            result.maximals_classified += 1
+        except CriteriaDisagreeError as exc:
+            record = _base_record(algebra, formation)
+            record["maximal"] = basis_strings(maximal)
+            record["detail"] = str(exc)
+            result.criteria_disagreements.append(record)
+
+    try:
+        normalisers = f_normalisers(algebra, formation)
+    except NoCriticalDescentError as exc:
+        record = _base_record(algebra, formation)
+        record["detail"] = str(exc)
+        result.descent_failures.append(record)
+        return
+    except CriteriaDisagreeError:
+        # already recorded above through the classification pass
+        return
+
+    for subspace, chain in normalisers:
+        result.normalisers_checked += 1
+        linear_ok = is_intravariant_linear(algebra, subspace)
+        defect = extension_defect(algebra, subspace)
+        if not linear_ok or defect is not None:
+            record = _base_record(algebra, formation)
+            record["subalgebra"] = basis_strings(subspace)
+            record["chain"] = [
+                basis_strings(step) for step in chain
+            ]
+            record["linear_ok"] = linear_ok
+            record["extension_ok"] = defect is None
+            if defect is not None:
+                record["derivation"] = derivation_matrix_strings(defect)
+            result.intravariance_failures.append(record)
 
         try:
-            normalisers = f_normalisers(algebra, formation)
-        except NoCriticalDescentError as exc:
+            report = cover_avoid_check(algebra, subspace, formation)
+        except UnsupportedFieldError:
+            continue
+        if not report.ok:
             record = _base_record(algebra, formation)
-            record["detail"] = str(exc)
-            result.descent_failures.append(record)
-            continue
-        except CriteriaDisagreeError:
-            # already recorded above through the classification pass
-            continue
-
-        for subspace, chain in normalisers:
-            result.normalisers_checked += 1
-            linear_ok = is_intravariant_linear(algebra, subspace)
-            defect = extension_defect(algebra, subspace)
-            if not linear_ok or defect is not None:
-                record = _base_record(algebra, formation)
-                record["subalgebra"] = basis_strings(subspace)
-                record["chain"] = [
-                    basis_strings(step) for step in chain
-                ]
-                record["linear_ok"] = linear_ok
-                record["extension_ok"] = defect is None
-                if defect is not None:
-                    record["derivation"] = derivation_matrix_strings(defect)
-                result.intravariance_failures.append(record)
-
-            try:
-                report = cover_avoid_check(algebra, subspace, formation)
-            except UnsupportedFieldError:
-                continue
-            if not report.ok:
-                record = _base_record(algebra, formation)
-                record["subalgebra"] = basis_strings(subspace)
-                record["violations"] = [
-                    {
-                        "factor_dims": [entry.factor.bottom.dim, entry.factor.top.dim],
-                        "central": entry.central,
-                        "covered": entry.covered,
-                        "avoided": entry.avoided,
-                    }
-                    for entry in report.violations()
-                ]
-                result.cover_avoid_failures.append(record)
-    return result
+            record["subalgebra"] = basis_strings(subspace)
+            record["violations"] = [
+                {
+                    "factor_dims": [entry.factor.bottom.dim, entry.factor.top.dim],
+                    "central": entry.central,
+                    "covered": entry.covered,
+                    "avoided": entry.avoided,
+                }
+                for entry in report.violations()
+            ]
+            result.cover_avoid_failures.append(record)
 
 
 def _check_stream(config: SweepConfig, index: int = 0, stride: int = 1) -> SweepResult:
@@ -271,6 +293,6 @@ def sweep_summary_lines(result: SweepResult) -> list:
             "maximal subalgebras classified: %d" % result.maximals_classified,
             "normalisers checked: %d" % result.normalisers_checked,
         ]
-        + ["%ss: %d" % (title, len(getattr(result, attr))) for attr, title in FAILURE_KINDS]
+        + ["%ss: %d" % (title, len(getattr(result, attr))) for attr, title, _ in result.listed_kinds()]
         + ["result: %s" % ("ok" if result.ok else "FAIL")]
     )

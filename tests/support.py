@@ -6,7 +6,6 @@ from fractions import Fraction
 from lieform import (
     ChiefSeries,
     MaximalClassification,
-    Verdict,
     Derivation,
     DimensionMismatchError,
     EnumerationBudget,
@@ -143,8 +142,7 @@ def classify_directly(series, maximal, formation):
         f for f, low, high in zip(series.factors, ranks, ranks[1:]) if high - low == f.dim
     ]
     assert core_verdict == is_f_central(algebra, complemented, formation)
-    verdict = Verdict.F_NORMAL if core_verdict else Verdict.F_ABNORMAL
-    return MaximalClassification(maximal, verdict, complemented if core_verdict else None, complemented)
+    return MaximalClassification(core_verdict, complemented)
 
 
 def nilradical_by_centralisers(series):

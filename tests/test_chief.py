@@ -13,7 +13,9 @@ from lieform import (
     JacobiViolationError,
     LieAlgebra,
     Matrix,
+    ChiefSeries,
     NotADerivationError,
+    NotNestedError,
     NotSolubleError,
     Subspace,
     UnsupportedFieldError,
@@ -108,6 +110,14 @@ def test_chief_series_cross_validation():
             first = sorted(f.dim for f in chief_series(a).factors)
             second = sorted(f.dim for f in alternate_chief_series(a).factors)
             assert first == second
+
+
+def test_chief_series_refuses_a_chain_that_is_not_strictly_ascending():
+    a = r2()
+    zero, full = a.zero_space(), a.full_space()
+    for ideals in ([zero, zero, full], [zero, full, full], [full, zero]):
+        with pytest.raises(NotNestedError):
+            ChiefSeries(a, ideals)
 
 
 def test_chief_series_q_unsupported():

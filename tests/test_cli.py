@@ -472,6 +472,36 @@ def test_sweep_huge_field_budget_message_is_short(capsys):
     assert len(err) < 200
 
 
+def test_sweep_records_a_raising_check_and_goes_on(capsys, monkeypatch):
+    # the one-dimensional algebra's normaliser computation raises, under
+    # both default formations; the two algebras after it are still checked
+    monkeypatch.delenv("LIEFORM_THREADS", raising=False)
+    argv = ["sweep", "--field", "GF(2)", "--max-dim", "2", "--json"]
+    _, clean, _ = run(capsys, argv)
+    f_normalisers = sweep.f_normalisers
+
+    def faulty(algebra, formation):
+        if algebra.dim == 1:
+            raise RuntimeError("injected fault")
+        return f_normalisers(algebra, formation)
+
+    monkeypatch.setattr(sweep, "f_normalisers", faulty)
+    code, out, _ = run(capsys, argv)
+    assert code == 7
+    payload, clean = json.loads(out), json.loads(clean)
+    assert payload["algebras"] == clean["algebras"] == 3
+    # the skipped normalisers are L itself, once per formation
+    assert payload["normalisers_checked"] == clean["normalisers_checked"] - 2
+    assert [r["formation"] for r in payload["check_errors"]] == ["all-soluble", "nilpotent"]
+    assert {r["detail"] for r in payload["check_errors"]} == {"RuntimeError: injected fault"}
+    assert {r["algebra"]["dim"] for r in payload["check_errors"]} == {1}
+    assert "check_errors" not in clean
+    code, out, _ = run(capsys, argv[:-1])
+    assert code == 7
+    assert "check errors: 2" in out.splitlines()
+    assert sum(line.startswith("check error: {") for line in out.splitlines()) == 2
+
+
 def test_sweep_text_mode(capsys):
     code, out, _ = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "2"])
     assert code == 0

@@ -15,7 +15,6 @@ from lieform import (
     ParseError,
     Subspace,
     UnsupportedFieldError,
-    Verdict,
     chief_series,
     classify_maximal,
     cover_avoid_check,
@@ -152,11 +151,11 @@ def test_classify_maximal_r2():
     y = Subspace.span(F3, 2, [(0, 1)])
     x = Subspace.span(F3, 2, [(1, 0)])
     normal = classify_maximal(a, y, NILPOTENT)
-    assert normal.verdict is Verdict.F_NORMAL and normal.is_normal
+    assert normal.is_normal is True
     assert normal.witness is not None and normal.witness.dim == 1
     assert normal.witness.top.is_full()
     abnormal = classify_maximal(a, x, NILPOTENT)
-    assert abnormal.verdict is Verdict.F_ABNORMAL
+    assert abnormal.is_normal is False
     assert abnormal.witness is None
     # membership makes everything normal
     assert classify_maximal(a, x, ALL_SOLUBLE).is_normal
@@ -319,7 +318,7 @@ def test_quotient_first_structure_matches_direct_computation():
             for formation in formations:
                 got = classify_maximal(a, m, formation)
                 want = classify_directly(direct, m, formation)
-                assert got.verdict is want.verdict
+                assert got.is_normal == want.is_normal
                 assert (got.witness is None) == (want.witness is None)
                 if got.witness is not None:
                     assert got.witness.dim == want.witness.dim

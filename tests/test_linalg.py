@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lieform import (
+    AmbientMismatchError,
     EchelonAccumulator,
     Field,
     Matrix,
@@ -254,6 +255,23 @@ def oracle_residual(vec, basis, pivots, p):
     for f, row in zip(coeffs, basis):
         v = [(a - f * b) % p for a, b in zip(v, row)]
     return v, coeffs
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=str)
+def test_wrong_length_vector_refused(field):
+    space = Subspace.span(field, 3, [(1, 0, 1)])
+    acc = EchelonAccumulator(field, 3)
+    for short in ((1, 0), [1, 0, 1, 1]):
+        for refuse in (
+            lambda v: Subspace.span(field, 3, [(0, 1, 0), v]),
+            space.reduce,
+            space.contains,
+            space.coordinates,
+            acc.add,
+        ):
+            with pytest.raises(AmbientMismatchError):
+                refuse(short)
+    assert acc.rank == 0
 
 
 @pytest.mark.parametrize("p", [2, 3])

@@ -3,6 +3,7 @@
 from lieform import (
     ALL_SOLUBLE,
     NILPOTENT,
+    Field,
     LieAlgebra,
     SweepConfig,
     SweepResult,
@@ -26,6 +27,18 @@ def test_check_algebra_counts():
     assert result.maximals_classified == 8
     assert result.normalisers_checked == 4
     assert result.ok
+
+
+def test_check_error_is_recorded_not_raised():
+    # spinning GF(31)^3 is over the work budget: the minimal-ideal search raises
+    result = check_algebra(LieAlgebra.abelian(Field.gf(31), 3), [NILPOTENT])
+    [record] = result.check_errors
+    assert record["formation"] == "nilpotent"
+    assert record["algebra"] == {"field": "GF(31)", "dim": 3, "brackets": []}
+    assert record["detail"].startswith("BudgetExceededError: spinning over GF(31)")
+    assert not result.ok
+    assert result.to_dict()["check_errors"] == [record]
+    assert "check errors: 1" in sweep_summary_lines(result)
 
 
 def test_sweep_run_small():
