@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lieform import (
+    ChiefSeries,
     EnumerationBudget,
     FactorView,
     Field,
@@ -13,7 +14,6 @@ from lieform import (
     JacobiViolationError,
     LieAlgebra,
     Matrix,
-    ChiefSeries,
     NotADerivationError,
     NotNestedError,
     NotSolubleError,
