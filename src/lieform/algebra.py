@@ -2,12 +2,15 @@
 
 An algebra is a field, a dimension n, and the brackets [e_i, e_j] of basis
 pairs; everything else (series, centralisers, cores, quotients) is linear
-algebra over that table.  Instances are interned on (field, table), so
-while an algebra is interned, structurally equal algebras are the same
-object and share its cache of derived data.  That sharing is what keeps
-the exhaustive sweeps fast.  LieAlgebra.release drops one algebra's cache
-and intern entry once nothing later will ask for it again; a sweep
-releases each algebra of its top dimension after checking it.
+algebra over that table.  A bracket [e_k, v] with a basis vector is read
+off the table's rows by basis_brackets; bracket pairs two general vectors,
+for the derived series, subalgebra checks and subquotient tables.
+Instances are interned on (field, table), so while an algebra is
+interned, structurally equal algebras are the same object and share its
+cache of derived data.  That sharing is what keeps the exhaustive sweeps
+fast.  LieAlgebra.release drops one algebra's cache and intern entry once
+nothing later will ask for it again; a sweep releases each algebra of its
+top dimension after checking it.
 LieAlgebra.memo is the one per-algebra cache: every derived value (full
 space, series, centre, cores, quotients, derivations, chief series,
 the F-centrality of its chief factors, subalgebra listings,
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -43,7 +47,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .fields import Field, canonical_q, quote
-from .linalg import EchelonAccumulator, Subspace, gf2_pack, gf2_unpack, linear_combination, stabiliser
+from .linalg import Subspace, gf2_pack, gf2_unpack, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -249,9 +253,9 @@ class LieAlgebra:
             return tuple(v % p for v in out)
         return tuple(map(canonical_q, out))
 
-    # [v, e_k] = -[e_k, v] is minus the rows table[k] combined by v; the
-    # table-driven checks below read the table this way instead of
-    # bracketing standard vectors.
+    # [e_k, v] is the rows table[k] combined by v.  basis_brackets reads
+    # every bracket with a basis vector off the table this way, so the
+    # series, ideals, centralisers and cores below bracket no standard vector.
 
     def validate(self) -> None:
         """Check the Jacobi identity on all basis triples; raises on failure."""
@@ -273,17 +277,6 @@ class LieAlgebra:
     def span(self, vectors: Iterable[Sequence]) -> Subspace:
         return Subspace.span(self.field, self.dim, vectors)
 
-    def basis_vectors(self) -> list:
-        return list(self.full_space().basis)
-
-    def product_space(self, a: Subspace, b: Subspace) -> Subspace:
-        """Span of [a, b] over basis pairs."""
-        acc = EchelonAccumulator(self.field, self.dim)
-        for x in a.basis:
-            for y in b.basis:
-                acc.add(self.bracket(x, y))
-        return acc.to_subspace()
-
     def is_subalgebra(self, s: Subspace) -> bool:
         basis = s.basis
         for i in range(len(basis)):
@@ -293,11 +286,7 @@ class LieAlgebra:
         return True
 
     def is_ideal(self, s: Subspace) -> bool:
-        for x in self.basis_vectors():
-            for y in s.basis:
-                if not s.contains(self.bracket(x, y)):
-                    return False
-        return True
+        return all(s.contains(v) for row in self.basis_brackets(s.basis) for v in row)
 
     # Series and structural subspaces.  Results are cached per instance;
     # interning makes the cache shared across every appearance of the same
@@ -310,12 +299,12 @@ class LieAlgebra:
             cache[key] = compute()
         return cache[key]
 
-    def _series(self, key: str, left) -> list:
-        # s_0 = L, s_{t+1} = [left(s_t), s_t], until the terms stop shrinking
+    def _series(self, key: str, products) -> list:
+        # s_0 = L, s_{t+1} the span of products(basis of s_t), until the terms stop shrinking
         def compute():
             series = [self.full_space()]
             while not series[-1].is_zero():
-                nxt = self.product_space(left(series[-1]), series[-1])
+                nxt = self.span(products(series[-1].basis))
                 if nxt.dim == series[-1].dim:
                     break
                 series.append(nxt)
@@ -324,19 +313,22 @@ class LieAlgebra:
         return list(self.memo(key, compute))
 
     def derived_series(self) -> list:
-        return self._series("derived_series", lambda s: s)
+        # [s, s] is spanned by the brackets of the basis pairs i < j, by antisymmetry
+        return self._series(
+            "derived_series", lambda basis: (self.bracket(x, y) for x, y in combinations(basis, 2))
+        )
 
     def lower_central_series(self) -> list:
-        return self._series("lower_central_series", lambda s: self.full_space())
+        # [L, s] is spanned by the [e_k, y] over s's basis
+        return self._series(
+            "lower_central_series", lambda basis: (v for row in self.basis_brackets(basis) for v in row)
+        )
 
     def is_soluble(self) -> bool:
         return self.derived_series()[-1].is_zero()
 
     def is_nilpotent(self) -> bool:
         return self.lower_central_series()[-1].is_zero()
-
-    def is_abelian(self) -> bool:
-        return all(not any(vec) for row in self.table for vec in row)
 
     def derived_subalgebra(self) -> Subspace:
         series = self.derived_series()
@@ -359,10 +351,6 @@ class LieAlgebra:
     def centre(self) -> Subspace:
         return self.memo("centre", lambda: self.centralizer(self.full_space()))
 
-    def normalizer(self, s: Subspace) -> Subspace:
-        """{x : [x, s] <= s}; the idealiser of the subspace."""
-        return self.centralizer_of_factor(s, s)
-
     def core(self, s: Subspace) -> Subspace:
         """Largest ideal of the algebra contained in s.
 
@@ -374,13 +362,11 @@ class LieAlgebra:
         """
 
         def compute():
-            field, n, table = self.field, self.dim, self.table
             current = s
             while not current.is_zero():
-                images = [
-                    [linear_combination(field, b, row, n) for row in table] for b in current.basis
-                ]
-                nxt = current.combinations(stabiliser(field, images, current))
+                # images[j][k] = [e_k, b_j]: the basis brackets, one map per b_j
+                images = list(zip(*self.basis_brackets(current.basis)))
+                nxt = current.combinations(stabiliser(self.field, images, current))
                 if nxt.dim == current.dim:
                     break
                 current = nxt
@@ -520,6 +506,3 @@ class FactorView:
         vecs = [self.lift(v) for v in s.basis] + list(self.bottom.basis)
         return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
 
-    def action(self, x: Sequence) -> tuple:
-        """The rows of ad x on the factor: row i is the coordinates of [x, b_i]."""
-        return tuple(self.coords(self.algebra.bracket(x, row)) for row in self.space.basis)

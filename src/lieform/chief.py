@@ -101,15 +101,14 @@ def _spin(algebra: LieAlgebra, space: Subspace):
 
     Over GF(p), in a fixed order, after one budget check on the p^k vectors.
     """
-    field, n, table = algebra.field, algebra.dim, algebra.table
+    field, n = algebra.field, algebra.dim
     basis = space.basis
     check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
     for coeffs in product(range(field.p), repeat=len(basis)):
         if any(coeffs):
             vec = linear_combination(field, coeffs, basis, n)
             acc = EchelonAccumulator(field, n, (vec,))
-            # [e_k, v] is the rows table[k] combined by v
-            yield close(acc, lambda v: [linear_combination(field, v, row, n) for row in table])
+            yield close(acc, lambda v: [w for row in algebra.basis_brackets((v,)) for w in row])
 
 
 def _minimal_ideal_gfp(algebra: LieAlgebra) -> Subspace:
@@ -208,8 +207,8 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
         # ad(e_i) on the invariant subspace, in its canonical basis
         view = FactorView(algebra, space, algebra.zero_space())
         zero = Subspace.zero_space(field, view.dim)
-        for x in algebra.basis_vectors():
-            rows = [list(r) for r in view.action(x)]
+        for images in algebra.basis_brackets(space.basis):
+            rows = [list(view.coords(v)) for v in images]
             if _is_scalar(rows):
                 continue
             branches = []

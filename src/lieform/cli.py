@@ -67,11 +67,9 @@ from .sweep import FAILURE_KINDS, SweepConfig, sweep_run, sweep_summary_lines
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_PARSE = 2
-EXIT_INTRAVARIANCE = 3
-EXIT_COVER_AVOID = 4
-EXIT_CRITERIA_DISAGREE = 5
-EXIT_NO_DESCENT = 6
 EXIT_BROKEN_PIPE = 141
+# codes 3-7, one per failure kind, are held in sweep.FAILURE_KINDS
+KIND_EXITS = {attr: code for attr, _, code in FAILURE_KINDS}
 
 
 def _read_json(path: str):
@@ -156,9 +154,9 @@ def _analysis_exit(data: dict) -> int:
     for section in data.get("formations", {}).values():
         for entry in section.get("normalisers", []):
             if not (entry["intravariant_linear"] and entry["intravariant_extension"]):
-                return EXIT_INTRAVARIANCE
+                return KIND_EXITS["intravariance_failures"]
             if entry.get("cover_avoid_ok") is False:
-                worst = EXIT_COVER_AVOID
+                worst = KIND_EXITS["cover_avoid_failures"]
     return worst
 
 
@@ -270,7 +268,7 @@ def cmd_check_intravariance(args) -> int:
             % ("yes" if reproduced else "no")
         )
     _emit(args, payload, lines)
-    return EXIT_OK if ok else EXIT_INTRAVARIANCE
+    return EXIT_OK if ok else KIND_EXITS["intravariance_failures"]
 
 
 def _chain_failure(args, steps, reason: str) -> int:
@@ -462,10 +460,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_PARSE
     except CriteriaDisagreeError as exc:
         print("criteria disagree: %s" % exc, file=sys.stderr)
-        return EXIT_CRITERIA_DISAGREE
+        return KIND_EXITS["criteria_disagreements"]
     except NoCriticalDescentError as exc:
         print("no critical descent: %s" % exc, file=sys.stderr)
-        return EXIT_NO_DESCENT
+        return KIND_EXITS["descent_failures"]
     except LieformError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INVALID

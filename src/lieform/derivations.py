@@ -65,9 +65,6 @@ class Derivation:
     def __repr__(self) -> str:
         return "Derivation(dim %d algebra)" % self.parent.dim
 
-    def flatten(self) -> tuple:
-        return tuple(x for row in self.matrix.rows for x in row)
-
 
 def _unflatten(field: Field, vec: Sequence, n: int) -> Matrix:
     return Matrix(field, [vec[i * n : (i + 1) * n] for i in range(n)], ncols=n)
@@ -89,10 +86,6 @@ class DerivationAlgebra:
     @property
     def dim(self) -> int:
         return self.subspace.dim
-
-    def contains(self, d) -> bool:
-        flat = d.flatten() if isinstance(d, Derivation) else tuple(x for row in d.rows for x in row)
-        return self.subspace.contains(flat)
 
     def __repr__(self) -> str:
         return "DerivationAlgebra(dim %d over %s)" % (self.dim, self.parent.field)

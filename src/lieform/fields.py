@@ -83,14 +83,6 @@ class Field:
         self.p = p
 
     @staticmethod
-    def rationals() -> "Field":
-        return _Q
-
-    @staticmethod
-    def gf(p: int) -> "Field":
-        return Field(p)
-
-    @staticmethod
     def from_string(text: str) -> "Field":
         text = text.strip()
         if text == "Q":

@@ -151,8 +151,9 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
     field, n, h = algebra.field, algebra.dim, factor.dim
     top = factor.top
     free = [c for c in range(n) if c not in top.pivots]
-    unit = algebra.basis_vectors()
-    actions = [factor.action(unit[c]) for c in free]
+    # row i of actions[j] is the coordinates of [e_c, b_i] for c = free[j]
+    images = algebra.basis_brackets(factor.space.basis)
+    actions = [[factor.coords(v) for v in images[c]] for c in free]
     m = len(free) * h
     equations = []
     for j, k in combinations(range(len(free)), 2):
@@ -204,7 +205,7 @@ def maximal_subalgebras(algebra: LieAlgebra) -> list:
             sum(field.p ** len(homogeneous) for *_, homogeneous in systems),
             "listing chief-factor complements over %s in dimension %d" % (field, n),
         )
-        unit = algebra.basis_vectors()
+        unit = algebra.full_space().basis
         found = []
         for factor, free, particular, homogeneous in systems:
             h, basis = factor.dim, list(factor.space.basis)

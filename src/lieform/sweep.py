@@ -165,6 +165,7 @@ def check_algebra(algebra: LieAlgebra, formations: Iterable[Formation]) -> Sweep
 
 def _check_formation(algebra: LieAlgebra, formation: Formation, result: SweepResult) -> None:
     """Every sweep check of one formation on one algebra, its failures added to result."""
+    recorded = len(result.criteria_disagreements)
     for maximal in maximal_subalgebras(algebra):
         try:
             classify_maximal(algebra, maximal, formation)
@@ -182,8 +183,13 @@ def _check_formation(algebra: LieAlgebra, formation: Formation, result: SweepRes
         record["detail"] = str(exc)
         result.descent_failures.append(record)
         return
-    except CriteriaDisagreeError:
-        # already recorded above through the classification pass
+    except CriteriaDisagreeError as exc:
+        # the descent also classifies the maximals of restricted algebras,
+        # which the pass above does not reach
+        if len(result.criteria_disagreements) == recorded:
+            record = _base_record(algebra, formation)
+            record["detail"] = "in the normaliser descent: %s" % exc
+            result.criteria_disagreements.append(record)
         return
 
     for subspace, chain in normalisers:

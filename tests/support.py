@@ -68,11 +68,16 @@ def split_extension(ideal, acting, actions):
     return LieAlgebra(field, m + a, brackets, validate=True)
 
 
+def action(factor, x):
+    """The rows of ad x on a factor: row i is the coordinates of [x, b_i]."""
+    return tuple(factor.coords(factor.algebra.bracket(x, b)) for b in factor.space.basis)
+
+
 def split_extension_central(algebra, factor, formation):
     """F-centrality by definition: the factor split-extended by L over its centraliser lies in F."""
     cent = algebra.centralizer_of_factor(factor.top, factor.bottom)
     quo, qmap = algebra.quotient(cent)
-    actions = [factor.action(qmap.lift(x)) for x in quo.basis_vectors()]
+    actions = [action(factor, qmap.lift(x)) for x in quo.full_space().basis]
     abelian = LieAlgebra.abelian(algebra.field, factor.dim)
     return formation.contains(split_extension(abelian, quo, actions))
 
@@ -145,6 +150,48 @@ def classify_directly(series, maximal, formation):
     return MaximalClassification(core_verdict, complemented)
 
 
+def naive_bracket(algebra, x, y):
+    """The sum of x_i y_j [e_i, e_j] over every basis pair, in exact rationals, reduced mod p over GF(p)."""
+    n, p = algebra.dim, algebra.field.p
+    out = [
+        sum(Fraction(x[i]) * y[j] * algebra.table[i][j][k] for i in range(n) for j in range(n))
+        for k in range(n)
+    ]
+    return tuple(out) if p is None else tuple(int(v) % p for v in out)
+
+
+def product_space(algebra, a, b):
+    """The span of [x, y] over every pair of basis vectors of a and b."""
+    return algebra.span(algebra.bracket(x, y) for x in a.basis for y in b.basis)
+
+
+def series_by_pairs(algebra, lower_central):
+    """The derived or lower central series from all-pairs product spaces, down to where it stops shrinking."""
+    series = [algebra.full_space()]
+    while not series[-1].is_zero():
+        left = algebra.full_space() if lower_central else series[-1]
+        term = product_space(algebra, left, series[-1])
+        if term.dim == series[-1].dim:
+            break
+        series.append(term)
+    return series
+
+
+def is_ideal_by_pairs(algebra, s):
+    """[e_k, y] lies in s for every standard vector e_k and every basis vector y of s."""
+    return all(s.contains(algebra.bracket(e, y)) for e in algebra.full_space().basis for y in s.basis)
+
+
+def is_abelian(algebra):
+    """Every entry of the structure-constant table is zero."""
+    return not any(any(vec) for row in algebra.table for vec in row)
+
+
+def flatten(rows):
+    """A matrix's rows concatenated, row-major, as a vector of F^(n^2)."""
+    return tuple(x for row in rows for x in row)
+
+
 def nilradical_by_centralisers(series):
     """The meet of the centralisers of every factor of a chief series."""
     algebra = series.algebra
@@ -208,10 +255,17 @@ def stabilizing_derivations(der, subalgebra):
     return der.subspace & Subspace.span(field, n * n, null_space(equations, field, ncols=n * n))
 
 
+def both_universes():
+    """The acceptance universes: GF(2) up to dimension 4 (cap 200, seed 1) and GF(3) up to dimension 3."""
+    gf2 = enumerate_soluble(EnumerationBudget(max_dim=4, field=Field(2), per_step_cap=200, seed=1))
+    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=Field(3)))
+    return list(gf2) + list(gf3)
+
+
 def small_streams():
     """GF(2) up to dimension 4 (cap 60, seed 1) and GF(3) up to dimension 3, as one list."""
-    gf2 = enumerate_soluble(EnumerationBudget(max_dim=4, field=Field.gf(2), per_step_cap=60, seed=1))
-    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=Field.gf(3)))
+    gf2 = enumerate_soluble(EnumerationBudget(max_dim=4, field=Field(2), per_step_cap=60, seed=1))
+    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=Field(3)))
     return list(gf2) + list(gf3)
 
 

@@ -37,14 +37,14 @@ from lieform import (
     sweep_run,
 )
 from support import (
-    brute_force_derivations, brute_force_maximals, h3, is_f_projector, minimal_ideals_exhaustive,
-    r2, split_extension_central,
+    both_universes, brute_force_derivations, brute_force_maximals, h3, is_f_projector,
+    minimal_ideals_exhaustive, r2, split_extension_central,
 )
 
-F2 = Field.gf(2)
-F3 = Field.gf(3)
-F5 = Field.gf(5)
-Q = Field.rationals()
+F2 = Field(2)
+F3 = Field(3)
+F5 = Field(5)
+Q = Field.from_string("Q")
 
 RUNTIME_BUDGET_SECONDS = 600.0
 
@@ -73,14 +73,6 @@ def sweep_gf3():
 
 def small_universe():
     return list(enumerate_soluble(EnumerationBudget(max_dim=3, field=F2)))
-
-
-def both_universes():
-    gf2 = enumerate_soluble(
-        EnumerationBudget(max_dim=4, field=F2, per_step_cap=200, seed=1)
-    )
-    gf3 = enumerate_soluble(EnumerationBudget(max_dim=3, field=F3))
-    return list(gf2) + list(gf3)
 
 
 def oracle_universes():

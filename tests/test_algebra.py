@@ -1,6 +1,7 @@
 """Structure constants, brackets, series, and subspace operations."""
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,11 +18,30 @@ from lieform import (
     NotASubalgebraError,
     ParseError,
     Subspace,
+    maximal_subalgebras,
 )
 from lieform.linalg import linear_combination
-from support import abelian, algebra, h3, r2, r2_plus_line, small_streams
+from support import (
+    abelian,
+    algebra,
+    both_universes,
+    gf2_rotation_sum,
+    gf3_rotation,
+    h3,
+    is_abelian,
+    is_ideal_by_pairs,
+    is_q_payload,
+    naive_bracket,
+    product_space,
+    r2,
+    r2_plus_line,
+    rotation,
+    rotation_plus_centre,
+    series_by_pairs,
+    small_streams,
+)
 
-F3 = Field.gf(3)
+F3 = Field(3)
 
 
 def test_from_dict_rejects():
@@ -80,7 +100,7 @@ def test_rejected_table_is_not_interned():
 
 def _diagonal_gf7():
     # e1 acts on e2, e3 with eigenvalues 1 and 3: a table no other test builds
-    return LieAlgebra(Field.gf(7), 3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 3)})
+    return LieAlgebra(Field(7), 3, {(0, 1): (0, 1, 0), (0, 2): (0, 0, 3)})
 
 
 def _derived_data(a):
@@ -129,6 +149,59 @@ def test_bracket_table_and_antisymmetry():
     assert a.bracket(y, y) == (0, 0)
 
 
+def _scaled_q():
+    # e1 scales e2 by 1/2 and e3 by -3/2: structure constants that are not integers
+    return LieAlgebra(
+        Field.from_string("Q"), 3, {(0, 1): (0, Fraction(1, 2), 0), (0, 2): (0, 0, Fraction(-3, 2))}
+    )
+
+
+# Each field's fixtures with payloads that are not canonical: GF(2) entries
+# 3 and -1, GF(3) entries outside 0..2, Q entries Fraction(k, 1)
+NAIVE_BRACKET_CASES = [
+    pytest.param(lambda: [h3("GF(2)"), gf2_rotation_sum()], st.sampled_from([0, 1, 3, -1]), id="GF(2)"),
+    pytest.param(lambda: [h3(), gf3_rotation()], st.integers(min_value=-4, max_value=4), id="GF(3)"),
+    pytest.param(
+        lambda: [h3("Q"), rotation_plus_centre(), _scaled_q()],
+        st.one_of(
+            st.integers(min_value=-3, max_value=3),
+            st.integers(min_value=-3, max_value=3).map(lambda k: Fraction(k, 1)),
+            st.fractions(min_value=-2, max_value=2, max_denominator=4),
+        ),
+        id="Q",
+    ),
+]
+
+
+@pytest.mark.parametrize("algebras, scalars", NAIVE_BRACKET_CASES)
+@given(data=st.data())
+def test_bracket_matches_the_naive_sum(algebras, scalars, data):
+    for a in algebras():
+        x, y = (data.draw(st.tuples(*[scalars] * a.dim)) for _ in range(2))
+        got = a.bracket(x, y)
+        assert got == naive_bracket(a, x, y)
+        if a.field.p is None:
+            assert all(map(is_q_payload, got))
+        else:
+            assert all(type(v) is int and 0 <= v < a.field.p for v in got)
+
+
+def test_series_and_ideals_match_the_all_pairs_oracles():
+    verdicts = set()
+    for a in both_universes() + [r2("Q"), h3("Q"), rotation(), rotation_plus_centre(), _scaled_q()]:
+        assert a.derived_series() == series_by_pairs(a, lower_central=False)
+        assert a.lower_central_series() == series_by_pairs(a, lower_central=True)
+        lines = [a.span([e]) for e in a.full_space().basis]
+        candidates = a.derived_series() + a.lower_central_series() + lines + [a.centre()]
+        if a.field.p is not None:
+            candidates += maximal_subalgebras(a)
+        for s in candidates:
+            verdict = a.is_ideal(s)
+            assert verdict == is_ideal_by_pairs(a, s)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 vec3 = st.tuples(*[st.integers(min_value=0, max_value=2)] * 3)
 
 
@@ -150,7 +223,7 @@ def test_bracket_bilinear(u, v, c):
 def test_basis_brackets_match_bracket(y):
     a = h3()
     images = a.basis_brackets([y])
-    assert [row[0] for row in images] == [a.bracket(e, y) for e in a.basis_vectors()]
+    assert [row[0] for row in images] == [a.bracket(e, y) for e in a.full_space().basis]
 
 
 def test_series_fixtures():
@@ -166,7 +239,7 @@ def test_series_fixtures():
 
     c = abelian("GF(2)", 3)
     assert [s.dim for s in c.derived_series()] == [3, 0]
-    assert c.is_abelian()
+    assert is_abelian(c)
 
 
 def test_centre_centralizer_normalizer():
@@ -174,10 +247,10 @@ def test_centre_centralizer_normalizer():
     assert b.centre() == Subspace.span(F3, 3, [(0, 0, 1)])
     e1 = Subspace.span(F3, 3, [(1, 0, 0)])
     # [e2, e1] = -e3 lands in the centre, outside span{e1}
-    assert b.normalizer(e1) == Subspace.span(F3, 3, [(1, 0, 0), (0, 0, 1)])
+    assert b.centralizer_of_factor(e1, e1) == Subspace.span(F3, 3, [(1, 0, 0), (0, 0, 1)])
     a = r2()
     x = Subspace.span(F3, 2, [(1, 0)])
-    assert a.normalizer(x) == x
+    assert a.centralizer_of_factor(x, x) == x
     assert a.centralizer(a.full_space()) == Subspace.zero_space(F3, 2)
 
 
@@ -233,7 +306,7 @@ def test_quotient():
     a = r2()
     y = Subspace.span(F3, 2, [(0, 1)])
     q, qmap = a.quotient(y)
-    assert q.dim == 1 and q.is_abelian()
+    assert q.dim == 1 and is_abelian(q)
     with pytest.raises(NotAnIdealError):
         a.quotient(Subspace.span(F3, 2, [(1, 0)]))
 
@@ -266,7 +339,7 @@ def test_quotient_section():
 
 def test_product_space_and_ideals():
     a = r2()
-    assert a.product_space(a.full_space(), a.full_space()) == Subspace.span(F3, 2, [(0, 1)])
+    assert product_space(a, a.full_space(), a.full_space()) == Subspace.span(F3, 2, [(0, 1)])
     assert a.is_ideal(Subspace.span(F3, 2, [(0, 1)]))
     assert not a.is_ideal(Subspace.span(F3, 2, [(1, 0)]))
     assert a.is_subalgebra(Subspace.span(F3, 2, [(1, 0)]))

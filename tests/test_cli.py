@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from lieform import extension_defect
-from lieform import sweep
+from lieform import CriteriaDisagreeError, LieAlgebra, extension_defect
+from lieform import formations, sweep
 from lieform.algebra import MAX_DIM
 from lieform.cli import main
 from lieform.derivations import derivation_matrix_strings
@@ -500,6 +500,34 @@ def test_sweep_records_a_raising_check_and_goes_on(capsys, monkeypatch):
     assert code == 7
     assert "check errors: 2" in out.splitlines()
     assert sum(line.startswith("check error: {") for line in out.splitlines()) == 2
+
+
+def test_sweep_records_a_disagreement_inside_the_descent(capsys, monkeypatch):
+    # the planted disagreement hits only the maximals of restricted algebras,
+    # classified by the normaliser descent and never by the sweep's own pass
+    monkeypatch.delenv("LIEFORM_THREADS", raising=False)
+    # a fresh intern table, so no verdict an earlier test cached hides it
+    monkeypatch.setattr(LieAlgebra, "_interned", {})
+    classify = formations._classify_maximal
+
+    def planted(algebra, maximal, formation):
+        frame, descents = sys._getframe(), 0
+        while frame is not None:
+            descents += frame.f_code.co_name == "_f_normalisers"
+            frame = frame.f_back
+        if descents >= 2:
+            raise CriteriaDisagreeError("planted")
+        return classify(algebra, maximal, formation)
+
+    monkeypatch.setattr(formations, "_classify_maximal", planted)
+    argv = ["sweep", "--field", "GF(2)", "--max-dim", "3", "--formation", "nilpotent", "--json"]
+    code, out, _ = run(capsys, argv)
+    assert code == 5
+    payload = json.loads(out)
+    assert not payload["ok"]
+    records = payload["criteria_disagreements"]
+    assert records
+    assert {r["detail"] for r in records} == {"in the normaliser descent: planted"}
 
 
 def test_sweep_text_mode(capsys):

@@ -18,10 +18,10 @@ from lieform import (
 )
 from lieform.enumeration import check_enumerable
 from lieform.linalg import WORK_BUDGET
-from support import abelian, h3, minimal_ideals_exhaustive, r2
+from support import abelian, h3, minimal_ideals_exhaustive, product_space, r2
 
-F2 = Field.gf(2)
-F3 = Field.gf(3)
+F2 = Field(2)
+F3 = Field(3)
 
 
 def test_budget_validation():
@@ -30,7 +30,7 @@ def test_budget_validation():
     with pytest.raises(ParseError):
         EnumerationBudget(max_dim="3", field=F2)
     with pytest.raises(UnsupportedFieldError):
-        EnumerationBudget(max_dim=2, field=Field.rationals())
+        EnumerationBudget(max_dim=2, field=Field.from_string("Q"))
     with pytest.raises(ParseError):
         EnumerationBudget(max_dim=2, field=F2, per_step_cap=0)
 
@@ -102,7 +102,7 @@ def test_enumerate_subalgebras_r2():
     by_hand = [
         s
         for s in enumerate_subspaces(F3, 2)
-        if a.product_space(s, s) <= s
+        if product_space(a, s, s) <= s
     ]
     assert subs == by_hand
     # zero, four lines, the plane
@@ -136,7 +136,7 @@ def test_enumeration_guards():
 
 def test_work_budget_refuses_large_fields_up_front():
     # GF(101)^5 has about 2.1e12 subspaces: refused before any is scanned
-    f101 = Field.gf(101)
+    f101 = Field(101)
     big = LieAlgebra(f101, 5, {(0, 1): (0, 1, 0, 0, 0)})
     assert gaussian_binomial(5, 2, 101) > 10**9
     with pytest.raises(BudgetExceededError):

@@ -9,14 +9,14 @@ from hypothesis import given, strategies as st
 from lieform import Field, FieldMismatchError, ParseError
 from support import is_q_payload
 
-Q = Field.rationals()
-F5 = Field.gf(5)
+Q = Field.from_string("Q")
+F5 = Field(5)
 
 
 def test_from_string():
     assert Field.from_string("Q") == Q
-    assert Field.from_string("GF(7)") == Field.gf(7)
-    assert str(Field.gf(2)) == "GF(2)"
+    assert Field.from_string("GF(7)") == Field(7)
+    assert str(Field(2)) == "GF(2)"
     assert str(Q) == "Q"
 
 
@@ -28,7 +28,7 @@ def test_from_string_rejects(bad):
 
 def test_gf_requires_prime():
     with pytest.raises(ParseError):
-        Field.gf(6)
+        Field(6)
 
 
 def test_parse_grammar():

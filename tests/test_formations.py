@@ -34,8 +34,8 @@ from support import (
     rotation, small_streams,
 )
 
-F2 = Field.gf(2)
-F3 = Field.gf(3)
+F2 = Field(2)
+F3 = Field(3)
 
 
 def test_formation_lookup():
@@ -264,7 +264,7 @@ def test_is_f_projector_fixtures():
 def test_centrality_consistent_across_series():
     """Multiset of (dim, central) pairs matches on an independent series."""
     for p in (2, 3):
-        budget = EnumerationBudget(max_dim=3, field=Field.gf(p))
+        budget = EnumerationBudget(max_dim=3, field=Field(p))
         for a in enumerate_soluble(budget):
             for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):
                 first = sorted(
@@ -281,7 +281,7 @@ def test_centrality_consistent_across_series():
 def test_classification_with_supersoluble_dim3():
     """All three formations classify without criteria disagreement."""
     for p in (2, 3):
-        budget = EnumerationBudget(max_dim=3, field=Field.gf(p))
+        budget = EnumerationBudget(max_dim=3, field=Field(p))
         for a in enumerate_soluble(budget):
             for m in maximal_subalgebras(a):
                 for formation in (NILPOTENT, SUPERSOLUBLE, ALL_SOLUBLE):

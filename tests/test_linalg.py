@@ -22,9 +22,9 @@ from support import (
     gf2_rotation_sum, gf3_rotation, h3, is_q_payload, naive_null_space, naive_rref, r2_plus_line,
 )
 
-Q = Field.rationals()
-F2 = Field.gf(2)
-F3 = Field.gf(3)
+Q = Field.from_string("Q")
+F2 = Field(2)
+F3 = Field(3)
 
 
 def q_matrix(draw_rows):
@@ -226,7 +226,7 @@ def test_stabiliser_matches_transposed_left_kernel():
     # the one-pass stabiliser against the left kernel of the reduced images
     # by transpose + null_space, spanned: 3,000 random cases
     rng = random.Random(2029)
-    for field in (F2, F3, Field.gf(5), Q):
+    for field in (F2, F3, Field(5), Q):
         def vec(n):
             if field.p is None:
                 return [Q.parse("%d/%d" % (rng.randint(-3, 3), rng.randint(1, 3))) for _ in range(n)]
@@ -278,7 +278,7 @@ def test_wrong_length_vector_refused(field):
 def test_finite_field_kernel_matches_naive_oracle(p):
     # entries -3..5 and bools, reduced by nothing before the call: GF(2) runs
     # the packed kernel, GF(3) the tuple kernel, against one textbook oracle
-    field = Field.gf(p)
+    field = Field(p)
     rng = random.Random(2030 + p)
     ranks_seen = set()
     for _ in range(400):

@@ -31,7 +31,7 @@ def test_check_algebra_counts():
 
 def test_check_error_is_recorded_not_raised():
     # spinning GF(31)^3 is over the work budget: the minimal-ideal search raises
-    result = check_algebra(LieAlgebra.abelian(Field.gf(31), 3), [NILPOTENT])
+    result = check_algebra(LieAlgebra.abelian(Field(31), 3), [NILPOTENT])
     [record] = result.check_errors
     assert record["formation"] == "nilpotent"
     assert record["algebra"] == {"field": "GF(31)", "dim": 3, "brackets": []}

@@ -1,12 +1,14 @@
 """Every name a library module imports is used in that module.
 
 The package's __init__ is exempt: its imports are the public re-exports.
-Those re-exports must in turn be used outside the tests, so a helper that
-only tests call lives in tests/support.py rather than in the library.
+Those re-exports, and the public methods and properties of the exported
+classes, must in turn be used outside the tests, so a helper that only
+tests call lives in tests/support.py rather than in the library.
 """
 
 import ast
 import os
+import types
 
 import pytest
 
@@ -59,10 +61,24 @@ def test_no_unused_imports(module):
     assert unused == [], "%s imports names it never uses: %s" % (module, unused)
 
 
+def public_members(cls):
+    """The public methods and properties a class defines itself."""
+    kinds = (types.FunctionType, property, staticmethod, classmethod)
+    return [
+        name for name, value in vars(cls).items() if not name.startswith("_") and isinstance(value, kinds)
+    ]
+
+
 def test_every_export_is_used_outside_the_tests():
-    # a library module counts when it reads the name; a bench/ or tools/
-    # script also when it names it in a string, as the tracer names the
-    # functions it wraps
+    """Each export, and each public method or property of an exported class, has a user outside the tests.
+
+    A library module uses an export when it reads the name, and a method
+    or property when it reads it as an attribute.  A bench/ or tools/
+    script uses either when it names it at all, in a string too, as the
+    tracer names the functions it wraps.  A method is matched by its
+    attribute name alone, so a name two classes share counts as used for
+    both: DerivationAlgebra.contains would pass through Subspace.contains.
+    """
     library = [(os.path.join(PACKAGE, module), False) for module in MODULES]
     scripts = [
         (os.path.join(REPO, folder, name), True)
@@ -70,14 +86,28 @@ def test_every_export_is_used_outside_the_tests():
         for name in sorted(os.listdir(os.path.join(REPO, folder)))
         if name.endswith(".py")
     ]
-    used = set()
-    for path, strings in library + scripts:
+    used, attributes = set(), set()
+    for path, script in library + scripts:
         for node in ast.walk(parse(path)):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                name = node.id
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                used.add(node.value)
+                name = node.attr
+                attributes.add(name)
+            elif script and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                name = node.value
+            else:
+                continue
+            used.add(name)
+            if script:
+                attributes.add(name)
     unused = sorted(set(lieform.__all__) - used)
+    exported = [getattr(lieform, name) for name in lieform.__all__]
+    classes = [x for x in exported if isinstance(x, type) and not issubclass(x, Exception)]
+    unused += sorted(
+        "%s.%s" % (cls.__name__, member)
+        for cls in classes
+        for member in public_members(cls)
+        if member not in attributes
+    )
     assert unused == [], "exported but used only by tests: %s" % unused
