@@ -2,9 +2,10 @@
 
 An algebra is a field, a dimension n, and the brackets [e_i, e_j] of basis
 pairs; everything else (series, centralisers, cores, quotients) is linear
-algebra over that table.  A bracket [e_k, v] with a basis vector is read
-off the table's rows by basis_brackets; bracket pairs two general vectors,
-for the derived series, subalgebra checks and subquotient tables.
+algebra over that table.  A bracket [e_k, v] with a basis vector is the
+rows table[k] combined by v: basis_brackets reads it for every e_k, and
+formations._complement_space only for the e_k it needs.  bracket pairs two
+general vectors as one linear_combination of table entries.
 Instances are interned on (field, table), so while an algebra is
 interned, structurally equal algebras are the same object and share its
 cache of derived data.  That sharing is what keeps the exhaustive sweeps
@@ -47,7 +48,7 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .fields import Field, canonical_q, quote
-from .linalg import Subspace, gf2_pack, gf2_unpack, linear_combination, stabiliser
+from .linalg import Subspace, linear_combination, stabiliser
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -220,38 +221,15 @@ class LieAlgebra:
     # Bracket and validation
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
-        """[x, y] in coordinates."""
+        """[x, y] in coordinates: the entries [e_i, e_j] summed with coefficients x_i y_j."""
         n = self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vectors must have length %d" % n)
-        p = self.field.p
-        table = self.table
-        if p == 2:
-            # XOR the packed table entries of the pairs with both coordinates odd
-            packed = 0
-            for i, xi in enumerate(x):
-                if xi % 2:
-                    ti = table[i]
-                    for j, yj in enumerate(y):
-                        if yj % 2:
-                            packed ^= gf2_pack(ti[j])
-            return gf2_unpack(packed, n)
-        out = [0] * n
-        for i, xi in enumerate(x):
-            if not xi:
-                continue
-            ti = table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                c = xi * yj
-                row = ti[j]
-                for k, rk in enumerate(row):
-                    if rk:
-                        out[k] += c * rk
-        if p is not None:
-            return tuple(v % p for v in out)
-        return tuple(map(canonical_q, out))
+        # only the pairs with x_i and y_j both nonzero contribute
+        live = [(j, yj) for j, yj in enumerate(y) if yj]
+        coeffs = [xi * yj for xi in x if xi for _, yj in live]
+        rows = [ti[j] for xi, ti in zip(x, self.table) if xi for j, _ in live]
+        return linear_combination(self.field, coeffs, rows, n)
 
     # [e_k, v] is the rows table[k] combined by v.  basis_brackets reads
     # every bracket with a basis vector off the table this way, so the

@@ -36,7 +36,7 @@ from .errors import (
     UnsupportedFieldError,
     ZeroAlgebraError,
 )
-from .fields import canonical_q
+from .fields import Field, canonical_q
 from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination, stabiliser
 
 
@@ -119,14 +119,14 @@ def _minimal_ideal_gfp(algebra: LieAlgebra) -> Subspace:
     return closures[min(closures)]
 
 
-def _char_poly(rows: list) -> list:
+def _char_poly(field: Field, rows: list) -> list:
     """Monic characteristic polynomial coefficients [1, c1, ..., ck] of a rational matrix.
 
     Faddeev-LeVerrier; the coefficients are exact Q payloads.
     """
     k = len(rows)
     coeffs = [1]
-    m = [row[:] for row in rows]
+    m = [list(row) for row in rows]
     for step in range(1, k + 1):
         tr = sum(m[i][i] for i in range(k))
         c = canonical_q(Fraction(-tr, step))
@@ -135,10 +135,8 @@ def _char_poly(rows: list) -> list:
             break
         for i in range(k):
             m[i][i] += c
-        m = [
-            [sum(rows[i][t] * m[t][j] for t in range(k)) for j in range(k)]
-            for i in range(k)
-        ]
+        # row i of rows * m is the rows of m combined by row i
+        m = [list(linear_combination(field, row, m, k)) for row in rows]
     return coeffs
 
 
@@ -212,7 +210,7 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
             if _is_scalar(rows):
                 continue
             branches = []
-            for lam in _rational_roots(_char_poly(rows)):
+            for lam in _rational_roots(_char_poly(field, rows)):
                 # the left eigenvectors: the combinations of the rows of
                 # ad(x) - lam that vanish
                 shifted = [

@@ -30,7 +30,7 @@ from typing import Sequence
 from .algebra import LieAlgebra, leibniz_defect
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import EchelonAccumulator, Matrix, Subspace, null_space, stabiliser
+from .linalg import EchelonAccumulator, Matrix, Subspace, linear_combination, null_space, stabiliser
 
 
 class Derivation:
@@ -50,7 +50,10 @@ class Derivation:
         self.matrix = matrix
 
     def __call__(self, vec: Sequence) -> tuple:
-        return self.matrix.act(vec)
+        rows = self.matrix.rows
+        if len(vec) != len(rows):
+            raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), len(rows)))
+        return linear_combination(self.parent.field, vec, rows, self.parent.dim)
 
     def __eq__(self, other) -> bool:
         return (
@@ -176,9 +179,7 @@ def _extension_residuals(algebra: LieAlgebra, subalgebra: Subspace, derivations)
     def flat(images):
         return [x for v in images for x in subalgebra.reduce(v)]
 
-    span = EchelonAccumulator(
-        algebra.field, algebra.dim * len(basis), map(flat, algebra.basis_brackets(basis))
-    )
+    span = Subspace.span(algebra.field, algebra.dim * len(basis), map(flat, algebra.basis_brackets(basis)))
     for d in derivations:
         yield span.reduce(flat(d(u) for u in basis))
 

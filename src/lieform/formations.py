@@ -151,9 +151,9 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
     field, n, h = algebra.field, algebra.dim, factor.dim
     top = factor.top
     free = [c for c in range(n) if c not in top.pivots]
-    # row i of actions[j] is the coordinates of [e_c, b_i] for c = free[j]
-    images = algebra.basis_brackets(factor.space.basis)
-    actions = [[factor.coords(v) for v in images[c]] for c in free]
+    # row i of actions[j] is the coordinates of [e_c, b_i], table[c] combined by b_i, c = free[j]
+    images = [[linear_combination(field, b, algebra.table[c], n) for b in factor.space.basis] for c in free]
+    actions = [[factor.coords(v) for v in row] for row in images]
     m = len(free) * h
     equations = []
     for j, k in combinations(range(len(free)), 2):
@@ -162,7 +162,7 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
         # A/B part is delta applied to its C part, w's residual mod A.
         w = algebra.table[free[j]][free[k]]
         part = top.reduce(w)
-        constant = factor.coords(tuple(map(field.sub, w, part)))
+        constant = factor.coords(linear_combination(field, (1, -1), (w, part), n))
         for s in range(h):
             row = [field.zero()] * (m + 1)
             for i in range(h):

@@ -7,11 +7,12 @@ record of such rows that a derivation stores.  Subspaces keep a canonical
 reduced-row-echelon basis, which makes equality, hashing and deduplication
 exact.
 
-Row reduction clears the pivot columns of a vector against echelon rows,
-through one kernel per representation: _eliminate on tuples, over Q, GF(p)
-for p > 2 and GF(2) coordinates, and _xor_reduce on packed rows over GF(2)
-otherwise.  RREF, membership, coordinates and incremental spans are built
-on them, and linear_combination is the one place vectors are summed.
+Each vector job has one kernel per representation.  Row reduction clears
+the pivot columns of a vector against echelon rows: _eliminate on tuples
+over Q and GF(p) for p > 2, _xor_reduce on packed rows over GF(2).  RREF,
+membership and incremental spans are built on them, coordinates in an RREF
+basis are read at its pivots, and linear_combination is the one place
+vectors are summed, brackets and derivation actions included.
 stabiliser is the one "which combination of these maps sends a basis
 into B" kernel, behind centralisers, normalisers, cores, intersections and
 stabilising derivations.  It takes one echelon pass over the rows [reduced
@@ -27,11 +28,11 @@ for a zero.  Over GF(2) the kernel holds a vector as one integer with a
 byte per coordinate, the first coordinate most significant (gf2_pack):
 adding two rows is one XOR, and a row's leading coordinate is its highest
 set bit.  EchelonAccumulator keeps its rows packed and a Subspace its
-basis, packed on first use; linear_combination and LieAlgebra.bracket XOR
-packed rows too.  Entries are reduced mod 2 as they are packed, and
-results are unpacked to tuples.  Each primitive branches on the field
-once, outside its loop, because the verification sweeps spend most of
-their time here.
+basis, packed on first use; linear_combination XORs packed rows too.  The
+packed form never leaves this module: entries are reduced mod 2 as they are
+packed, and results are unpacked to tuples.  Each primitive branches on the
+field once, outside its loop, because the verification sweeps spend most
+of their time here.
 """
 
 from __future__ import annotations
@@ -85,21 +86,18 @@ def _check_length(vec: Sequence, n: int) -> None:
         raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), n))
 
 
-def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
-    """Clear the pivot columns of vec with the matching echelon rows.
+def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
+    """The residual of vec with its pivot columns cleared by the matching echelon rows.
 
-    Returns (residual, coefficients): the residual is zero exactly when vec
-    lies in the span of the rows, and then vec is the sum of coefficient
-    times row.  p is the field characteristic, None over Q.  Over GF(2)
-    only Subspace.coordinates uses it, where packing first does not pay.
+    The residual is zero exactly when vec lies in the span of the rows.  p
+    is the field characteristic, None over Q; GF(2) never comes here, it
+    has _xor_reduce.
     """
-    coeffs = []
     if p is None:
         # a caller's Fraction(k, 1) becomes k here, so every output keeps the contract
         v = list(map(canonical_q, vec))
         for row, c in zip(rows, pivots):
             f = v[c]
-            coeffs.append(f)
             if f:
                 v = [canonical_q(a - f * b) if b else a for a, b in zip(v, row)]
     else:
@@ -107,10 +105,9 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> tuple:
         v = [x % p for x in vec]
         for row, c in zip(rows, pivots):
             f = v[c]
-            coeffs.append(f)
             if f:
                 v = [(a - f * b) % p for a, b in zip(v, row)]
-    return v, coeffs
+    return v
 
 
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
@@ -209,12 +206,6 @@ class Matrix:
     def __repr__(self) -> str:
         return "Matrix(%s, %d x %d)" % (self.field, self.nrows, self.ncols)
 
-    def act(self, vec: Sequence) -> tuple:
-        """Right action v * M on a coordinate row vector."""
-        if len(vec) != self.nrows:
-            raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), self.nrows))
-        return linear_combination(self.field, vec, self.rows, self.ncols)
-
 
 class Subspace:
     """Subspace of F^n with a canonical RREF basis.
@@ -291,7 +282,7 @@ class Subspace:
         _check_length(vec, self.ambient_dim)
         if self.field.p == 2:
             return list(_xor_reduce(gf2_pack(vec), self._packed_basis()).to_bytes(len(vec), "big"))
-        return _eliminate(vec, self.basis, self.pivots, self.field.p)[0]
+        return _eliminate(vec, self.basis, self.pivots, self.field.p)
 
     def contains(self, vec: Sequence) -> bool:
         if self.field.p == 2:
@@ -300,10 +291,13 @@ class Subspace:
         return not any(self.reduce(vec))
 
     def coordinates(self, vec: Sequence):
-        """Coefficients of vec in the canonical basis, or None if outside."""
-        _check_length(vec, self.ambient_dim)
-        residual, coeffs = _eliminate(vec, self.basis, self.pivots, self.field.p)
-        return None if any(residual) else tuple(coeffs)
+        """Coefficients of vec in the canonical RREF basis (its entries at the pivots), or None if outside."""
+        if not self.contains(vec):
+            return None
+        p = self.field.p
+        if p is None:
+            return tuple(canonical_q(vec[c]) for c in self.pivots)
+        return tuple(vec[c] % p for c in self.pivots)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
@@ -383,12 +377,6 @@ class EchelonAccumulator:
             return [gf2_unpack(r, self.ambient_dim) for r in self._rows]
         return self._rows
 
-    def reduce(self, vec: Sequence) -> list:
-        _check_length(vec, self.ambient_dim)
-        if self.field.p == 2:
-            return list(_xor_reduce(gf2_pack(vec), self._rows).to_bytes(len(vec), "big"))
-        return _eliminate(vec, self._rows, self.pivots, self.field.p)[0]
-
     def add(self, vec: Sequence) -> bool:
         """Insert vec; True when the rank grew."""
         if self.field.p == 2:
@@ -403,7 +391,8 @@ class EchelonAccumulator:
                     self._rows[k] = row ^ v
             self._insert(v, self.ambient_dim - 1 - top // 8)
             return True
-        v = self.reduce(vec)
+        _check_length(vec, self.ambient_dim)
+        v = _eliminate(vec, self._rows, self.pivots, self.field.p)
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
             return False
@@ -412,7 +401,7 @@ class EchelonAccumulator:
         # back-substitute so the other rows stay zero in the new pivot column
         for k, row in enumerate(self._rows):
             if row[c]:
-                self._rows[k] = _eliminate(row, (v,), (c,), self.field.p)[0]
+                self._rows[k] = _eliminate(row, (v,), (c,), self.field.p)
         self._insert(v, c)
         return True
 

@@ -36,7 +36,7 @@ from .derivations import (
     is_intravariant_linear,
 )
 from .enumeration import EnumerationBudget, check_enumerable, enumerate_soluble
-from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError, UnsupportedFieldError
+from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError
 from .fields import Field, quote
 from .formations import (
     Formation,
@@ -208,10 +208,7 @@ def _check_formation(algebra: LieAlgebra, formation: Formation, result: SweepRes
                 record["derivation"] = derivation_matrix_strings(defect)
             result.intravariance_failures.append(record)
 
-        try:
-            report = cover_avoid_check(algebra, subspace, formation)
-        except UnsupportedFieldError:
-            continue
+        report = cover_avoid_check(algebra, subspace, formation)
         if not report.ok:
             record = _base_record(algebra, formation)
             record["subalgebra"] = basis_strings(subspace)

@@ -243,12 +243,13 @@ def _det(rows):
 def test_char_poly_exact_on_int_rows():
     # int rows (the Q payload of integral entries) give the same exact
     # coefficients as the same rows written as Fractions: no float division
+    Q = Field.from_string("Q")
     rng = random.Random(7)
     for _ in range(200):
         k = rng.randint(1, 4)
         rows = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(k)]
-        coeffs = _char_poly(rows)
-        assert coeffs == _char_poly([[Fraction(x) for x in row] for row in rows])
+        coeffs = _char_poly(Q, rows)
+        assert coeffs == _char_poly(Q, [[Fraction(x) for x in row] for row in rows])
         assert all(is_q_payload(c) for c in coeffs)
         assert coeffs[0] == 1 and coeffs[1] == -sum(rows[i][i] for i in range(k))
         assert coeffs[-1] == (-1) ** k * _det(rows)

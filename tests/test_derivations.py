@@ -22,6 +22,7 @@ from lieform import (
     normalizer_fills_extension,
     split_extension_by_derivation,
 )
+from lieform.linalg import linear_combination
 from support import (
     abelian,
     algebra,
@@ -71,7 +72,7 @@ def test_inner_dim_is_codim_of_centre():
 
 def row_product(field, a, b):
     """The rows of A * B for row tuples A and B: row i of A acted on by B."""
-    return [Matrix(field, b).act(row) for row in a]
+    return [linear_combination(field, row, b, len(row)) for row in a]
 
 
 def test_derivation_commutator_closure():
@@ -109,7 +110,7 @@ def test_stabilizing_derivations():
     assert stab.dim < der.dim
     for row in stab.basis:
         m = Matrix(F3, [row[0:3], row[3:6], row[6:9]], ncols=3)
-        assert e1.contains(m.act((1, 0, 0)))
+        assert e1.contains(Derivation(a, m)((1, 0, 0)))
 
 
 def test_abelian_line_not_intravariant():

@@ -8,18 +8,26 @@ from hypothesis import given, settings, strategies as st
 
 from lieform import (
     AmbientMismatchError,
+    Derivation,
+    DimensionMismatchError,
     EchelonAccumulator,
     Field,
+    LieAlgebra,
     Matrix,
     Subspace,
+    SweepConfig,
+    chief_series,
     enumerate_subspaces,
     gaussian_binomial,
+    linalg,
     null_space,
     rref,
+    sweep_run,
 )
 from lieform.linalg import _eliminate, linear_combination, stabiliser
 from support import (
-    gf2_rotation_sum, gf3_rotation, h3, is_q_payload, naive_null_space, naive_rref, r2_plus_line,
+    gf2_rotation_sum, gf3_rotation, h3, identity_rows, is_q_payload, naive_null_space, naive_rref,
+    r2_plus_line,
 )
 
 Q = Field.from_string("Q")
@@ -86,8 +94,8 @@ def test_null_space_oracle():
 
 def test_matrix_product_and_action():
     a = Matrix(F3, [[1, 2], [0, 1]])
-    # row vector acts on the right
-    assert a.act((1, 1)) == (1, 0)
+    # row vector acts on the right: v * M combines the rows by v
+    assert linear_combination(F3, (1, 1), a.rows, a.ncols) == (1, 0)
 
 
 @given(f3_rows, f3_rows)
@@ -184,11 +192,14 @@ def test_rational_kernel_outputs_are_canonical():
         for rows, [vec] in ((payload_rows, payload_vec), (as_fractions(payload_rows), as_fractions(payload_vec))):
             reduced, pivots = rref(rows, Q)
             span = Subspace.span(Q, m, rows)
-            residual, coeffs = _eliminate(vec, span.basis, span.pivots, None)
+            # a vector of the span written in Fractions: its coordinates are canonical
+            inside = [Fraction(x) for x in linear_combination(Q, vec, span.basis, m)]
+            coords = span.coordinates(inside)
+            assert coords is not None
             outputs = [
                 linear_combination(Q, [row[0] for row in rows], rows, m),
-                residual,
-                coeffs,
+                _eliminate(vec, span.basis, span.pivots, None),
+                coords,
                 *reduced,
                 *null_space(rows, Q),
                 *span.basis,
@@ -261,6 +272,7 @@ def oracle_residual(vec, basis, pivots, p):
 def test_wrong_length_vector_refused(field):
     space = Subspace.span(field, 3, [(1, 0, 1)])
     acc = EchelonAccumulator(field, 3)
+    d = Derivation(LieAlgebra.abelian(field, 3), Matrix(field, identity_rows(3)))
     for short in ((1, 0), [1, 0, 1, 1]):
         for refuse in (
             lambda v: Subspace.span(field, 3, [(0, 1, 0), v]),
@@ -271,6 +283,8 @@ def test_wrong_length_vector_refused(field):
         ):
             with pytest.raises(AmbientMismatchError):
                 refuse(short)
+        with pytest.raises(DimensionMismatchError):
+            d(short)
     assert acc.rank == 0
 
 
@@ -315,8 +329,7 @@ def test_finite_field_kernel_matches_naive_oracle(p):
         for vec in (inside, other):
             residual, used = oracle_residual(vec, expected, pivots, p)
             contained = not any(residual)
-            assert _eliminate(vec, span.basis, span.pivots, p) == (residual, used)
-            assert span.reduce(vec) == residual and acc.reduce(vec) == residual
+            assert span.reduce(vec) == residual and acc.to_subspace().reduce(vec) == residual
             assert span.contains(vec) == contained
             assert span.coordinates(vec) == (tuple(used) if contained else None)
         assert span.coordinates(inside) == tuple(coeffs)
@@ -354,3 +367,22 @@ def test_bracket_matches_table_oracle(algebra):
             for k in range(n)
         )
         assert algebra.bracket(x, y) == expected
+
+
+def test_gf2_never_reaches_the_tuple_kernel(monkeypatch):
+    # over GF(2) reduction is packed XOR and coordinates are read at the
+    # pivots, so the tuple kernel sees Q and GF(p > 2) only
+    tuple_kernel = linalg._eliminate
+
+    def guarded(vec, rows, pivots, p):
+        if p == 2:
+            raise AssertionError("a GF(2) vector reached the tuple kernel")
+        return tuple_kernel(vec, rows, pivots, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", guarded)
+    result = sweep_run(SweepConfig(field="GF(2)", max_dim=3), threads=1)
+    assert result.ok and result.algebras > 0
+    algebra = gf2_rotation_sum()
+    for factor in chief_series(algebra).factors:
+        for k, v in enumerate(factor.space.basis):
+            assert factor.coords(v) == tuple(int(j == k) for j in range(factor.dim))
