@@ -3,9 +3,16 @@
 An algebra is a field, a dimension n, and the brackets [e_i, e_j] of basis
 pairs; everything else (series, centralisers, cores, quotients) is linear
 algebra over that table.  A bracket [e_k, v] with a basis vector is the
-rows table[k] combined by v: basis_brackets reads it for every e_k, and
+rows table[k] combined by v: kernel_brackets reads it for every e_k, and
 formations._complement_space only for the e_k it needs.  bracket pairs two
-general vectors as one linear_combination of table entries.
+general vectors as one sum of table entries.  Both work on kernel_table,
+the table in linalg's kernel form: over GF(2) every entry packed once per
+algebra and cached through memo, so release drops it.  The callers that
+only feed a kernel (is_ideal, the lower central series,
+centralizer_of_factor, core, chief._spin, formations._centralised, the
+derivation criteria) take the packed brackets from kernel_brackets, and
+FactorView.coords takes a packed vector; basis_brackets and bracket
+return tuples, as every Subspace.basis holds them.
 Instances are interned on (field, table), so while an algebra is
 interned, structurally equal algebras are the same object and share its
 cache of derived data.  That sharing is what keeps the exhaustive sweeps
@@ -48,7 +55,16 @@ from .errors import (
     ZeroDenominatorError,
 )
 from .fields import Field, canonical_q, quote
-from .linalg import Subspace, linear_combination, stabiliser
+from .linalg import (
+    Subspace,
+    from_kernel,
+    kernel_form,
+    kernel_images,
+    kernel_rows,
+    kernel_sum,
+    linear_combination,
+    stabiliser,
+)
 
 # Largest dimension from_dict accepts.  The table alone takes dim^3
 # scalars, and derivation_algebra solves a dim^2-unknown system: at dim 14
@@ -73,17 +89,19 @@ def _coerce(field: Field, x):
 def _check_jacobi(field: Field, table: tuple) -> None:
     """Raise JacobiViolationError at the first basis triple that breaks Jacobi."""
     n = len(table)
+    rows = [kernel_rows(field, row) for row in table]
+    zero = kernel_sum(field, (), (), n)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 # minus [[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]
-                s = linear_combination(
+                s = kernel_sum(
                     field,
                     table[i][j] + table[j][k] + table[k][i],
-                    table[k] + table[i] + table[j],
+                    rows[k] + rows[i] + rows[j],
                     n,
                 )
-                if any(s):
+                if s != zero:
                     raise JacobiViolationError((i + 1, j + 1, k + 1))
 
 
@@ -222,16 +240,16 @@ class LieAlgebra:
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple:
         """[x, y] in coordinates: the entries [e_i, e_j] summed with coefficients x_i y_j."""
-        n = self.dim
+        field, n = self.field, self.dim
         if len(x) != n or len(y) != n:
             raise DimensionMismatchError("vectors must have length %d" % n)
         # only the pairs with x_i and y_j both nonzero contribute
         live = [(j, yj) for j, yj in enumerate(y) if yj]
         coeffs = [xi * yj for xi in x if xi for _, yj in live]
-        rows = [ti[j] for xi, ti in zip(x, self.table) if xi for j, _ in live]
-        return linear_combination(self.field, coeffs, rows, n)
+        rows = [ti[j] for xi, ti in zip(x, self.kernel_table()) if xi for j, _ in live]
+        return from_kernel(field, kernel_sum(field, coeffs, rows, n), n)
 
-    # [e_k, v] is the rows table[k] combined by v.  basis_brackets reads
+    # [e_k, v] is the rows table[k] combined by v.  kernel_brackets reads
     # every bracket with a basis vector off the table this way, so the
     # series, ideals, centralisers and cores below bracket no standard vector.
 
@@ -239,10 +257,23 @@ class LieAlgebra:
         """Check the Jacobi identity on all basis triples; raises on failure."""
         _check_jacobi(self.field, self.table)
 
+    def kernel_table(self) -> tuple:
+        """The table with its entries in kernel form: over GF(2) packed once, cached through memo."""
+        if self.field.p != 2:
+            return self.table
+        return self.memo("packed_table", lambda: tuple(kernel_rows(self.field, row) for row in self.table))
+
+    def kernel_brackets(self, vectors: Sequence) -> list:
+        """For each basis vector e_k, the list of [e_k, v] over the vectors, in kernel form.
+
+        A vector is a coordinate sequence or, over GF(2), a packed int.
+        """
+        return list(kernel_images(self.field, vectors, self.kernel_table(), self.dim))
+
     def basis_brackets(self, vectors: Sequence) -> list:
-        """For each basis vector e_k, the list of [e_k, v] over the vectors."""
+        """For each basis vector e_k, the list of [e_k, v] over the vectors, as tuples."""
         field, n = self.field, self.dim
-        return [[linear_combination(field, v, row, n) for v in vectors] for row in self.table]
+        return [[from_kernel(field, v, n) for v in row] for row in self.kernel_brackets(vectors)]
 
     # Subspaces of the algebra
 
@@ -264,7 +295,7 @@ class LieAlgebra:
         return True
 
     def is_ideal(self, s: Subspace) -> bool:
-        return all(s.contains(v) for row in self.basis_brackets(s.basis) for v in row)
+        return all(s.contains(v) for row in self.kernel_brackets(s.basis) for v in row)
 
     # Series and structural subspaces.  Results are cached per instance;
     # interning makes the cache shared across every appearance of the same
@@ -299,7 +330,7 @@ class LieAlgebra:
     def lower_central_series(self) -> list:
         # [L, s] is spanned by the [e_k, y] over s's basis
         return self._series(
-            "lower_central_series", lambda basis: (v for row in self.basis_brackets(basis) for v in row)
+            "lower_central_series", lambda basis: (v for row in self.kernel_brackets(basis) for v in row)
         )
 
     def is_soluble(self) -> bool:
@@ -324,7 +355,7 @@ class LieAlgebra:
             return self.full_space()
         # [x, a_j] = sum_k c_k [e_k, a_j] for x = sum_k c_k e_k, so the
         # coefficients c form the stabiliser of the maps a_j |-> [e_k, a_j]
-        return stabiliser(self.field, self.basis_brackets(a.basis), b)
+        return stabiliser(self.field, self.kernel_brackets(a.basis), b)
 
     def centre(self) -> Subspace:
         return self.memo("centre", lambda: self.centralizer(self.full_space()))
@@ -343,7 +374,7 @@ class LieAlgebra:
             current = s
             while not current.is_zero():
                 # images[j][k] = [e_k, b_j]: the basis brackets, one map per b_j
-                images = list(zip(*self.basis_brackets(current.basis)))
+                images = list(zip(*self.kernel_brackets(current.basis)))
                 nxt = current.combinations(stabiliser(self.field, images, current))
                 if nxt.dim == current.dim:
                     break
@@ -424,10 +455,11 @@ def leibniz_defect(algebra: LieAlgebra, rows: Sequence) -> tuple | None:
     """
     field, n, table = algebra.field, algebra.dim, algebra.table
     rows = tuple(tuple(r) for r in rows)
+    kernel, kernel_table = kernel_rows(field, rows), algebra.kernel_table()
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = linear_combination(field, table[i][j] + rows[i], rows + table[j], n)
-            if lhs != linear_combination(field, rows[j], table[i], n):
+            lhs = kernel_sum(field, table[i][j] + rows[i], kernel + kernel_table[j], n)
+            if lhs != kernel_sum(field, rows[j], kernel_table[i], n):
                 return (i + 1, j + 1)
     return None
 
@@ -453,20 +485,28 @@ class FactorView:
         self.top = top
         self.bottom = bottom
         kept = [k for k, c in enumerate(top.pivots) if c not in bottom.pivots]
+        rows = top.kernel_basis()
         self.space = Subspace(
             algebra.field,
             algebra.dim,
             tuple(top.basis[k] for k in kept),
             tuple(top.pivots[k] for k in kept),
+            tuple(rows[k] for k in kept),
         )
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
-    def coords(self, vec: Sequence) -> tuple:
-        """Factor coordinates of a vector of the top space."""
-        coeffs = self.space.coordinates(self.bottom.reduce(vec))
+    def coords(self, vec) -> tuple:
+        """Factor coordinates of a vector of the top space, given in kernel form or as a sequence.
+
+        The vector is put in kernel form once: over GF(2) it is packed,
+        reduced by bottom, tested against space and read at its pivots
+        as one packed int.
+        """
+        field, n = self.algebra.field, self.algebra.dim
+        coeffs = self.space.coordinates(self.bottom.reduce(kernel_form(field, vec, n)))
         if coeffs is None:
             raise NotNestedError("vector lies outside the factor's top space")
         return coeffs
@@ -477,10 +517,11 @@ class FactorView:
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The span of the coordinates of a subspace of the top space."""
-        return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.basis])
+        return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.kernel_basis()])
 
     def lift_subspace(self, s: Subspace) -> Subspace:
         """Full preimage: the lifted basis together with the bottom."""
-        vecs = [self.lift(v) for v in s.basis] + list(self.bottom.basis)
-        return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
+        field, n, basis = self.algebra.field, self.algebra.dim, self.space.kernel_basis()
+        vecs = [kernel_sum(field, v, basis, n) for v in s.basis] + list(self.bottom.kernel_basis())
+        return Subspace.span(field, n, vecs)
 

@@ -37,7 +37,16 @@ from .errors import (
     ZeroAlgebraError,
 )
 from .fields import Field, canonical_q
-from .linalg import EchelonAccumulator, Matrix, Subspace, check_budget, close, linear_combination, stabiliser
+from .linalg import (
+    EchelonAccumulator,
+    Matrix,
+    Subspace,
+    check_budget,
+    close,
+    kernel_sum,
+    linear_combination,
+    stabiliser,
+)
 
 
 class ChiefSeries:
@@ -66,10 +75,10 @@ class ChiefSeries:
         One accumulator, seeded with U, takes each factor's basis in turn;
         that basis together with I_t spans I_{t+1}.
         """
-        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.basis)
+        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.kernel_basis())
         ranks = [acc.rank]
         for factor in self.factors:
-            for v in factor.space.basis:
+            for v in factor.space.kernel_basis():
                 acc.add(v)
             ranks.append(acc.rank)
         return ranks
@@ -102,13 +111,12 @@ def _spin(algebra: LieAlgebra, space: Subspace):
     Over GF(p), in a fixed order, after one budget check on the p^k vectors.
     """
     field, n = algebra.field, algebra.dim
-    basis = space.basis
+    basis = space.kernel_basis()
     check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
     for coeffs in product(range(field.p), repeat=len(basis)):
         if any(coeffs):
-            vec = linear_combination(field, coeffs, basis, n)
-            acc = EchelonAccumulator(field, n, (vec,))
-            yield close(acc, lambda v: [w for row in algebra.basis_brackets((v,)) for w in row])
+            acc = EchelonAccumulator(field, n, (kernel_sum(field, coeffs, basis, n),))
+            yield close(acc, lambda v: [w for row in algebra.kernel_brackets((v,)) for w in row])
 
 
 def _minimal_ideal_gfp(algebra: LieAlgebra) -> Subspace:

@@ -25,12 +25,21 @@ subspace, so checking a basis of Der(L) settles both criteria exactly.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .algebra import LieAlgebra, leibniz_defect
 from .errors import DimensionMismatchError, NotADerivationError
 from .fields import Field
-from .linalg import EchelonAccumulator, Matrix, Subspace, linear_combination, null_space, stabiliser
+from .linalg import (
+    EchelonAccumulator,
+    Matrix,
+    Subspace,
+    from_kernel,
+    kernel_images,
+    kernel_sum,
+    null_space,
+    stabiliser,
+)
 
 
 class Derivation:
@@ -50,10 +59,10 @@ class Derivation:
         self.matrix = matrix
 
     def __call__(self, vec: Sequence) -> tuple:
-        rows = self.matrix.rows
-        if len(vec) != len(rows):
-            raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), len(rows)))
-        return linear_combination(self.parent.field, vec, rows, self.parent.dim)
+        field, n = self.parent.field, self.parent.dim
+        if len(vec) != n:
+            raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), n))
+        return from_kernel(field, kernel_sum(field, vec, self.matrix.kernel_rows(), n), n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -140,6 +149,12 @@ def inner_derivations(algebra: LieAlgebra) -> Subspace:
     )
 
 
+def _images(algebra: LieAlgebra, derivations, vectors) -> Iterator[list]:
+    """For each derivation, the images of the vectors in kernel form; over GF(2) each matrix is packed once."""
+    maps = (d.matrix.kernel_rows() for d in derivations)
+    return kernel_images(algebra.field, vectors, maps, algebra.dim)
+
+
 def _stabilising_coordinates(der: DerivationAlgebra, subalgebra: Subspace) -> Subspace:
     """The coefficients c over the Der basis with (sum_t c_t d_t)(U) <= U, in F^(dim Der)."""
     algebra = der.parent
@@ -147,7 +162,7 @@ def _stabilising_coordinates(der: DerivationAlgebra, subalgebra: Subspace) -> Su
         raise DimensionMismatchError("subalgebra lives in the wrong ambient space")
     if der.dim == 0 or subalgebra.is_zero() or subalgebra.is_full():
         return Subspace.full_space(algebra.field, der.dim)
-    images = [[d(u) for u in subalgebra.basis] for d in der.basis]
+    images = list(_images(algebra, der.basis, subalgebra.basis))
     return stabiliser(algebra.field, images, subalgebra)
 
 
@@ -158,7 +173,7 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     derivations' entries at Der(L)'s pivots must together span F^(dim Der).
     """
     der = derivation_algebra(algebra)
-    acc = EchelonAccumulator(algebra.field, der.dim, _stabilising_coordinates(der, subalgebra).basis)
+    acc = EchelonAccumulator(algebra.field, der.dim, _stabilising_coordinates(der, subalgebra).kernel_basis())
     pivots = der.subspace.pivots
     # ad(e_k) has rows [e_k, e_m], which is table[k]
     for rows in algebra.table:
@@ -167,21 +182,19 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     return acc.rank == der.dim
 
 
-def _extension_residuals(algebra: LieAlgebra, subalgebra: Subspace, derivations):
-    """Residual of each d|U mod U against W, the span of u |-> [e_k, u] mod U.
+def _extension_fills(algebra: LieAlgebra, subalgebra: Subspace, derivations):
+    """For each derivation d, whether d|U mod U lies in W, the span of u |-> [e_k, u] mod U.
 
     A map of U is flattened into (L/U)^dim U as its images of U's basis,
-    each reduced mod U.  W is echelonised once, however many derivations
-    follow; a residual is zero exactly when d|U lies in W mod U.
+    each reduced mod U and laid side by side (Subspace.residuals, packed
+    over GF(2)).  W is echelonised once, however many derivations follow.
     """
     basis = subalgebra.basis
-
-    def flat(images):
-        return [x for v in images for x in subalgebra.reduce(v)]
-
-    span = Subspace.span(algebra.field, algebra.dim * len(basis), map(flat, algebra.basis_brackets(basis)))
-    for d in derivations:
-        yield span.reduce(flat(d(u) for u in basis))
+    span = Subspace.span(
+        algebra.field, algebra.dim * len(basis), map(subalgebra.residuals, algebra.kernel_brackets(basis))
+    )
+    for images in _images(algebra, derivations, basis):
+        yield span.contains(subalgebra.residuals(images))
 
 
 def normalizer_fills_extension(
@@ -198,7 +211,7 @@ def normalizer_fills_extension(
     """
     if derivation.parent != algebra or subalgebra.ambient_dim != algebra.dim:
         raise DimensionMismatchError("derivation and subalgebra must belong to the algebra")
-    return not any(next(_extension_residuals(algebra, subalgebra, (derivation,))))
+    return next(_extension_fills(algebra, subalgebra, (derivation,)))
 
 
 def extension_defect(algebra: LieAlgebra, subalgebra: Subspace):
@@ -207,8 +220,8 @@ def extension_defect(algebra: LieAlgebra, subalgebra: Subspace):
     One echelonised span per (L, U) serves every basis derivation.
     """
     basis = derivation_algebra(algebra).basis
-    residuals = _extension_residuals(algebra, subalgebra, basis)
-    return next((d for d, r in zip(basis, residuals) if any(r)), None)
+    fills = _extension_fills(algebra, subalgebra, basis)
+    return next((d for d, filled in zip(basis, fills) if not filled), None)
 
 
 def is_intravariant_extension(algebra: LieAlgebra, subalgebra: Subspace) -> bool:

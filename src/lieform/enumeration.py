@@ -20,7 +20,7 @@ from .chief import split_extension_by_derivation
 from .derivations import derivation_algebra
 from .errors import BudgetExceededError, ParseError, UnsupportedFieldError
 from .fields import Field
-from .linalg import check_budget, enumerate_subspaces, gaussian_binomial, linear_combination
+from .linalg import check_budget, enumerate_subspaces, from_kernel, gaussian_binomial, kernel_sum
 
 
 class EnumerationBudget:
@@ -63,8 +63,9 @@ def _derivation_from_index(der, index: int, p: int) -> list:
         coeffs.append(index % p)
         index //= p
     field, n = der.parent.field, der.parent.dim
+    matrices = [d.matrix.kernel_rows() for d in der.basis]
     return [
-        linear_combination(field, coeffs, [d.matrix.rows[r] for d in der.basis], n)
+        from_kernel(field, kernel_sum(field, coeffs, [rows[r] for rows in matrices], n), n)
         for r in range(n)
     ]
 

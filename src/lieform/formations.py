@@ -43,7 +43,15 @@ from .errors import (
     ParseError,
     UnsupportedFieldError,
 )
-from .linalg import Subspace, check_budget, linear_combination, null_space
+from .linalg import (
+    Subspace,
+    check_budget,
+    from_kernel,
+    kernel_images,
+    kernel_rows,
+    kernel_sum,
+    null_space,
+)
 
 
 class Formation:
@@ -89,7 +97,7 @@ def _supersoluble(algebra: LieAlgebra) -> bool:
 def _centralised(algebra: LieAlgebra, factor: FactorView) -> bool:
     """[L, A] <= B: L acts trivially on the factor A/B."""
     bottom = factor.bottom
-    return all(bottom.contains(v) for row in algebra.basis_brackets(factor.space.basis) for v in row)
+    return all(bottom.contains(v) for row in algebra.kernel_brackets(factor.space.basis) for v in row)
 
 
 NILPOTENT = Formation("nilpotent", lambda L: L.is_nilpotent(), _centralised)
@@ -152,7 +160,8 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
     top = factor.top
     free = [c for c in range(n) if c not in top.pivots]
     # row i of actions[j] is the coordinates of [e_c, b_i], table[c] combined by b_i, c = free[j]
-    images = [[linear_combination(field, b, algebra.table[c], n) for b in factor.space.basis] for c in free]
+    table = algebra.kernel_table()
+    images = kernel_images(field, factor.space.basis, (table[c] for c in free), n)
     actions = [[factor.coords(v) for v in row] for row in images]
     m = len(free) * h
     equations = []
@@ -160,9 +169,10 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
         # [c_j + delta_j, c_k + delta_k] = [c_j, c_k] + delta_k R_j - delta_j R_k
         # mod B, since A/B is abelian; it lies in the complement when its
         # A/B part is delta applied to its C part, w's residual mod A.
-        w = algebra.table[free[j]][free[k]]
-        part = top.reduce(w)
-        constant = factor.coords(linear_combination(field, (1, -1), (w, part), n))
+        w = table[free[j]][free[k]]
+        residual = top.reduce(w)
+        part = from_kernel(field, residual, n)
+        constant = factor.coords(kernel_sum(field, (1, -1), (w, residual), n))
         for s in range(h):
             row = [field.zero()] * (m + 1)
             for i in range(h):
@@ -205,19 +215,18 @@ def maximal_subalgebras(algebra: LieAlgebra) -> list:
             sum(field.p ** len(homogeneous) for *_, homogeneous in systems),
             "listing chief-factor complements over %s in dimension %d" % (field, n),
         )
-        unit = algebra.full_space().basis
+        unit = algebra.full_space().kernel_basis()
         found = []
         for factor, free, particular, homogeneous in systems:
-            h, basis = factor.dim, list(factor.space.basis)
+            h, basis, bottom = factor.dim, factor.space.kernel_basis(), factor.bottom.kernel_basis()
+            m, solutions = len(particular), kernel_rows(field, [particular] + homogeneous)
             for coeffs in product(range(field.p), repeat=len(homogeneous)):
-                delta = linear_combination(
-                    field, (1,) + coeffs, [particular] + homogeneous, len(particular)
-                )
+                delta = from_kernel(field, kernel_sum(field, (1,) + coeffs, solutions, m), m)
                 gens = [
-                    linear_combination(field, (1,) + delta[l * h : (l + 1) * h], [unit[c]] + basis, n)
+                    kernel_sum(field, (1,) + delta[l * h : (l + 1) * h], (unit[c],) + basis, n)
                     for l, c in enumerate(free)
                 ]
-                found.append(algebra.span(list(factor.bottom.basis) + gens))
+                found.append(algebra.span(bottom + tuple(gens)))
         return sorted(found, key=_subalgebra_key)
 
     return list(algebra.memo("maximal_subalgebras", compute))

@@ -11,8 +11,9 @@ Each vector job has one kernel per representation.  Row reduction clears
 the pivot columns of a vector against echelon rows: _eliminate on tuples
 over Q and GF(p) for p > 2, _xor_reduce on packed rows over GF(2).  RREF,
 membership and incremental spans are built on them, coordinates in an RREF
-basis are read at its pivots, and linear_combination is the one place
-vectors are summed, brackets and derivation actions included.
+basis are read at its pivots, and vectors are summed in one place per
+form: linear_combination on tuples, kernel_sum and kernel_images on
+vectors in kernel form (below).
 stabiliser is the one "which combination of these maps sends a basis
 into B" kernel, behind centralisers, normalisers, cores, intersections and
 stabilising derivations.  It takes one echelon pass over the rows [reduced
@@ -24,20 +25,30 @@ Over GF(p) every result is reduced mod p.  Over Q every result keeps the
 payload contract of fields (an int when integral, a Fraction otherwise),
 through canonical_q, and the loops skip entries where the row being added
 is zero, so integral work stays in int arithmetic and no Fraction is built
-for a zero.  Over GF(2) the kernel holds a vector as one integer with a
-byte per coordinate, the first coordinate most significant (gf2_pack):
-adding two rows is one XOR, and a row's leading coordinate is its highest
-set bit.  EchelonAccumulator keeps its rows packed and a Subspace its
-basis, packed on first use; linear_combination XORs packed rows too.  The
-packed form never leaves this module: entries are reduced mod 2 as they are
-packed, and results are unpacked to tuples.  Each primitive branches on the
-field once, outside its loop, because the verification sweeps spend most
-of their time here.
+for a zero.  Over GF(2) a vector is packed as one integer with a byte per
+coordinate, the first coordinate most significant (gf2_pack): adding two
+rows is one XOR, and a row's leading coordinate is its highest set bit.
+
+The kernel form of a vector is that packed int over GF(2) and the
+coordinate sequence over every other field.  Packed vectors travel between
+modules along the hot hand-offs: the structure table
+(LieAlgebra.kernel_table) and a derivation's rows (Matrix.kernel_rows) are
+packed once each, brackets with basis vectors and derivation images come
+out of kernel_images packed, and Subspace.reduce, residuals, contains and
+coordinates, EchelonAccumulator.add, stabiliser and close take them
+without unpacking; residuals laid side by side are joined by shifting.
+kernel_form, kernel_rows, kernel_sum, kernel_images and from_kernel hold
+the field fork, so their callers never test the field.  A packed int is
+checked to fit its ambient space (AmbientMismatchError otherwise).  Public
+results stay tuples: Subspace.basis, EchelonAccumulator.rows, rref,
+linear_combination, brackets and derivation values are unpacked.  Each
+primitive branches on the field once, outside its loop, because the
+verification sweeps spend most of their time here.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from itertools import combinations, product
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -86,6 +97,25 @@ def _check_length(vec: Sequence, n: int) -> None:
         raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), n))
 
 
+# n -> the bits a packed vector of GF(2)^n must leave clear: every bit but
+# bit 0 of each of its n bytes, so a byte above 1 or a coordinate beyond n
+_OUTSIDE: dict = {}
+
+
+def _packed(vec, n: int) -> int:
+    """vec of GF(2)^n packed: a packed int is checked to fit, a sequence for length and packed."""
+    if isinstance(vec, int):
+        try:
+            outside = _OUTSIDE[n]
+        except KeyError:
+            outside = _OUTSIDE[n] = ~((1 << 8 * n) // 255)
+        if vec & outside:
+            raise AmbientMismatchError("packed vector does not fit GF(2)^%d" % n)
+        return vec
+    _check_length(vec, n)
+    return gf2_pack(vec)
+
+
 def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
     """The residual of vec with its pivot columns cleared by the matching echelon rows.
 
@@ -119,17 +149,77 @@ def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -
             if c % 2:
                 packed ^= gf2_pack(row)
         return gf2_unpack(packed, n)
-    out = [field.zero()] * n
-    if p is None:
-        for c, row in zip(coeffs, rows):
-            if c:
-                out = [a + c * b if b else a for a, b in zip(out, row)]
-        return tuple(map(canonical_q, out))
+    # one accumulator; zero coefficients and zero row entries add nothing
+    out = [0] * n
     for c, row in zip(coeffs, rows):
         if c:
-            out = [a + c * b for a, b in zip(out, row)]
-    out = [a % p for a in out]
-    return tuple(out)
+            for j, b in enumerate(row):
+                if b:
+                    out[j] += c * b
+    if p is None:
+        return tuple(map(canonical_q, out))
+    return tuple([a % p for a in out])
+
+
+def kernel_form(field: Field, vec, n: int):
+    """A vector of F^n as the kernels take it: packed over GF(2), as given otherwise.
+
+    Over GF(2) a sequence is checked for length and packed, and a packed
+    int is checked to fit: AmbientMismatchError otherwise.
+    """
+    return _packed(vec, n) if field.p == 2 else vec
+
+
+def kernel_rows(field: Field, rows: Iterable[Sequence]) -> tuple:
+    """The rows in kernel form, each packed over GF(2), unchecked: the caller knows their length."""
+    return tuple(map(gf2_pack, rows)) if field.p == 2 else tuple(rows)
+
+
+def kernel_sum(field: Field, coeffs, rows: Sequence, n: int):
+    """The sum of coeffs[i] * rows[i] over rows in kernel form, itself in kernel form.
+
+    Over GF(2) it XORs the packed rows whose coefficient is odd; coeffs
+    may then be a packed int too.  Otherwise it is linear_combination.
+    """
+    if field.p != 2:
+        return linear_combination(field, coeffs, rows, n)
+    if isinstance(coeffs, int):
+        coeffs = _packed(coeffs, len(rows)).to_bytes(len(rows), "big")
+    packed = 0
+    for c, row in zip(coeffs, rows):
+        if c & 1:
+            packed ^= row
+    return packed
+
+
+def kernel_images(field: Field, vectors: Sequence, maps: Iterable[Sequence], n: int) -> Iterator[list]:
+    """For each map of F^n, given by its n rows in kernel form, the images of the vectors.
+
+    The image of v is sum_j v_j rows[j], in kernel form.  A vector is a
+    sequence or, over GF(2), a packed int; there the odd coordinates of
+    each vector are found once and the rows at them XORed for every map.
+    """
+    if field.p != 2:
+        for rows in maps:
+            yield [linear_combination(field, v, rows, n) for v in vectors]
+        return
+    supports = [
+        [j for j, c in enumerate(_packed(v, n).to_bytes(n, "big") if isinstance(v, int) else v) if c & 1]
+        for v in vectors
+    ]
+    for rows in maps:
+        images = []
+        for support in supports:
+            image = 0
+            for j in support:
+                image ^= rows[j]
+            images.append(image)
+        yield images
+
+
+def from_kernel(field: Field, vec, n: int) -> tuple:
+    """A kernel-form vector of F^n as a coordinate tuple."""
+    return gf2_unpack(vec, n) if field.p == 2 else tuple(vec)
 
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple:
@@ -173,10 +263,11 @@ class Matrix:
     """The immutable record of a linear map that a Derivation stores.
 
     Row i is the image of the i-th basis vector.  It has no arithmetic of
-    its own: code that combines maps works on the row tuples.
+    its own: code that combines maps works on the row tuples, or on
+    kernel_rows, which over GF(2) are packed once per matrix.
     """
 
-    __slots__ = ("field", "rows", "nrows", "ncols")
+    __slots__ = ("field", "rows", "nrows", "ncols", "_kernel")
 
     def __init__(self, field: Field, rows: Iterable[Sequence], ncols: int | None = None):
         self.field = field
@@ -191,6 +282,13 @@ class Matrix:
         self.rows = rs
         self.nrows = len(rs)
         self.ncols = ncols
+        self._kernel = None
+
+    def kernel_rows(self) -> tuple:
+        """The rows in kernel form; over GF(2) packed once, on first use."""
+        if self._kernel is None:
+            self._kernel = kernel_rows(self.field, self.rows)
+        return self._kernel
 
     def __eq__(self, other) -> bool:
         return (
@@ -211,18 +309,19 @@ class Subspace:
     """Subspace of F^n with a canonical RREF basis.
 
     Canonicality makes == and hash structural: two spans are equal exactly
-    when they reduce to the same rows.  Over GF(2) the basis is also held
-    packed, from the accumulator that built it or packed on first use.
+    when they reduce to the same rows.  The basis is also held in kernel
+    form (kernel_basis): over GF(2) packed, by the accumulator that built
+    it or on first use.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_packed")
+    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_kernel")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple, packed=None):
+    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple, kernel=None):
         self.field = field
         self.ambient_dim = ambient_dim
         self.basis = basis
         self.pivots = pivots
-        self._packed = packed
+        self._kernel = kernel
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -271,39 +370,69 @@ class Subspace:
     def __repr__(self) -> str:
         return "Subspace(%s^%d, dim %d)" % (self.field, self.ambient_dim, self.dim)
 
-    def _packed_basis(self) -> tuple:
-        """The basis packed over GF(2), packed once on first use."""
-        if self._packed is None:
-            self._packed = tuple(map(gf2_pack, self.basis))
-        return self._packed
+    @staticmethod
+    def _from_kernel(field: Field, ambient_dim: int, rows: Sequence, pivots: tuple) -> "Subspace":
+        """The subspace of RREF rows given in kernel form, keeping them packed over GF(2)."""
+        if field.p == 2:
+            basis = tuple(gf2_unpack(r, ambient_dim) for r in rows)
+            return Subspace(field, ambient_dim, basis, pivots, tuple(rows))
+        return Subspace(field, ambient_dim, tuple(map(tuple, rows)), pivots)
 
-    def reduce(self, vec: Sequence) -> list:
-        """Residual of vec after elimination by the basis; zero iff contained."""
-        _check_length(vec, self.ambient_dim)
+    def kernel_basis(self) -> tuple:
+        """The basis in kernel form; over GF(2) packed once, on first use."""
+        if self._kernel is None:
+            self._kernel = kernel_rows(self.field, self.basis)
+        return self._kernel
+
+    def reduce(self, vec):
+        """Residual of vec after elimination by the basis; zero iff contained.
+
+        Over GF(2) a packed int gives a packed residual, a sequence a list.
+        """
+        n = self.ambient_dim
         if self.field.p == 2:
-            return list(_xor_reduce(gf2_pack(vec), self._packed_basis()).to_bytes(len(vec), "big"))
+            residual = _xor_reduce(_packed(vec, n), self.kernel_basis())
+            return residual if isinstance(vec, int) else list(residual.to_bytes(n, "big"))
+        _check_length(vec, n)
         return _eliminate(vec, self.basis, self.pivots, self.field.p)
 
-    def contains(self, vec: Sequence) -> bool:
+    def residuals(self, vectors: Iterable) -> list | int:
+        """The residuals of the vectors laid side by side, one vector of F^(n k) in kernel form.
+
+        Over GF(2) the packed residuals are joined by shifting, so none is
+        unpacked; otherwise the residual lists are concatenated.
+        """
+        n = self.ambient_dim
+        if self.field.p != 2:
+            return [x for v in vectors for x in self.reduce(v)]
+        basis, shift, joined = self.kernel_basis(), 8 * n, 0
+        for v in vectors:
+            joined = joined << shift | _xor_reduce(_packed(v, n), basis)
+        return joined
+
+    def contains(self, vec) -> bool:
         if self.field.p == 2:
-            _check_length(vec, self.ambient_dim)
-            return not _xor_reduce(gf2_pack(vec), self._packed_basis())
+            return not _xor_reduce(_packed(vec, self.ambient_dim), self.kernel_basis())
         return not any(self.reduce(vec))
 
-    def coordinates(self, vec: Sequence):
+    def coordinates(self, vec):
         """Coefficients of vec in the canonical RREF basis (its entries at the pivots), or None if outside."""
         if not self.contains(vec):
             return None
         p = self.field.p
         if p is None:
             return tuple(canonical_q(vec[c]) for c in self.pivots)
+        if isinstance(vec, int):
+            # a packed GF(2) vector: coordinate c is bit 0 of byte c, counted from the top
+            last = self.ambient_dim - 1
+            return tuple(vec >> 8 * (last - c) & 1 for c in self.pivots)
         return tuple(vec[c] % p for c in self.pivots)
 
     def __le__(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        return all(other.contains(v) for v in self.basis)
+        return all(other.contains(v) for v in self.kernel_basis())
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self.__le__(other)
@@ -314,7 +443,7 @@ class Subspace:
             return other
         if not other.basis:
             return self
-        return Subspace.span(self.field, self.ambient_dim, self.basis + other.basis)
+        return Subspace.span(self.field, self.ambient_dim, self.kernel_basis() + other.kernel_basis())
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -325,7 +454,7 @@ class Subspace:
         if other.dim < self.dim and other <= self:
             return other
         # combinations c of A's basis with c*A in B
-        return self.combinations(stabiliser(self.field, [[v] for v in self.basis], other))
+        return self.combinations(stabiliser(self.field, [[v] for v in self.kernel_basis()], other))
 
     def combinations(self, coefficients: "Subspace") -> "Subspace":
         """The combinations of this basis whose coefficient rows span `coefficients`.
@@ -339,12 +468,10 @@ class Subspace:
                 "coefficients in %s^%d for a basis of %d vectors over %s"
                 % (coefficients.field, coefficients.ambient_dim, self.dim, self.field)
             )
-        rows = tuple(
-            linear_combination(self.field, c, self.basis, self.ambient_dim)
-            for c in coefficients.basis
-        )
-        return Subspace(
-            self.field, self.ambient_dim, rows, tuple(self.pivots[k] for k in coefficients.pivots)
+        basis, n = self.kernel_basis(), self.ambient_dim
+        rows = [kernel_sum(self.field, c, basis, n) for c in coefficients.basis]
+        return Subspace._from_kernel(
+            self.field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots)
         )
 
 
@@ -352,8 +479,8 @@ class EchelonAccumulator:
     """Grows a subspace one vector at a time, keeping the basis in RREF.
 
     The workhorse behind rref, closure computations and spanning checks;
-    add() reports whether the vector enlarged the span.  Over GF(2) the
-    rows are kept packed.
+    add() reports whether the vector enlarged the span.  Its rows are kept
+    in kernel form: packed over GF(2), lists otherwise.
     """
 
     __slots__ = ("field", "ambient_dim", "_rows", "pivots")
@@ -377,11 +504,10 @@ class EchelonAccumulator:
             return [gf2_unpack(r, self.ambient_dim) for r in self._rows]
         return self._rows
 
-    def add(self, vec: Sequence) -> bool:
-        """Insert vec; True when the rank grew."""
+    def add(self, vec) -> bool:
+        """Insert vec, a sequence or over GF(2) also a packed int; True when the rank grew."""
         if self.field.p == 2:
-            _check_length(vec, self.ambient_dim)
-            v = _xor_reduce(gf2_pack(vec), self._rows)
+            v = _xor_reduce(_packed(vec, self.ambient_dim), self._rows)
             if not v:
                 return False
             # the leading coordinate is the highest set bit; back-substitute as below
@@ -411,16 +537,14 @@ class EchelonAccumulator:
         self.pivots.insert(pos, c)
 
     def to_subspace(self) -> Subspace:
-        packed = tuple(self._rows) if self.field.p == 2 else None
-        return Subspace(
-            self.field, self.ambient_dim, tuple(map(tuple, self.rows)), tuple(self.pivots), packed
-        )
+        return Subspace._from_kernel(self.field, self.ambient_dim, self._rows, tuple(self.pivots))
 
 
 def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> Subspace:
     """The coefficient vectors c for which sum_t c_t f_t maps a basis into `into`.
 
-    images[t] lists the images of one fixed basis under the map f_t.
+    images[t] lists the images of one fixed basis under the map f_t, each a
+    sequence or, over GF(2), a packed int.
     Reduction mod `into` is linear, so the answer is the left kernel of the
     reduced images laid side by side, one row per map.  One echelon pass
     over the rows [reduced images of f_t | e_t] finds it: a row whose pivot
@@ -429,21 +553,24 @@ def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspac
     returned as a subspace of F^t, t the number of maps.
     """
     t = len(images)
-    zero, one = field.zero(), field.one()
-    rows = []
-    for k, row in enumerate(images):
-        unit = [zero] * t
-        unit[k] = one
-        rows.append([x for v in row for x in into.reduce(v)] + unit)
-    width = len(rows[0]) - t if rows else 0
+    k = len(images[0]) if images else 0
+    if any(len(row) != k for row in images):
+        raise DimensionMismatchError("every map needs the images of the same basis")
+    width = into.ambient_dim * k
+    if field.p == 2:
+        # e_k packed is byte k of t, the low 8t bits of the row
+        rows = [into.residuals(row) << 8 * t | 1 << 8 * (t - 1 - k) for k, row in enumerate(images)]
+    else:
+        units = Subspace.full_space(field, t).basis
+        rows = [into.residuals(row) + list(unit) for row, unit in zip(images, units)]
     acc = EchelonAccumulator(field, width + t, rows)
-    kept = [(row, c) for row, c in zip(acc.rows, acc.pivots) if c >= width]
-    return Subspace(
-        field,
-        t,
-        tuple(tuple(row[width:]) for row, _ in kept),
-        tuple(c - width for _, c in kept),
-    )
+    # the rows with a pivot in the identity block come last; a packed one
+    # is zero in its image part, so it already is its identity part
+    start = bisect_left(acc.pivots, width)
+    kept = acc._rows[start:]
+    if field.p != 2:
+        kept = [row[width:] for row in kept]
+    return Subspace._from_kernel(field, t, kept, tuple(c - width for c in acc.pivots[start:]))
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) -> Iterator[Subspace]:
@@ -481,9 +608,10 @@ def close(acc: "EchelonAccumulator", images: Callable[[Sequence], Iterable[Seque
 
     Each vector is expanded once, after every vector before it was added,
     so images(v) may read the current rows: bracketing v with them checks
-    a bilinear rule on every pair.  acc grows in place.
+    a bilinear rule on every pair.  images gets and returns vectors in
+    kernel form, so over GF(2) nothing is unpacked.  acc grows in place.
     """
-    fresh = list(acc.rows)
+    fresh = list(acc._rows)
     while fresh:
         for w in images(fresh.pop()):
             if acc.add(w):

@@ -377,3 +377,92 @@ def gf2_rotation_sum():
         6,
         {(1, 2): (0, 0, 1, 0, 0, 0), (1, 3): (0, 1, 1, 0, 0, 0), (1, 4): (0, 0, 0, 1, 0, 0)},
     )
+
+
+# Mod-2 oracles in plain list arithmetic: every entry is reduced mod 2 and
+# every vector is a tuple, so they share nothing with the packed kernels.
+
+
+def mod2_sum(coeffs, rows, n):
+    """The sum of coeffs[i] * rows[i] with every entry reduced mod 2."""
+    out = [0] * n
+    for c, row in zip(coeffs, rows):
+        for j in range(n):
+            out[j] = (out[j] + int(c) * int(row[j])) % 2
+    return tuple(out)
+
+
+def mod2_elements(basis, n):
+    """Every vector of the span of basis over GF(2), as a set of tuples."""
+    return {mod2_sum(c, basis, n) for c in itertools.product((0, 1), repeat=len(basis))}
+
+
+def mod2_bracket(table, x, y):
+    """[x, y] as the sum of x_i y_j [e_i, e_j] over every basis pair, mod 2."""
+    n = len(table)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    return mod2_sum([int(x[i]) * int(y[j]) for i, j in pairs], [table[i][j] for i, j in pairs], n)
+
+
+def mod2_basis_brackets(table, vectors):
+    """For each basis vector e_k, the list of [e_k, v] over the vectors, mod 2."""
+    n = len(table)
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    return [[mod2_bracket(table, unit[k], v) for v in vectors] for k in range(n)]
+
+
+def mod2_stabiliser(images, into_basis, n):
+    """The c in GF(2)^t with sum_t c_t images[t][j] in span(into_basis) for every j, by full scan."""
+    inside = mod2_elements(into_basis, n)
+    width = len(images[0]) if images else 0
+    return {
+        c
+        for c in itertools.product((0, 1), repeat=len(images))
+        if all(mod2_sum(c, [row[j] for row in images], n) in inside for j in range(width))
+    }
+
+
+def mod2_centraliser(table, a_basis, b_basis):
+    """{x : [x, a] in span(b) for every a in a_basis}, by full scan of GF(2)^n."""
+    n = len(table)
+    inside = mod2_elements(b_basis, n)
+    return {
+        x
+        for x in itertools.product((0, 1), repeat=n)
+        if all(mod2_bracket(table, x, a) in inside for a in a_basis)
+    }
+
+
+def mod2_core(table, basis):
+    """The largest ideal in span(basis): keep the x with every [e_k, x] kept, until nothing drops."""
+    n = len(table)
+    unit = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    kept = mod2_elements(basis, n)
+    while True:
+        smaller = {x for x in kept if all(mod2_bracket(table, e, x) in kept for e in unit)}
+        if smaller == kept:
+            return kept
+        kept = smaller
+
+
+def mod2_factor_coords(space_basis, bottom_basis, vec, n):
+    """Every c with vec - sum_i c_i space_basis[i] in span(bottom_basis), by full scan."""
+    inside = mod2_elements(bottom_basis, n)
+    return [
+        c
+        for c in itertools.product((0, 1), repeat=len(space_basis))
+        if mod2_sum((1,) + c, [vec] + list(space_basis), n) in inside
+    ]
+
+
+def mod2_fills_extension(table, rows, u_basis):
+    """Some y in L has d(u) + [y, u] in U for every u of U's basis: N_D(U) + L = D, by full scan.
+
+    d is given by its rows, row i being d(e_i); over GF(2), -[y, u] = [y, u].
+    """
+    n = len(table)
+    inside = mod2_elements(u_basis, n)
+    return any(
+        all(mod2_sum((1, 1), (mod2_sum(u, rows, n), mod2_bracket(table, y, u)), n) in inside for u in u_basis)
+        for y in itertools.product((0, 1), repeat=n)
+    )
