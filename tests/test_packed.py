@@ -172,7 +172,7 @@ def test_packed_int_that_does_not_fit_is_refused(bad):
     space = algebra.span([(1, 0, 0), (0, 0, 1)])
     view = FactorView(algebra, algebra.full_space(), algebra.zero_space())
     acc = EchelonAccumulator(F2, 3)
-    table = algebra.kernel_table()[0]
+    rows = algebra.kernel_table()[0]
     refusals = (
         space.contains,
         space.reduce,
@@ -184,8 +184,8 @@ def test_packed_int_that_does_not_fit_is_refused(bad):
         lambda v: close(EchelonAccumulator(F2, 3, [(1, 0, 0)]), lambda w: [v]),
         view.coords,
         lambda v: algebra.kernel_brackets([v]),
-        lambda v: list(kernel_images(F2, [v], [table], 3)),
-        lambda v: kernel_sum(F2, v, table, 3),
+        lambda v: list(kernel_images(F2, [v], [rows], 3)),
+        lambda v: kernel_sum(F2, v, rows, 3),
         lambda v: kernel_form(F2, v, 3),
     )
     for refuse in refusals:
@@ -217,7 +217,6 @@ def counting_pack(monkeypatch):
 
 
 def test_immutable_rows_are_packed_once(monkeypatch):
-    # a table no other test builds, so its cache starts empty
     algebra = LieAlgebra(F2, 5, [((0, 1), (0, 0, 1, 0, 0)), ((0, 3), (0, 0, 0, 1, 0)), ((0, 2), (0, 1, 1, 0, 0))])
     vecs = [(1, 1, 0, 1, 0), (0, 1, 1, 0, 1)]
     d = derivation_algebra(algebra).basis[-1]
