@@ -62,7 +62,6 @@ from .linalg import (
     kernel_images,
     kernel_rows,
     kernel_sum,
-    linear_combination,
     stabiliser,
 )
 
@@ -90,7 +89,6 @@ def _check_jacobi(field: Field, table: tuple) -> None:
     """Raise JacobiViolationError at the first basis triple that breaks Jacobi."""
     n = len(table)
     rows = [kernel_rows(field, row) for row in table]
-    zero = kernel_sum(field, (), (), n)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -101,7 +99,7 @@ def _check_jacobi(field: Field, table: tuple) -> None:
                     rows[k] + rows[i] + rows[j],
                     n,
                 )
-                if s != zero:
+                if any(from_kernel(field, s, n)):
                     raise JacobiViolationError((i + 1, j + 1, k + 1))
 
 
@@ -513,7 +511,12 @@ class FactorView:
 
     def lift(self, coords: Sequence) -> tuple:
         """A representative in the algebra of factor coordinates."""
-        return linear_combination(self.algebra.field, coords, self.space.basis, self.algebra.dim)
+        return from_kernel(self.algebra.field, self._kernel_lift(coords), self.algebra.dim)
+
+    def _kernel_lift(self, coords: Sequence):
+        """lift in kernel form, so a lifted subspace is spanned without a second pack."""
+        field, n = self.algebra.field, self.algebra.dim
+        return kernel_sum(field, coords, self.space.kernel_basis(), n)
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The span of the coordinates of a subspace of the top space."""
@@ -521,7 +524,6 @@ class FactorView:
 
     def lift_subspace(self, s: Subspace) -> Subspace:
         """Full preimage: the lifted basis together with the bottom."""
-        field, n, basis = self.algebra.field, self.algebra.dim, self.space.kernel_basis()
-        vecs = [kernel_sum(field, v, basis, n) for v in s.basis] + list(self.bottom.kernel_basis())
-        return Subspace.span(field, n, vecs)
+        vecs = [self._kernel_lift(v) for v in s.basis] + list(self.bottom.kernel_basis())
+        return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
 

@@ -11,9 +11,10 @@ Each vector job has one kernel per representation.  Row reduction clears
 the pivot columns of a vector against echelon rows: _eliminate on tuples
 over Q and GF(p) for p > 2, _xor_reduce on packed rows over GF(2).  RREF,
 membership and incremental spans are built on them, coordinates in an RREF
-basis are read at its pivots, and vectors are summed in one place per
-form: linear_combination on tuples, kernel_sum and kernel_images on
-vectors in kernel form (below).
+basis are read at its pivots, and vectors are summed in one loop per
+representation: linear_combination on tuples over Q and GF(p), kernel_sum
+on packed rows over GF(2) (linear_combination packs its rows and calls it
+there; kernel_images XORs the same packed rows for many maps).
 stabiliser is the one "which combination of these maps sends a basis
 into B" kernel, behind centralisers, normalisers, cores, intersections and
 stabilising derivations.  It takes one echelon pass over the rows [reduced
@@ -97,19 +98,12 @@ def _check_length(vec: Sequence, n: int) -> None:
         raise AmbientMismatchError("vector length %d in ambient %d" % (len(vec), n))
 
 
-# n -> the bits a packed vector of GF(2)^n must leave clear: every bit but
-# bit 0 of each of its n bytes, so a byte above 1 or a coordinate beyond n
-_OUTSIDE: dict = {}
-
-
 def _packed(vec, n: int) -> int:
     """vec of GF(2)^n packed: a packed int is checked to fit, a sequence for length and packed."""
     if isinstance(vec, int):
-        try:
-            outside = _OUTSIDE[n]
-        except KeyError:
-            outside = _OUTSIDE[n] = ~((1 << 8 * n) // 255)
-        if vec & outside:
+        # (1 << 8n) // 255 has bit 0 of each of the n bytes set; any other bit
+        # is a byte above 1 or a coordinate beyond n
+        if vec & ~((1 << 8 * n) // 255):
             raise AmbientMismatchError("packed vector does not fit GF(2)^%d" % n)
         return vec
     _check_length(vec, n)
@@ -144,11 +138,7 @@ def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -
     """The vector sum of coeffs[i] * rows[i], of length n."""
     p = field.p
     if p == 2:
-        packed = 0
-        for c, row in zip(coeffs, rows):
-            if c % 2:
-                packed ^= gf2_pack(row)
-        return gf2_unpack(packed, n)
+        return gf2_unpack(kernel_sum(field, coeffs, kernel_rows(field, rows), n), n)
     # one accumulator; zero coefficients and zero row entries add nothing
     out = [0] * n
     for c, row in zip(coeffs, rows):
@@ -178,13 +168,11 @@ def kernel_rows(field: Field, rows: Iterable[Sequence]) -> tuple:
 def kernel_sum(field: Field, coeffs, rows: Sequence, n: int):
     """The sum of coeffs[i] * rows[i] over rows in kernel form, itself in kernel form.
 
-    Over GF(2) it XORs the packed rows whose coefficient is odd; coeffs
-    may then be a packed int too.  Otherwise it is linear_combination.
+    Over GF(2) it XORs the packed rows whose coefficient is odd, the one
+    GF(2) summation loop.  Otherwise it is linear_combination.
     """
     if field.p != 2:
         return linear_combination(field, coeffs, rows, n)
-    if isinstance(coeffs, int):
-        coeffs = _packed(coeffs, len(rows)).to_bytes(len(rows), "big")
     packed = 0
     for c, row in zip(coeffs, rows):
         if c & 1:

@@ -33,7 +33,6 @@ from lieform.linalg import (
     gf2_pack,
     kernel_form,
     kernel_images,
-    kernel_sum,
     stabiliser,
 )
 from support import (
@@ -185,7 +184,6 @@ def test_packed_int_that_does_not_fit_is_refused(bad):
         view.coords,
         lambda v: algebra.kernel_brackets([v]),
         lambda v: list(kernel_images(F2, [v], [rows], 3)),
-        lambda v: kernel_sum(F2, v, rows, 3),
         lambda v: kernel_form(F2, v, 3),
     )
     for refuse in refusals:

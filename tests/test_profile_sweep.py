@@ -2,7 +2,6 @@
 
 import hashlib
 import importlib.util
-import json
 from pathlib import Path
 
 from lieform import cli
@@ -25,8 +24,7 @@ def test_profile_reports_the_sweep_it_ran(monkeypatch, capsys):
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
     tool = _load_tool()
-    assert tool.main(["--max-dim", "3", "--top", "5", "--json"]) == 0
-    report = json.loads(capsys.readouterr().out)
+    report = tool.profile("GF(2)", 3, 200, 1, 5)
     assert report["argv"] == ARGV and report["exit"] == 0
     assert report["stdout_sha256"] == digest
     assert report["python_calls"] > report["gf2_pack_calls"] > 0

@@ -1,7 +1,7 @@
 """Profile one seeded sweep in this process under cProfile.
 
     python3 tools/profile_sweep.py [--field "GF(2)"] [--max-dim 4]
-        [--cap 200] [--seed 1] [--top 15] [--json]
+        [--cap 200] [--seed 1] [--top 15]
 
 The sweep runs through ``lieform.cli.main`` with ``--json`` and one
 process (LIEFORM_THREADS=1), as ``lieform sweep --field F --max-dim D
@@ -13,8 +13,7 @@ sha256 of the sweep's stdout, so a speedup can be checked to give the same
 bytes.  cProfile roughly doubles the CPU time; compare CPU times only
 between runs of this tool, each in a fresh interpreter, since algebras
 interned by earlier work in the same process make a rerun cheaper.
-``--json`` prints the report as one JSON object.  Stdlib only; lieform is
-imported from ``src/`` of this checkout.
+Stdlib only; lieform is imported from ``src/`` of this checkout.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import contextlib
 import cProfile
 import hashlib
 import io
-import json
 import os
 import pstats
 import sys
@@ -86,13 +84,9 @@ def main(argv=None) -> int:
     parser.add_argument("--cap", type=int, default=200, help="extensions kept per parent (default 200; 0 for none)")
     parser.add_argument("--seed", type=int, default=1, help="seed of the capped sampling (default 1)")
     parser.add_argument("--top", type=int, default=15, help="functions listed by self time (default 15)")
-    parser.add_argument("--json", action="store_true", help="print the report as one JSON object")
     args = parser.parse_args(argv)
 
     report = profile(args.field, args.max_dim, args.cap or None, args.seed, args.top)
-    if args.json:
-        print(json.dumps(report, sort_keys=True))
-        return 0
     print("sweep: lieform %s (exit %d)" % (" ".join(report["argv"]), report["exit"]))
     print("process CPU time: %.3f s (profiled)" % report["process_cpu_s"])
     print("Python calls: %d" % report["python_calls"])
