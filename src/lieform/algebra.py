@@ -10,9 +10,9 @@ the table in linalg's kernel form: over GF(2) every entry packed once per
 algebra and cached through memo, so release drops it.  The callers that
 only feed a kernel (is_ideal, the lower central series,
 centralizer_of_factor, core, chief._spin, formations._centralised, the
-derivation criteria) take the packed brackets from kernel_brackets, and
-FactorView.coords takes a packed vector; basis_brackets and bracket
-return tuples, as every Subspace.basis holds them.
+derivation criteria) hand a subspace's kernel-form rows (Subspace.rows)
+to kernel_brackets and take its brackets in kernel form, and
+FactorView.coords takes a packed vector; bracket returns a tuple.
 Instances are interned on (field, table), so while an algebra is
 interned, structurally equal algebras are the same object and share its
 cache of derived data.  That sharing is what keeps the exhaustive sweeps
@@ -268,11 +268,6 @@ class LieAlgebra:
         """
         return list(kernel_images(self.field, vectors, self.kernel_table(), self.dim))
 
-    def basis_brackets(self, vectors: Sequence) -> list:
-        """For each basis vector e_k, the list of [e_k, v] over the vectors, as tuples."""
-        field, n = self.field, self.dim
-        return [[from_kernel(field, v, n) for v in row] for row in self.kernel_brackets(vectors)]
-
     # Subspaces of the algebra
 
     def full_space(self) -> Subspace:
@@ -293,7 +288,7 @@ class LieAlgebra:
         return True
 
     def is_ideal(self, s: Subspace) -> bool:
-        return all(s.contains(v) for row in self.kernel_brackets(s.basis) for v in row)
+        return all(s.contains(v) for row in self.kernel_brackets(s.rows) for v in row)
 
     # Series and structural subspaces.  Results are cached per instance;
     # interning makes the cache shared across every appearance of the same
@@ -307,11 +302,11 @@ class LieAlgebra:
         return cache[key]
 
     def _series(self, key: str, products) -> list:
-        # s_0 = L, s_{t+1} the span of products(basis of s_t), until the terms stop shrinking
+        # s_0 = L, s_{t+1} the span of products(s_t), until the terms stop shrinking
         def compute():
             series = [self.full_space()]
             while not series[-1].is_zero():
-                nxt = self.span(products(series[-1].basis))
+                nxt = self.span(products(series[-1]))
                 if nxt.dim == series[-1].dim:
                     break
                 series.append(nxt)
@@ -322,13 +317,13 @@ class LieAlgebra:
     def derived_series(self) -> list:
         # [s, s] is spanned by the brackets of the basis pairs i < j, by antisymmetry
         return self._series(
-            "derived_series", lambda basis: (self.bracket(x, y) for x, y in combinations(basis, 2))
+            "derived_series", lambda s: (self.bracket(x, y) for x, y in combinations(s.basis, 2))
         )
 
     def lower_central_series(self) -> list:
         # [L, s] is spanned by the [e_k, y] over s's basis
         return self._series(
-            "lower_central_series", lambda basis: (v for row in self.kernel_brackets(basis) for v in row)
+            "lower_central_series", lambda s: (v for row in self.kernel_brackets(s.rows) for v in row)
         )
 
     def is_soluble(self) -> bool:
@@ -353,7 +348,7 @@ class LieAlgebra:
             return self.full_space()
         # [x, a_j] = sum_k c_k [e_k, a_j] for x = sum_k c_k e_k, so the
         # coefficients c form the stabiliser of the maps a_j |-> [e_k, a_j]
-        return stabiliser(self.field, self.kernel_brackets(a.basis), b)
+        return stabiliser(self.field, self.kernel_brackets(a.rows), b)
 
     def centre(self) -> Subspace:
         return self.memo("centre", lambda: self.centralizer(self.full_space()))
@@ -372,7 +367,7 @@ class LieAlgebra:
             current = s
             while not current.is_zero():
                 # images[j][k] = [e_k, b_j]: the basis brackets, one map per b_j
-                images = list(zip(*self.kernel_brackets(current.basis)))
+                images = list(zip(*self.kernel_brackets(current.rows)))
                 nxt = current.combinations(stabiliser(self.field, images, current))
                 if nxt.dim == current.dim:
                     break
@@ -483,13 +478,11 @@ class FactorView:
         self.top = top
         self.bottom = bottom
         kept = [k for k, c in enumerate(top.pivots) if c not in bottom.pivots]
-        rows = top.kernel_basis()
         self.space = Subspace(
             algebra.field,
             algebra.dim,
-            tuple(top.basis[k] for k in kept),
+            tuple(top.rows[k] for k in kept),
             tuple(top.pivots[k] for k in kept),
-            tuple(rows[k] for k in kept),
         )
 
     @property
@@ -516,14 +509,14 @@ class FactorView:
     def _kernel_lift(self, coords: Sequence):
         """lift in kernel form, so a lifted subspace is spanned without a second pack."""
         field, n = self.algebra.field, self.algebra.dim
-        return kernel_sum(field, coords, self.space.kernel_basis(), n)
+        return kernel_sum(field, coords, self.space.rows, n)
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The span of the coordinates of a subspace of the top space."""
-        return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.kernel_basis()])
+        return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.rows])
 
     def lift_subspace(self, s: Subspace) -> Subspace:
         """Full preimage: the lifted basis together with the bottom."""
-        vecs = [self._kernel_lift(v) for v in s.basis] + list(self.bottom.kernel_basis())
+        vecs = [self._kernel_lift(v) for v in s.basis] + list(self.bottom.rows)
         return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
 

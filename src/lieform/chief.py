@@ -75,10 +75,10 @@ class ChiefSeries:
         One accumulator, seeded with U, takes each factor's basis in turn;
         that basis together with I_t spans I_{t+1}.
         """
-        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.kernel_basis())
+        acc = EchelonAccumulator(self.algebra.field, self.algebra.dim, subspace.rows)
         ranks = [acc.rank]
         for factor in self.factors:
-            for v in factor.space.kernel_basis():
+            for v in factor.space.rows:
                 acc.add(v)
             ranks.append(acc.rank)
         return ranks
@@ -111,7 +111,7 @@ def _spin(algebra: LieAlgebra, space: Subspace):
     Over GF(p), in a fixed order, after one budget check on the p^k vectors.
     """
     field, n = algebra.field, algebra.dim
-    basis = space.kernel_basis()
+    basis = space.rows
     check_budget(field.p ** len(basis), "spinning over %s in dimension %d" % (field, len(basis)))
     for coeffs in product(range(field.p), repeat=len(basis)):
         if any(coeffs):
@@ -121,9 +121,9 @@ def _spin(algebra: LieAlgebra, space: Subspace):
 
 def _minimal_ideal_gfp(algebra: LieAlgebra) -> Subspace:
     # The smallest-dimension ideal closure of a vector of the last nonzero
-    # derived term is a minimal ideal; ties are broken by canonical basis.
+    # derived term is a minimal ideal; ties are broken by canonical rows.
     w = _last_derived_term(algebra)
-    closures = {(ideal.dim, ideal.basis): ideal for ideal in _spin(algebra, w)}
+    closures = {(ideal.dim, ideal.rows): ideal for ideal in _spin(algebra, w)}
     return closures[min(closures)]
 
 
@@ -210,10 +210,11 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
     while queue:
         space = queue.pop(0)
         split = False
-        # ad(e_i) on the invariant subspace, in its canonical basis
+        # ad(e_i) on the invariant subspace, in its canonical basis; over Q
+        # the kernel form is the coordinate tuple
         view = FactorView(algebra, space, algebra.zero_space())
         zero = Subspace.zero_space(field, view.dim)
-        for images in algebra.basis_brackets(space.basis):
+        for images in algebra.kernel_brackets(space.rows):
             rows = [list(view.coords(v)) for v in images]
             if _is_scalar(rows):
                 continue

@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     from_kernel,
     kernel_images,
+    kernel_rows,
     kernel_sum,
     null_space,
     stabiliser,
@@ -162,7 +163,7 @@ def _stabilising_coordinates(der: DerivationAlgebra, subalgebra: Subspace) -> Su
         raise DimensionMismatchError("subalgebra lives in the wrong ambient space")
     if der.dim == 0 or subalgebra.is_zero() or subalgebra.is_full():
         return Subspace.full_space(algebra.field, der.dim)
-    images = list(_images(algebra, der.basis, subalgebra.basis))
+    images = list(_images(algebra, der.basis, subalgebra.rows))
     return stabiliser(algebra.field, images, subalgebra)
 
 
@@ -173,13 +174,15 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     derivations' entries at Der(L)'s pivots must together span F^(dim Der).
     """
     der = derivation_algebra(algebra)
-    acc = EchelonAccumulator(algebra.field, der.dim, _stabilising_coordinates(der, subalgebra).kernel_basis())
-    pivots = der.subspace.pivots
-    # ad(e_k) has rows [e_k, e_m], which is table[k]
-    for rows in algebra.table:
-        flat = sum(rows, ())
-        acc.add(tuple(flat[c] for c in pivots))
-    return acc.rank == der.dim
+    n, pivots = algebra.dim, der.subspace.pivots
+    # ad(e_k) has rows [e_k, e_m], which is table[k], so its flattened entry
+    # c is table[k][c // n][c % n]; these coordinates are built once per algebra
+    inner = algebra.memo(
+        "inner_coordinates",
+        lambda: kernel_rows(algebra.field, [tuple(t[c // n][c % n] for c in pivots) for t in algebra.table]),
+    )
+    stabilising = _stabilising_coordinates(der, subalgebra).rows
+    return EchelonAccumulator(algebra.field, der.dim, stabilising + inner).rank == der.dim
 
 
 def _extension_fills(algebra: LieAlgebra, subalgebra: Subspace, derivations):
@@ -189,7 +192,7 @@ def _extension_fills(algebra: LieAlgebra, subalgebra: Subspace, derivations):
     each reduced mod U and laid side by side (Subspace.residuals, packed
     over GF(2)).  W is echelonised once, however many derivations follow.
     """
-    basis = subalgebra.basis
+    basis = subalgebra.rows
     span = Subspace.span(
         algebra.field, algebra.dim * len(basis), map(subalgebra.residuals, algebra.kernel_brackets(basis))
     )

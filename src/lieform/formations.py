@@ -97,7 +97,7 @@ def _supersoluble(algebra: LieAlgebra) -> bool:
 def _centralised(algebra: LieAlgebra, factor: FactorView) -> bool:
     """[L, A] <= B: L acts trivially on the factor A/B."""
     bottom = factor.bottom
-    return all(bottom.contains(v) for row in algebra.kernel_brackets(factor.space.basis) for v in row)
+    return all(bottom.contains(v) for row in algebra.kernel_brackets(factor.space.rows) for v in row)
 
 
 NILPOTENT = Formation("nilpotent", lambda L: L.is_nilpotent(), _centralised)
@@ -144,7 +144,7 @@ class MaximalClassification:
 
 
 def _subalgebra_key(s: Subspace) -> tuple:
-    return (s.dim, s.basis)
+    return (s.dim, s.rows)
 
 
 def _complement_space(algebra: LieAlgebra, factor: FactorView):
@@ -161,7 +161,7 @@ def _complement_space(algebra: LieAlgebra, factor: FactorView):
     free = [c for c in range(n) if c not in top.pivots]
     # row i of actions[j] is the coordinates of [e_c, b_i], table[c] combined by b_i, c = free[j]
     table = algebra.kernel_table()
-    images = kernel_images(field, factor.space.basis, (table[c] for c in free), n)
+    images = kernel_images(field, factor.space.rows, (table[c] for c in free), n)
     actions = [[factor.coords(v) for v in row] for row in images]
     m = len(free) * h
     equations = []
@@ -215,10 +215,10 @@ def maximal_subalgebras(algebra: LieAlgebra) -> list:
             sum(field.p ** len(homogeneous) for *_, homogeneous in systems),
             "listing chief-factor complements over %s in dimension %d" % (field, n),
         )
-        unit = algebra.full_space().kernel_basis()
+        unit = algebra.full_space().rows
         found = []
         for factor, free, particular, homogeneous in systems:
-            h, basis, bottom = factor.dim, factor.space.kernel_basis(), factor.bottom.kernel_basis()
+            h, basis, bottom = factor.dim, factor.space.rows, factor.bottom.rows
             m, solutions = len(particular), kernel_rows(field, [particular] + homogeneous)
             for coeffs in product(range(field.p), repeat=len(homogeneous)):
                 delta = from_kernel(field, kernel_sum(field, (1,) + coeffs, solutions, m), m)

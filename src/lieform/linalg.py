@@ -1,20 +1,18 @@
 """Exact dense linear algebra: RREF, kernels, subspace lattice.
 
-Vectors are coordinate tuples in every result (a residual is a list).  A
-linear map is the tuple of its rows and acts on the right, v |-> v * M, so
-row i is the image of the i-th basis vector; Matrix is only the immutable
-record of such rows that a derivation stores.  Subspaces keep a canonical
-reduced-row-echelon basis, which makes equality, hashing and deduplication
-exact.
+A linear map is the tuple of its rows and acts on the right, v |-> v * M,
+so row i is the image of the i-th basis vector; Matrix is only the
+immutable record of such rows that a derivation stores.  A subspace stores
+its canonical reduced-row-echelon basis once, as rows in kernel form (see
+below), which makes equality, hashing and deduplication exact.
 
 Each vector job has one kernel per representation.  Row reduction clears
 the pivot columns of a vector against echelon rows: _eliminate on tuples
 over Q and GF(p) for p > 2, _xor_reduce on packed rows over GF(2).  RREF,
 membership and incremental spans are built on them, coordinates in an RREF
 basis are read at its pivots, and vectors are summed in one loop per
-representation: linear_combination on tuples over Q and GF(p), kernel_sum
-on packed rows over GF(2) (linear_combination packs its rows and calls it
-there; kernel_images XORs the same packed rows for many maps).
+representation: linear_combination on tuples, kernel_sum on packed rows
+over GF(2) (kernel_images XORs the same packed rows for many maps).
 stabiliser is the one "which combination of these maps sends a basis
 into B" kernel, behind centralisers, normalisers, cores, intersections and
 stabilising derivations.  It takes one echelon pass over the rows [reduced
@@ -31,20 +29,22 @@ coordinate, the first coordinate most significant (gf2_pack): adding two
 rows is one XOR, and a row's leading coordinate is its highest set bit.
 
 The kernel form of a vector is that packed int over GF(2) and the
-coordinate sequence over every other field.  Packed vectors travel between
-modules along the hot hand-offs: the structure table
-(LieAlgebra.kernel_table) and a derivation's rows (Matrix.kernel_rows) are
-packed once each, brackets with basis vectors and derivation images come
-out of kernel_images packed, and Subspace.reduce, residuals, contains and
-coordinates, EchelonAccumulator.add, stabiliser and close take them
-without unpacking; residuals laid side by side are joined by shifting.
-kernel_form, kernel_rows, kernel_sum, kernel_images and from_kernel hold
-the field fork, so their callers never test the field.  A packed int is
-checked to fit its ambient space (AmbientMismatchError otherwise).  Public
-results stay tuples: Subspace.basis, EchelonAccumulator.rows, rref,
-linear_combination, brackets and derivation values are unpacked.  Each
-primitive branches on the field once, outside its loop, because the
-verification sweeps spend most of their time here.
+coordinate tuple over every other field.  A subspace stores its rows in
+kernel form (Subspace.rows) as the accumulator builds them, and
+Subspace.basis reads them as tuples; over GF(2) int order on packed rows
+is tuple order on their coordinates, so sorting by rows sorts by
+coordinates.  The structure table (LieAlgebra.kernel_table) and a
+derivation's rows (Matrix.kernel_rows) are packed once each; brackets with
+basis vectors and derivation images come out of kernel_images packed, and
+Subspace.reduce, residuals, contains and coordinates,
+EchelonAccumulator.add, stabiliser and close take them without unpacking;
+residuals laid side by side are joined by shifting.  kernel_form,
+kernel_rows, kernel_sum, kernel_images and from_kernel hold the field
+fork, so their callers never test the field.  A packed int is checked to
+fit its ambient space (AmbientMismatchError otherwise).  rref, brackets
+and derivation values return tuples.  Each primitive branches on the
+field once, outside its loop, because the verification sweeps spend most
+of their time here.
 """
 
 from __future__ import annotations
@@ -137,8 +137,6 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
     """The vector sum of coeffs[i] * rows[i], of length n."""
     p = field.p
-    if p == 2:
-        return gf2_unpack(kernel_sum(field, coeffs, kernel_rows(field, rows), n), n)
     # one accumulator; zero coefficients and zero row entries add nothing
     out = [0] * n
     for c, row in zip(coeffs, rows):
@@ -168,8 +166,8 @@ def kernel_rows(field: Field, rows: Iterable[Sequence]) -> tuple:
 def kernel_sum(field: Field, coeffs, rows: Sequence, n: int):
     """The sum of coeffs[i] * rows[i] over rows in kernel form, itself in kernel form.
 
-    Over GF(2) it XORs the packed rows whose coefficient is odd, the one
-    GF(2) summation loop.  Otherwise it is linear_combination.
+    Over GF(2) it XORs the packed rows whose coefficient is odd.
+    Otherwise it is linear_combination.
     """
     if field.p != 2:
         return linear_combination(field, coeffs, rows, n)
@@ -220,9 +218,9 @@ def rref(rows: Iterable[Sequence], field: Field) -> tuple:
     ncols = len(work[0]) if work else 0
     if any(len(r) != ncols for r in work):
         raise DimensionMismatchError("ragged rows")
-    acc = EchelonAccumulator(field, ncols, work)
-    zero_rows = ((field.zero(),) * ncols,) * (len(work) - acc.rank)
-    return tuple(tuple(r) for r in acc.rows) + zero_rows, tuple(acc.pivots)
+    space = EchelonAccumulator(field, ncols, work).to_subspace()
+    zero_rows = ((field.zero(),) * ncols,) * (len(work) - space.dim)
+    return space.basis + zero_rows, space.pivots
 
 
 def null_space(rows: Sequence[Sequence], field: Field, ncols: int | None = None) -> list:
@@ -294,22 +292,20 @@ class Matrix:
 
 
 class Subspace:
-    """Subspace of F^n with a canonical RREF basis.
+    """Subspace of F^n with a canonical RREF basis, stored once as rows in kernel form.
 
     Canonicality makes == and hash structural: two spans are equal exactly
-    when they reduce to the same rows.  The basis is also held in kernel
-    form (kernel_basis): over GF(2) packed, by the accumulator that built
-    it or on first use.
+    when they reduce to the same rows.  rows holds packed ints over GF(2)
+    and coordinate tuples otherwise; basis reads them as coordinate tuples.
     """
 
-    __slots__ = ("field", "ambient_dim", "basis", "pivots", "_kernel")
+    __slots__ = ("field", "ambient_dim", "rows", "pivots")
 
-    def __init__(self, field: Field, ambient_dim: int, basis: tuple, pivots: tuple, kernel=None):
+    def __init__(self, field: Field, ambient_dim: int, rows: tuple, pivots: tuple):
         self.field = field
         self.ambient_dim = ambient_dim
-        self.basis = basis
+        self.rows = rows
         self.pivots = pivots
-        self._kernel = kernel
 
     @staticmethod
     def span(field: Field, ambient_dim: int, vectors: Iterable[Sequence]) -> "Subspace":
@@ -323,20 +319,27 @@ class Subspace:
     @staticmethod
     def full_space(field: Field, ambient_dim: int) -> "Subspace":
         zero, one = field.zero(), field.one()
-        basis = tuple(
+        basis = (
             tuple(one if i == j else zero for j in range(ambient_dim)) for i in range(ambient_dim)
         )
-        return Subspace(field, ambient_dim, basis, tuple(range(ambient_dim)))
+        return Subspace(field, ambient_dim, kernel_rows(field, basis), tuple(range(ambient_dim)))
+
+    @property
+    def basis(self) -> tuple:
+        """The RREF rows as coordinate tuples."""
+        if self.field.p == 2:
+            return tuple(gf2_unpack(r, self.ambient_dim) for r in self.rows)
+        return self.rows
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self.rows
 
     def is_full(self) -> bool:
-        return len(self.basis) == self.ambient_dim
+        return len(self.rows) == self.ambient_dim
 
     def _check_ambient(self, other: "Subspace") -> None:
         if self.field != other.field or self.ambient_dim != other.ambient_dim:
@@ -349,28 +352,14 @@ class Subspace:
             isinstance(other, Subspace)
             and self.field == other.field
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self.rows == other.rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.ambient_dim, self.basis))
+        return hash((self.field.p, self.ambient_dim, self.rows))
 
     def __repr__(self) -> str:
         return "Subspace(%s^%d, dim %d)" % (self.field, self.ambient_dim, self.dim)
-
-    @staticmethod
-    def _from_kernel(field: Field, ambient_dim: int, rows: Sequence, pivots: tuple) -> "Subspace":
-        """The subspace of RREF rows given in kernel form, keeping them packed over GF(2)."""
-        if field.p == 2:
-            basis = tuple(gf2_unpack(r, ambient_dim) for r in rows)
-            return Subspace(field, ambient_dim, basis, pivots, tuple(rows))
-        return Subspace(field, ambient_dim, tuple(map(tuple, rows)), pivots)
-
-    def kernel_basis(self) -> tuple:
-        """The basis in kernel form; over GF(2) packed once, on first use."""
-        if self._kernel is None:
-            self._kernel = kernel_rows(self.field, self.basis)
-        return self._kernel
 
     def reduce(self, vec):
         """Residual of vec after elimination by the basis; zero iff contained.
@@ -379,10 +368,10 @@ class Subspace:
         """
         n = self.ambient_dim
         if self.field.p == 2:
-            residual = _xor_reduce(_packed(vec, n), self.kernel_basis())
+            residual = _xor_reduce(_packed(vec, n), self.rows)
             return residual if isinstance(vec, int) else list(residual.to_bytes(n, "big"))
         _check_length(vec, n)
-        return _eliminate(vec, self.basis, self.pivots, self.field.p)
+        return _eliminate(vec, self.rows, self.pivots, self.field.p)
 
     def residuals(self, vectors: Iterable) -> list | int:
         """The residuals of the vectors laid side by side, one vector of F^(n k) in kernel form.
@@ -393,14 +382,14 @@ class Subspace:
         n = self.ambient_dim
         if self.field.p != 2:
             return [x for v in vectors for x in self.reduce(v)]
-        basis, shift, joined = self.kernel_basis(), 8 * n, 0
+        shift, joined = 8 * n, 0
         for v in vectors:
-            joined = joined << shift | _xor_reduce(_packed(v, n), basis)
+            joined = joined << shift | _xor_reduce(_packed(v, n), self.rows)
         return joined
 
     def contains(self, vec) -> bool:
         if self.field.p == 2:
-            return not _xor_reduce(_packed(vec, self.ambient_dim), self.kernel_basis())
+            return not _xor_reduce(_packed(vec, self.ambient_dim), self.rows)
         return not any(self.reduce(vec))
 
     def coordinates(self, vec):
@@ -420,18 +409,18 @@ class Subspace:
         self._check_ambient(other)
         if self.dim > other.dim:
             return False
-        return all(other.contains(v) for v in self.kernel_basis())
+        return all(other.contains(v) for v in self.rows)
 
     def __lt__(self, other: "Subspace") -> bool:
         return self.dim < other.dim and self.__le__(other)
 
     def __add__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
-        if not self.basis:
+        if not self.rows:
             return other
-        if not other.basis:
+        if not other.rows:
             return self
-        return Subspace.span(self.field, self.ambient_dim, self.kernel_basis() + other.kernel_basis())
+        return Subspace.span(self.field, self.ambient_dim, self.rows + other.rows)
 
     def __and__(self, other: "Subspace") -> "Subspace":
         self._check_ambient(other)
@@ -442,7 +431,7 @@ class Subspace:
         if other.dim < self.dim and other <= self:
             return other
         # combinations c of A's basis with c*A in B
-        return self.combinations(stabiliser(self.field, [[v] for v in self.kernel_basis()], other))
+        return self.combinations(stabiliser(self.field, [[v] for v in self.rows], other))
 
     def combinations(self, coefficients: "Subspace") -> "Subspace":
         """The combinations of this basis whose coefficient rows span `coefficients`.
@@ -456,11 +445,9 @@ class Subspace:
                 "coefficients in %s^%d for a basis of %d vectors over %s"
                 % (coefficients.field, coefficients.ambient_dim, self.dim, self.field)
             )
-        basis, n = self.kernel_basis(), self.ambient_dim
-        rows = [kernel_sum(self.field, c, basis, n) for c in coefficients.basis]
-        return Subspace._from_kernel(
-            self.field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots)
-        )
+        n = self.ambient_dim
+        rows = tuple(kernel_sum(self.field, c, self.rows, n) for c in coefficients.basis)
+        return Subspace(self.field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots))
 
 
 class EchelonAccumulator:
@@ -468,7 +455,8 @@ class EchelonAccumulator:
 
     The workhorse behind rref, closure computations and spanning checks;
     add() reports whether the vector enlarged the span.  Its rows are kept
-    in kernel form: packed over GF(2), lists otherwise.
+    in kernel form, packed over GF(2) and tuples otherwise, so to_subspace
+    hands them over as they are.
     """
 
     __slots__ = ("field", "ambient_dim", "_rows", "pivots")
@@ -485,13 +473,6 @@ class EchelonAccumulator:
     def rank(self) -> int:
         return len(self._rows)
 
-    @property
-    def rows(self) -> list:
-        """The echelon rows as coordinate sequences."""
-        if self.field.p == 2:
-            return [gf2_unpack(r, self.ambient_dim) for r in self._rows]
-        return self._rows
-
     def add(self, vec) -> bool:
         """Insert vec, a sequence or over GF(2) also a packed int; True when the rank grew."""
         if self.field.p == 2:
@@ -505,17 +486,18 @@ class EchelonAccumulator:
                     self._rows[k] = row ^ v
             self._insert(v, self.ambient_dim - 1 - top // 8)
             return True
-        _check_length(vec, self.ambient_dim)
-        v = _eliminate(vec, self._rows, self.pivots, self.field.p)
+        field, n = self.field, self.ambient_dim
+        _check_length(vec, n)
+        v = _eliminate(vec, self._rows, self.pivots, field.p)
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
             return False
-        if v[c] != 1:
-            v = list(linear_combination(self.field, (self.field.inv(v[c]),), (v,), self.ambient_dim))
+        # scaled to a leading 1, as a tuple: linear_combination returns one
+        v = tuple(v) if v[c] == 1 else linear_combination(field, (field.inv(v[c]),), (v,), n)
         # back-substitute so the other rows stay zero in the new pivot column
         for k, row in enumerate(self._rows):
             if row[c]:
-                self._rows[k] = _eliminate(row, (v,), (c,), self.field.p)
+                self._rows[k] = tuple(_eliminate(row, (v,), (c,), field.p))
         self._insert(v, c)
         return True
 
@@ -525,7 +507,7 @@ class EchelonAccumulator:
         self.pivots.insert(pos, c)
 
     def to_subspace(self) -> Subspace:
-        return Subspace._from_kernel(self.field, self.ambient_dim, self._rows, tuple(self.pivots))
+        return Subspace(self.field, self.ambient_dim, tuple(self._rows), tuple(self.pivots))
 
 
 def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> Subspace:
@@ -555,10 +537,10 @@ def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspac
     # the rows with a pivot in the identity block come last; a packed one
     # is zero in its image part, so it already is its identity part
     start = bisect_left(acc.pivots, width)
-    kept = acc._rows[start:]
+    kept = tuple(acc._rows[start:])
     if field.p != 2:
-        kept = [row[width:] for row in kept]
-    return Subspace._from_kernel(field, t, kept, tuple(c - width for c in acc.pivots[start:]))
+        kept = tuple(row[width:] for row in kept)
+    return Subspace(field, t, kept, tuple(c - width for c in acc.pivots[start:]))
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) -> Iterator[Subspace]:
@@ -588,7 +570,7 @@ def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) 
                     rows[r][pivots[r]] = 1
                 for (r, c), v in zip(positions, values):
                     rows[r][c] = v
-                yield Subspace(field, ambient_dim, tuple(tuple(r) for r in rows), pivots)
+                yield Subspace(field, ambient_dim, kernel_rows(field, map(tuple, rows)), pivots)
 
 
 def close(acc: "EchelonAccumulator", images: Callable[[Sequence], Iterable[Sequence]]) -> Subspace:

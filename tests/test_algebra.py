@@ -20,7 +20,7 @@ from lieform import (
     Subspace,
     maximal_subalgebras,
 )
-from lieform.linalg import linear_combination
+from lieform.linalg import from_kernel, linear_combination
 from support import (
     abelian,
     algebra,
@@ -222,7 +222,7 @@ def test_bracket_bilinear(u, v, c):
 @given(vec3)
 def test_basis_brackets_match_bracket(y):
     a = h3()
-    images = a.basis_brackets([y])
+    images = [[from_kernel(a.field, v, a.dim) for v in row] for row in a.kernel_brackets([y])]
     assert [row[0] for row in images] == [a.bracket(e, y) for e in a.full_space().basis]
 
 

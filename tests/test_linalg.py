@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,7 @@ from lieform import (
     Derivation,
     DimensionMismatchError,
     EchelonAccumulator,
+    FactorView,
     Field,
     LieAlgebra,
     Matrix,
@@ -24,7 +26,7 @@ from lieform import (
     rref,
     sweep_run,
 )
-from lieform.linalg import _eliminate, linear_combination, stabiliser
+from lieform.linalg import _eliminate, kernel_form, linear_combination, stabiliser
 from support import (
     gf2_rotation_sum, gf3_rotation, h3, identity_rows, is_q_payload, naive_null_space, naive_rref,
     r2_plus_line,
@@ -124,6 +126,85 @@ def test_subspace_order_and_eq():
     assert u < w and u <= w and u != w
     # same span, different generators, equal canonical form
     assert Subspace.span(F2, 3, [(1, 1, 0), (0, 1, 0)]) == w
+
+
+def builds_of(space, rng):
+    """The space built again through every constructor that can reach it."""
+    field, n, k = space.field, space.ambient_dim, space.dim
+    combos = [linear_combination(field, [rng.randrange(-2, 3) for _ in range(k)], space.basis, n) for _ in range(k)]
+    gens = combos + list(space.basis)  # random combinations alone may span less
+    rng.shuffle(gens)
+    full, zero = Subspace.full_space(field, n), Subspace.zero_space(field, n)
+    builds = [
+        Subspace.span(field, n, gens),
+        Subspace.span(field, n, [list(v) for v in gens]),
+        Subspace.span(field, n, [kernel_form(field, v, n) for v in gens]),
+        space.combinations(Subspace.full_space(field, k)),
+        full.combinations(space),
+        # e_i |-> e_i sends c into the space exactly when c lies in it
+        stabiliser(field, [[u] for u in full.rows], space),
+        FactorView(LieAlgebra.abelian(field, n), space, zero).space,
+    ]
+    if k == 0:
+        builds.append(zero)
+    if k == n:
+        builds.append(full)
+    # (S + x) & (S + y) = S for x, y independent modulo S; neither side
+    # contains the other, so the meet goes through stabiliser and combinations
+    pairs = [
+        (x, y) for x, y in combinations(full.basis, 2)
+        if (space + Subspace.span(field, n, [x, y])).dim == k + 2
+    ]
+    if pairs:
+        x, y = pairs[0]
+        builds.append(Subspace.span(field, n, gens + [x]) & Subspace.span(field, n, gens + [y]))
+    if field.p is not None:
+        builds.append(next(e for e in enumerate_subspaces(field, n, k) if e == space))
+    return builds
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=str)
+def test_one_stored_form_per_space(field):
+    # a subspace stores its rows once, in kernel form: packed ints over GF(2),
+    # tuples otherwise; every constructor must give exactly that form
+    rng = random.Random(2041)
+    n = 4
+    row_type = int if field.p == 2 else tuple
+
+    def check(build, space):
+        assert type(build.rows) is tuple and type(build.pivots) is tuple
+        assert all(type(row) is row_type for row in build.rows)
+        assert build == space and hash(build) == hash(space)
+        assert build.basis == space.basis and build.pivots == space.pivots
+
+    full = Subspace.full_space(field, n)
+    for _ in range(60):
+        gens = [[field.from_int(rng.randrange(-2, 3)) for _ in range(n)] for _ in range(rng.randint(0, n + 1))]
+        space = Subspace.span(field, n, gens)
+        for build in builds_of(space, rng):
+            check(build, space)
+        # L/S is spanned by the standard vectors at the columns off S's pivots
+        free = Subspace.span(field, n, [full.basis[c] for c in range(n) if c not in space.pivots])
+        check(FactorView(LieAlgebra.abelian(field, n), full, space).space, free)
+    if field.p is not None:
+        listed = list(enumerate_subspaces(field, 3))
+        assert len(set(listed)) == len(listed) == sum(gaussian_binomial(3, k, field.p) for k in range(4))
+        for e in listed:
+            check(Subspace.span(field, 3, e.basis), e)
+
+
+def test_packed_rows_sort_as_their_coordinates():
+    # over GF(2), int order on packed rows is tuple order on the coordinates
+    rng = random.Random(2042)
+    n = 6
+    spaces = [
+        Subspace.span(F2, n, [[rng.randrange(2) for _ in range(n)] for _ in range(rng.randint(0, n))])
+        for _ in range(300)
+    ]
+    by_rows = sorted(spaces, key=lambda s: (s.dim, s.rows))
+    assert by_rows == sorted(spaces, key=lambda s: (s.dim, s.basis))
+    # the order is decided by the rows, not only by the dimensions
+    assert by_rows != sorted(spaces, key=lambda s: s.dim)
 
 
 def test_enumerate_subspaces_counts():
@@ -320,7 +401,7 @@ def test_finite_field_kernel_matches_naive_oracle(p):
         for k, row in enumerate(rows):
             before = acc.rank
             assert acc.add(row) == (len(naive_rref(rows[: k + 1], p)[1]) > before)
-        assert [tuple(row) for row in acc.rows] == expected and acc.pivots == pivots
+        assert [tuple(row) for row in acc.to_subspace().basis] == expected and acc.pivots == pivots
         assert acc.to_subspace() == span
 
         coeffs = [rng.randrange(p) for _ in range(r)]

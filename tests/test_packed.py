@@ -30,6 +30,7 @@ from lieform import (
 )
 from lieform.linalg import (
     close,
+    from_kernel,
     gf2_pack,
     kernel_form,
     kernel_images,
@@ -79,10 +80,11 @@ def test_basis_brackets_match_mod2_oracle(data):
     algebra = data.draw(random_table())
     vecs = data.draw(vectors(algebra.dim))
     expected = mod2_basis_brackets(algebra.table, vecs)
-    assert algebra.basis_brackets(vecs) == expected
-    # packed in, packed out
+    # sequences in and packed ints in both give packed brackets
+    unpacked = algebra.kernel_brackets(vecs)
+    assert [[from_kernel(F2, v, algebra.dim) for v in row] for row in unpacked] == expected
     packed = algebra.kernel_brackets([gf2_pack(v) for v in vecs])
-    assert packed == [[gf2_pack(v) for v in row] for row in expected]
+    assert packed == unpacked == [[gf2_pack(v) for v in row] for row in expected]
 
 
 @settings(max_examples=60, deadline=None)
@@ -219,15 +221,15 @@ def test_immutable_rows_are_packed_once(monkeypatch):
     vecs = [(1, 1, 0, 1, 0), (0, 1, 1, 0, 1)]
     d = derivation_algebra(algebra).basis[-1]
     into = algebra.span([(0, 1, 0, 0, 0), (0, 0, 0, 1, 0)])
-    expected = stabiliser(F2, [[gf2_pack(v) for v in row] for row in algebra.basis_brackets(vecs)], into)
+    expected = stabiliser(F2, algebra.kernel_brackets(vecs), into)
     algebra.release()  # start from an empty cache again
     packed = counting_pack(monkeypatch)
 
-    first = algebra.basis_brackets(vecs)
+    first = algebra.kernel_brackets(vecs)
     d(vecs[0])
     assert len(packed) == 5 * 5 + 5  # the table entries and the derivation rows, once each
     del packed[:]
-    assert algebra.basis_brackets(vecs) == first
+    assert algebra.kernel_brackets(vecs) == first
     d(vecs[1])
     assert stabiliser(F2, algebra.kernel_brackets(vecs), into) == expected
     assert packed == [], "packed again: %s" % packed

@@ -7,8 +7,9 @@ The sweep runs through ``lieform.cli.main`` with ``--json`` and one
 process (LIEFORM_THREADS=1), as ``lieform sweep --field F --max-dim D
 --cap C --seed S --json`` runs it, its stdout captured.  The report gives
 the process CPU time of the profiled sweep, the total number of Python
-calls, the calls of ``linalg.gf2_pack`` (the GF(2) packing that the
-kernels try to do once per vector), the top self-time functions and the
+calls, the calls of ``linalg.gf2_pack`` and ``linalg.gf2_unpack`` (the
+GF(2) conversions that the kernels try to do once per vector, or not at
+all), the top self-time functions and the
 sha256 of the sweep's stdout, so a speedup can be checked to give the same
 bytes.  cProfile roughly doubles the CPU time; compare CPU times only
 between runs of this tool, each in a fresh interpreter, since algebras
@@ -58,17 +59,21 @@ def profile(field: str, max_dim: int, cap, seed: int, top: int) -> dict:
 
     stats = pstats.Stats(profiler)
     entries = stats.stats  # key -> (primitive calls, calls, self s, cumulative s, callers)
-    pack_calls = sum(
-        row[1] for key, row in entries.items()
-        if key[2] == "gf2_pack" and os.path.basename(key[0]) == "linalg.py"
-    )
+
+    def linalg_calls(name: str) -> int:
+        return sum(
+            row[1] for key, row in entries.items()
+            if key[2] == name and os.path.basename(key[0]) == "linalg.py"
+        )
+
     ranked = sorted(entries.items(), key=lambda item: item[1][2], reverse=True)[:top]
     return {
         "argv": argv,
         "exit": code,
         "process_cpu_s": round(cpu_s, 3),
         "python_calls": stats.total_calls,
-        "gf2_pack_calls": pack_calls,
+        "gf2_pack_calls": linalg_calls("gf2_pack"),
+        "gf2_unpack_calls": linalg_calls("gf2_unpack"),
         "stdout_sha256": hashlib.sha256(buffer.getvalue().encode()).hexdigest(),
         "top_self_time": [
             {"function": _label(key), "calls": row[1], "self_s": round(row[2], 3), "cumulative_s": round(row[3], 3)}
@@ -91,6 +96,7 @@ def main(argv=None) -> int:
     print("process CPU time: %.3f s (profiled)" % report["process_cpu_s"])
     print("Python calls: %d" % report["python_calls"])
     print("gf2_pack calls: %d" % report["gf2_pack_calls"])
+    print("gf2_unpack calls: %d" % report["gf2_unpack_calls"])
     print("stdout sha256: %s" % report["stdout_sha256"])
     print("%10s %9s %9s  %s" % ("calls", "self s", "cum s", "function"))
     for row in report["top_self_time"]:
