@@ -23,8 +23,8 @@ Leibniz check.  Enumeration adjoins one derivation at a time through it.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, product, zip_longest
+from math import gcd, lcm
 from typing import Sequence
 
 from .algebra import FactorView, LieAlgebra, leibniz_defect
@@ -148,40 +148,78 @@ def _char_poly(field: Field, rows: list) -> list:
     return coeffs
 
 
-def _divisors(n: int) -> list:
-    n = abs(n)
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
+def _horner(poly: list, num: int, den: int = 1) -> int:
+    """den^d poly(num / den) for an integer polynomial of degree d, coefficients highest first."""
+    acc, scale = 0, 1
+    for c in poly:
+        acc = acc * num + c * scale
+        scale *= den
+    return acc
+
+
+def _integer_roots(poly: list) -> list:
+    """The integer roots of a monic integer polynomial of positive degree, coefficients highest first.
+
+    By Sturm's theorem an interval whose ends are not roots holds
+    V(a) - V(b) distinct real roots, V(x) being the sign changes along the
+    Sturm sequence at x.  The ends here are half-integers, never roots of a
+    monic integer polynomial.  Bisection keeps the intervals that hold a
+    root until each has one integer left, which is then tested; nothing is
+    factored, so the steps grow with the digits of the roots, not their size.
+    """
+    seq = [poly, [c * (len(poly) - 1 - i) for i, c in enumerate(poly[:-1])]]
+    while len(seq[-1]) > 1:
+        # a positive multiple of -(a mod b), kept integral and primitive
+        a, b = seq[-2], seq[-1]
+        lead, sign = abs(b[0]), (1 if b[0] > 0 else -1)
+        while len(a) >= len(b):
+            f = a[0] * sign
+            a = [lead * x - f * y for x, y in zip_longest(a, b, fillvalue=0)][1:]
+        if not any(a):
+            break
+        g = gcd(*a)
+        seq.append([-x // g for x in a[next(i for i, x in enumerate(a) if x):]])
+
+    def changes(m: int) -> int:
+        # at m / 2, for odd m
+        signs = [v > 0 for v in (_horner(p, m, 2) for p in seq) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    # every root lies inside +-(1 + the largest coefficient)
+    bound = 2 * max(map(abs, poly)) + 3
+    roots, stack = [], [(-bound, bound, changes(-bound), changes(bound))]
+    while stack:
+        lo, hi, v_lo, v_hi = stack.pop()
+        if v_lo == v_hi:
+            continue
+        if hi - lo == 2:
+            if _horner(poly, (lo + 1) // 2) == 0:
+                roots.append((lo + 1) // 2)
+            continue
+        mid = (lo + hi) // 2 | 1
+        v_mid = changes(mid)
+        stack += [(lo, mid, v_lo, v_mid), (mid, hi, v_mid, v_hi)]
+    return roots
 
 
 def _rational_roots(coeffs: list) -> list:
-    """All rational roots, as Q payloads, of a monic polynomial with rational coefficients."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    """All rational roots, as Q payloads, of a monic polynomial with rational coefficients.
+
+    Cleared to integers a_k, ..., a_0, the polynomial p has the root x
+    exactly when the monic integer polynomial a_k^(k-1) p(y / a_k) has the
+    root y = a_k x, and a rational root of that one is an integer.
+    """
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     # trailing zero coefficients mean 0 is a root; deflate them away
     roots = set()
     while len(ints) > 1 and ints[-1] == 0:
         roots.add(0)
-        ints = ints[:-1]
+        ints.pop()
     if len(ints) > 1:
-        lead, const = ints[0], ints[-1]
-        for num in _divisors(const):
-            for den in _divisors(lead):
-                for cand in (Fraction(num, den), Fraction(-num, den)):
-                    acc = Fraction(0)
-                    for c in ints:
-                        acc = acc * cand + c
-                    if acc == 0:
-                        roots.add(canonical_q(cand))
+        lead = ints[0]
+        monic = [1] + [c * lead**j for j, c in enumerate(ints[1:])]
+        roots.update(canonical_q(Fraction(y, lead)) for y in _integer_roots(monic))
     return sorted(roots)
 
 

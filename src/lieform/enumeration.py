@@ -23,6 +23,12 @@ from .fields import Field
 from .linalg import check_budget, enumerate_subspaces, from_kernel, gaussian_binomial, kernel_sum
 
 
+# The most algebras one stream may hold.  The largest stream swept in full,
+# GF(2) to dimension 5 uncapped, holds 198,071 at about 3.7 ms of CPU each;
+# this is the power of two above it, about 16 minutes of CPU.
+STREAM_BUDGET = 2**18
+
+
 class EnumerationBudget:
     """Bounds for the algebra stream: dimension, field, sampling."""
 
@@ -80,24 +86,46 @@ def enumerate_soluble(budget: EnumerationBudget, index: int = 0, stride: int = 1
     level.  Only the current level is held; the algebras of dimension
     max_dim are yielded and not kept, so a caller may release each of them
     once it is done with it.
+
+    Before a level is built, its size (the sum over its parents of
+    min(p^dim Der, cap)) is known; if the stream through it, plus the least
+    the levels above it can hold, exceeds STREAM_BUDGET algebras, the walk
+    raises BudgetExceededError.
     """
     field = budget.field
     p = field.p
+    cap = budget.per_step_cap
+    # every algebra below max_dim has at least this many children: a
+    # nonzero soluble algebra has a nonzero derivation (ad x for x outside
+    # the centre, else x -> f(x) z for z central and f vanishing on [L, L])
+    least = p if cap is None else min(p, cap)
     level = [LieAlgebra.abelian(field, 1)]
     position = 0
+    size = 1
     if index == 0:
         yield level[0]
     for k in range(1, budget.max_dim):
         top = k + 1 == budget.max_dim
-        next_level = []
+        plan = []
         for parent_index, parent in enumerate(level):
             der = derivation_algebra(parent)
             total = p**der.dim
-            if budget.per_step_cap is not None and total > budget.per_step_cap:
+            if cap is not None and total > cap:
                 rng = random.Random(_mix(budget.seed, p, k, parent_index))
-                indices = sorted(rng.sample(range(total), budget.per_step_cap))
+                plan.append((parent, der, sorted(rng.sample(range(total), cap))))
             else:
-                indices = range(total)
+                plan.append((parent, der, range(total)))
+        count = sum(len(indices) for _, _, indices in plan)
+        size += count
+        # the levels above this one hold at least least^j times as many
+        check_budget(
+            size + sum(count * least**j for j in range(1, budget.max_dim - k)),
+            "sweeping %s to dimension %d" % (field, budget.max_dim),
+            STREAM_BUDGET,
+            least=True,
+        )
+        next_level = []
+        for parent, der, indices in plan:
             for derivation_index in indices:
                 position += 1
                 wanted = position % stride == index
@@ -110,6 +138,23 @@ def enumerate_soluble(budget: EnumerationBudget, index: int = 0, stride: int = 1
                 if wanted:
                     yield child
         level = next_level
+
+
+def check_stream(budget: EnumerationBudget) -> None:
+    """Raise BudgetExceededError unless enumerate_soluble(budget) stays within STREAM_BUDGET.
+
+    It walks the stream as enumerate_soluble does, building and interning
+    the levels below max_dim, which a sweep needs anyway, but no algebra of
+    the top level; index -1 matches no position.  A max_dim above MAX_DIM
+    is refused before anything is built.
+    """
+    if budget.max_dim > MAX_DIM:
+        raise BudgetExceededError(
+            "sweeping %s to dimension %d is over the budget: dimension above the limit of %d"
+            % (budget.field, budget.max_dim, MAX_DIM)
+        )
+    for _ in enumerate_soluble(budget, index=-1):
+        pass
 
 
 def check_enumerable(field: Field, n: int) -> None:

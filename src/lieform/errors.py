@@ -81,4 +81,7 @@ class NoCriticalDescentError(LieformError):
 
 
 class BudgetExceededError(LieformError):
-    """An exhaustive loop would exceed the work budget (linalg.WORK_BUDGET)."""
+    """An exhaustive loop would exceed its budget.
+
+    That is linalg.WORK_BUDGET, or enumeration.STREAM_BUDGET for the stream of a sweep.
+    """

@@ -20,11 +20,19 @@ images | identity] and returns the coefficient vectors as a subspace,
 already in RREF; Subspace.combinations maps such coefficients over an RREF
 basis back to a canonical basis without a second elimination.
 
-Over GF(p) every result is reduced mod p.  Over Q every result keeps the
-payload contract of fields (an int when integral, a Fraction otherwise),
-through canonical_q, and the loops skip entries where the row being added
-is zero, so integral work stays in int arithmetic and no Fraction is built
-for a zero.  Over GF(2) a vector is packed as one integer with a byte per
+Over GF(p) every result is reduced mod p.  Over Q the accumulator
+eliminates fraction-free (Bareiss, Math. Comp. 1968) on private integer
+rows, each primitive, positive at its pivot and zero at the other pivots:
+a vector coming in is scaled to integers once, by the lcm of its
+denominators, and a reduction step is a v - f row divided by the gcd of
+its entries.  A row becomes Q payloads (divided by its pivot: an int when
+integral, a Fraction otherwise, the payload contract of fields) only where
+it leaves the accumulator, in to_subspace and in the rows stabiliser
+keeps; close hands the integer rows to its images callback, since they
+span the same space.  Every other result over Q keeps the contract through
+canonical_q, which _eliminate applies once, at the end, and the loops skip
+entries where the row being added is zero, so integral work stays in int
+arithmetic.  Over GF(2) a vector is packed as one integer with a byte per
 coordinate, the first coordinate most significant (gf2_pack): adding two
 rows is one XOR, and a row's leading coordinate is its highest set bit.
 
@@ -50,7 +58,9 @@ of their time here.
 from __future__ import annotations
 
 from bisect import bisect, bisect_left
+from fractions import Fraction
 from itertools import combinations, product
+from math import gcd, lcm
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -118,20 +128,49 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
     has _xor_reduce.
     """
     if p is None:
-        # a caller's Fraction(k, 1) becomes k here, so every output keeps the contract
-        v = list(map(canonical_q, vec))
+        v = list(vec)
         for row, c in zip(rows, pivots):
             f = v[c]
             if f:
-                v = [canonical_q(a - f * b) if b else a for a, b in zip(v, row)]
-    else:
-        # an entry outside 0..p-1 is reduced here, so every output is too
-        v = [x % p for x in vec]
-        for row, c in zip(rows, pivots):
-            f = v[c]
-            if f:
-                v = [(a - f * b) % p for a, b in zip(v, row)]
+                v = [a - f * b if b else a for a, b in zip(v, row)]
+        # canonical once, at the end: a caller's Fraction(k, 1) becomes k too
+        return list(map(canonical_q, v))
+    # an entry outside 0..p-1 is reduced here, so every output is too
+    v = [x % p for x in vec]
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = [(a - f * b) % p for a, b in zip(v, row)]
     return v
+
+
+def _primitive(v: list) -> list:
+    """The integer vector v divided by the gcd of its entries."""
+    g = gcd(*v)
+    return v if g <= 1 else [x // g for x in v]
+
+
+def _integral(vec: Sequence) -> list:
+    """A rational vector as a primitive integer vector: times the lcm of its denominators, over its content."""
+    den = 1
+    for x in vec:
+        if type(x) is not int:
+            den = lcm(den, x.denominator)
+    if den == 1:
+        return _primitive([int(x) for x in vec])
+    return _primitive([x.numerator * (den // x.denominator) for x in vec])
+
+
+def _combine(a: int, v: Sequence, f: int, row: Sequence) -> list:
+    """a v - f row over the integers, made primitive."""
+    return _primitive([a * x - f * y if y else a * x for x, y in zip(v, row)])
+
+
+def _q_payloads(row: Sequence, a: int) -> tuple:
+    """The integer row divided by a > 0, as Q payloads; a Fraction only where a does not divide."""
+    if a == 1:
+        return tuple(row)
+    return tuple(x // a if x % a == 0 else Fraction(x, a) for x in row)
 
 
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
@@ -455,8 +494,9 @@ class EchelonAccumulator:
 
     The workhorse behind rref, closure computations and spanning checks;
     add() reports whether the vector enlarged the span.  Its rows are kept
-    in kernel form, packed over GF(2) and tuples otherwise, so to_subspace
-    hands them over as they are.
+    in kernel form, packed over GF(2) and tuples over GF(p > 2), which
+    to_subspace hands over as they are; over Q they are primitive integer
+    tuples, which to_subspace divides by their pivots.
     """
 
     __slots__ = ("field", "ambient_dim", "_rows", "pivots")
@@ -488,6 +528,8 @@ class EchelonAccumulator:
             return True
         field, n = self.field, self.ambient_dim
         _check_length(vec, n)
+        if field.p is None:
+            return self._add_integral(_integral(vec))
         v = _eliminate(vec, self._rows, self.pivots, field.p)
         c = next((j for j, x in enumerate(v) if x), None)
         if c is None:
@@ -501,13 +543,43 @@ class EchelonAccumulator:
         self._insert(v, c)
         return True
 
+    def _add_integral(self, v: list) -> bool:
+        """add() over Q, on a primitive integer vector.
+
+        Clearing a pivot is v -> a v - f row, with a the row's pivot entry
+        and f v's, both divided by their gcd, and the result divided by the
+        gcd of its entries: no entry leaves the integers.
+        """
+        for row, c in zip(self._rows, self.pivots):
+            f = v[c]
+            if f:
+                g = gcd(row[c], f)
+                v = _combine(row[c] // g, v, f // g, row)
+        c = next((j for j, x in enumerate(v) if x), None)
+        if c is None:
+            return False
+        v = tuple(v) if v[c] > 0 else tuple(-x for x in v)
+        # back-substitute so the other rows stay zero in the new pivot
+        # column; a > 0 keeps each of them positive at its own pivot
+        a = v[c]
+        for k, row in enumerate(self._rows):
+            f = row[c]
+            if f:
+                g = gcd(a, f)
+                self._rows[k] = tuple(_combine(a // g, row, f // g, v))
+        self._insert(v, c)
+        return True
+
     def _insert(self, row, c: int) -> None:
         pos = bisect(self.pivots, c)
         self._rows.insert(pos, row)
         self.pivots.insert(pos, c)
 
     def to_subspace(self) -> Subspace:
-        return Subspace(self.field, self.ambient_dim, tuple(self._rows), tuple(self.pivots))
+        rows = self._rows
+        if self.field.p is None:
+            rows = [_q_payloads(row, row[c]) for row, c in zip(rows, self.pivots)]
+        return Subspace(self.field, self.ambient_dim, tuple(rows), tuple(self.pivots))
 
 
 def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> Subspace:
@@ -537,10 +609,12 @@ def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspac
     # the rows with a pivot in the identity block come last; a packed one
     # is zero in its image part, so it already is its identity part
     start = bisect_left(acc.pivots, width)
-    kept = tuple(acc._rows[start:])
-    if field.p != 2:
-        kept = tuple(row[width:] for row in kept)
-    return Subspace(field, t, kept, tuple(c - width for c in acc.pivots[start:]))
+    kept, pivots = acc._rows[start:], acc.pivots[start:]
+    if field.p is None:
+        kept = [_q_payloads(row[width:], row[c]) for row, c in zip(kept, pivots)]
+    elif field.p != 2:
+        kept = [row[width:] for row in kept]
+    return Subspace(field, t, tuple(kept), tuple(c - width for c in pivots))
 
 
 def enumerate_subspaces(field: Field, ambient_dim: int, dim: int | None = None) -> Iterator[Subspace]:
@@ -607,14 +681,17 @@ def gaussian_binomial(n: int, k: int, p: int) -> int:
 WORK_BUDGET = sum(gaussian_binomial(5, k, 3) for k in range(6))
 
 
-def check_budget(steps: int, what: str) -> None:
-    """Raise BudgetExceededError when an exhaustive loop would exceed WORK_BUDGET.
+def check_budget(steps: int, what: str, budget: int | None = None, least: bool = False) -> None:
+    """Raise BudgetExceededError when an exhaustive loop would exceed its budget, WORK_BUDGET by default.
 
-    The message gives the exact step count up to 20 digits and otherwise
-    its order of magnitude, so a refusal stays one short line.
+    least says that steps is a lower bound.  The message gives the step
+    count exactly up to 20 digits and otherwise its order of magnitude, so
+    a refusal stays one short line.
     """
-    if steps > WORK_BUDGET:
-        count = "%d" % steps if steps < 10**20 else "at least 10^%d" % (len(str(steps)) - 1)
+    budget = WORK_BUDGET if budget is None else budget
+    if steps > budget:
+        count = "%d" % steps if steps < 10**20 else "10^%d" % (len(str(steps)) - 1)
         raise BudgetExceededError(
-            "%s takes %s steps, over the budget of %d" % (what, count, WORK_BUDGET)
+            "%s takes %s%s steps, over the budget of %d"
+            % (what, "at least " if least or steps >= 10**20 else "", count, budget)
         )

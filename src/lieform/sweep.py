@@ -35,7 +35,7 @@ from .derivations import (
     extension_defect,
     is_intravariant_linear,
 )
-from .enumeration import EnumerationBudget, check_enumerable, enumerate_soluble
+from .enumeration import EnumerationBudget, check_stream, enumerate_soluble
 from .errors import CriteriaDisagreeError, NoCriticalDescentError, ParseError
 from .fields import Field, quote
 from .formations import (
@@ -265,12 +265,10 @@ def sweep_run(config: SweepConfig, threads: int = 0) -> SweepResult:
     Either way the merged result is sorted, so output bytes do not depend
     on the process count.
     """
-    budget = config.budget()
-    # The checks list no subspaces (maximal subalgebras are chief-factor
-    # complements), but a sweep stays within the dimensions whose subspaces
-    # could be listed within the work budget: that bounds the stream's
-    # size, and an over-large --max-dim is refused before it is walked.
-    check_enumerable(budget.field, budget.max_dim)
+    # an over-large stream is refused before any algebra is checked; the
+    # levels below --max-dim that this builds stay interned for the walk
+    # (and forked workers inherit them)
+    check_stream(config.budget())
     if threads <= 0:
         threads = _threads_from_env()
     started = time.perf_counter()

@@ -25,7 +25,7 @@ from lieform import (
     minimal_ideal,
     split_extension_by_derivation,
 )
-from lieform.chief import _char_poly
+from lieform.chief import _char_poly, _rational_roots
 from support import (
     abelian,
     algebra,
@@ -253,3 +253,33 @@ def test_char_poly_exact_on_int_rows():
         assert all(is_q_payload(c) for c in coeffs)
         assert coeffs[0] == 1 and coeffs[1] == -sum(rows[i][i] for i in range(k))
         assert coeffs[-1] == (-1) ** k * _det(rows)
+
+
+def _monic_with_roots(roots, factors=()):
+    """The monic product of (x - r) over the roots and of the given monic factors, coefficients highest first."""
+    poly = [Fraction(1)]
+    for factor in [[1, -r] for r in roots] + list(factors):
+        product = [Fraction(0)] * (len(poly) + len(factor) - 1)
+        for i, a in enumerate(poly):
+            for j, b in enumerate(factor):
+                product[i + j] += a * b
+        poly = product
+    return poly
+
+
+def test_rational_roots_found_without_factoring():
+    # repeated roots, irrational and complex factors, roots with
+    # denominators and roots of ten digits; each is found exactly once
+    rng = random.Random(21)
+    for _ in range(500):
+        roots = [Fraction(rng.randint(-40, 40), rng.randint(1, 7)) for _ in range(rng.randint(0, 4))]
+        roots += roots[:rng.randint(0, 2)]
+        factors = rng.sample([[1, 0, -2], [1, 0, 3], [1, 1, 1], [3, 0, -1]], rng.randint(0, 2))
+        factors = [[Fraction(c, f[0]) for c in f] for f in factors]
+        poly = _monic_with_roots(roots, factors)
+        if len(poly) > 1:
+            got = _rational_roots(poly)
+            assert got == sorted(set(roots)) and all(is_q_payload(x) for x in got)
+    big = [1000000007, -1000000009, Fraction(10**12 + 39, 97)]
+    assert _rational_roots(_monic_with_roots(big + big[:1], [[1, 0, 5]])) == sorted(big)
+

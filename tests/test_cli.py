@@ -382,6 +382,26 @@ def test_analyze_and_normalisers_answer_over_listing_budget(tmp_path, capsys):
     assert len(json.loads(out)["normalisers"]) == len(nil["normalisers"])
 
 
+def test_analyze_answers_on_large_rational_eigenvalues(tmp_path, capsys):
+    # ad(e1) has the eigenvalues 1000000007 and 1000000009: the rational
+    # root search factors no constant term, so the chief series is found
+    big = {
+        "field": "Q",
+        "dim": 3,
+        "brackets": [
+            {"i": 1, "j": 2, "value": ["0", "1000000007", "0"]},
+            {"i": 1, "j": 3, "value": ["0", "0", "1000000009"]},
+        ],
+    }
+    path = write(tmp_path, "big.json", big)
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["analyze", "--json", path])
+    assert time.perf_counter() - start < 5
+    assert code == 0 and err == ""
+    chief = json.loads(out)["chief_series"]
+    assert "skipped" not in chief and chief["ideal_dims"] == [0, 1, 2, 3]
+
+
 def test_verify_chain_rejects_non_critical_step(tmp_path, capsys):
     algebra = write(tmp_path, "r2.json", R2_GF3)
     chain = write(tmp_path, "chain.json", [[["1", "0"], ["0", "1"]], [["0", "1"]]])
@@ -437,17 +457,28 @@ def test_sweep_bad_thread_count_exit_2(capsys, monkeypatch):
     assert err.count("\n") == 1 and err.startswith("error: ") and "LIEFORM_THREADS" in err
 
 
-def test_sweep_over_budget_refused_up_front(capsys, monkeypatch):
-    # GF(2)^6 has 2,825 subspaces, over the budget: no algebra is checked
+def test_sweep_over_budget_stream_refused_before_any_check(capsys, monkeypatch):
+    # the uncapped GF(2) stream to dimension 6 holds at least 592,055
+    # algebras, over the stream budget: no algebra is checked
     monkeypatch.delenv("LIEFORM_THREADS", raising=False)
     checked = []
     check_algebra = sweep.check_algebra
     monkeypatch.setattr(sweep, "check_algebra", lambda *a: checked.append(1) or check_algebra(*a))
-    code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "6", "--cap", "1"])
+    code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "6"])
     assert code == 1
     assert out == ""
-    assert err.count("\n") == 1 and err.startswith("error: ") and "budget" in err
+    assert err == "error: sweeping GF(2) to dimension 6 takes at least 592055 steps, over the budget of 262144\n"
     assert checked == []
+
+
+@pytest.mark.parametrize("cap", ["1", "2"])
+def test_sweep_budgeted_by_its_stream_not_by_subspaces(capsys, cap):
+    # GF(2)^6 has 2,825 subspaces, over the work budget, but a capped
+    # dimension-6 stream is small and no sweep check lists subspaces
+    code, out, _ = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "6", "--cap", cap, "--json"])
+    data = json.loads(out)
+    assert code == 0 and data["ok"]
+    assert data["algebras"] == (6 if cap == "1" else 1 + 2 + 4 + 8 + 16 + 32)
 
 
 @pytest.mark.parametrize("max_dim", [MAX_DIM + 1, 300, 1000])

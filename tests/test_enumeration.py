@@ -16,7 +16,8 @@ from lieform import (
     gaussian_binomial,
     minimal_ideal,
 )
-from lieform.enumeration import check_enumerable
+from lieform import enumeration
+from lieform.enumeration import check_enumerable, check_stream
 from lieform.linalg import WORK_BUDGET
 from support import abelian, h3, minimal_ideals_exhaustive, product_space, r2
 
@@ -148,7 +149,29 @@ def test_work_budget_refuses_large_fields_up_front():
     # the largest case the tests and the benchmark enumerate stays inside
     assert WORK_BUDGET == sum(gaussian_binomial(5, k, 3) for k in range(6)) == 2664
     assert len(enumerate_subalgebras(LieAlgebra.abelian(F3, 5))) == 2664
-    # the same check on a bare dimension, as sweeps make it before enumerating
+    # the same check on a bare dimension
     check_enumerable(F3, 5)
     with pytest.raises(BudgetExceededError):
         check_enumerable(F2, 6)
+
+
+def test_stream_budget_counts_the_stream_before_its_top_level(monkeypatch):
+    # the uncapped GF(2) stream to dimension 5, the largest swept in full,
+    # holds 198,071 algebras: within the budget, and counted exactly from
+    # the levels below dimension 5
+    budget = EnumerationBudget(max_dim=5, field=F2)
+    check_stream(budget)
+    monkeypatch.setattr(enumeration, "STREAM_BUDGET", 198071)
+    check_stream(budget)
+    monkeypatch.setattr(enumeration, "STREAM_BUDGET", 198070)
+    with pytest.raises(BudgetExceededError, match="at least 198071 steps"):
+        check_stream(budget)
+    # a stream over the budget is refused before its top level is built
+    built = []
+    extend = enumeration.split_extension_by_derivation
+    monkeypatch.setattr(enumeration, "split_extension_by_derivation", lambda *a: built.append(1) or extend(*a))
+    with pytest.raises(BudgetExceededError):
+        list(enumerate_soluble(budget))
+    # 198,071 = 1 + 2 + 20 + 1,056 + 196,992: levels 2 to 4 were built, not 5
+    assert len(built) == 2 + 20 + 1056
+

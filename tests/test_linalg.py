@@ -20,13 +20,14 @@ from lieform import (
     SweepConfig,
     chief_series,
     enumerate_subspaces,
+    fields,
     gaussian_binomial,
     linalg,
     null_space,
     rref,
     sweep_run,
 )
-from lieform.linalg import _eliminate, kernel_form, linear_combination, stabiliser
+from lieform.linalg import _eliminate, close, kernel_form, linear_combination, stabiliser
 from support import (
     gf2_rotation_sum, gf3_rotation, h3, identity_rows, is_q_payload, naive_null_space, naive_rref,
     r2_plus_line,
@@ -331,6 +332,142 @@ def test_stabiliser_matches_transposed_left_kernel():
             rows = [[x for v in row for x in into.reduce(v)] for row in images]
             kernel = left_kernel(rows, field)
             assert stabiliser(field, images, into) == Subspace.span(field, maps, kernel)
+
+
+def wide_q_rows(rng, n, m):
+    """Rationals with numerators up to 10^30 and denominators up to 10^6, as Fractions.
+
+    A third of the entries are zero, some rows are zero or Fraction(k, 1)
+    throughout, and many lead with a negative entry.
+    """
+    def entry():
+        if rng.random() < 1 / 3:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**30, 10**30), rng.choice([1, 1, rng.randint(1, 10**6)]))
+
+    rows = []
+    for _ in range(n):
+        kind = rng.random()
+        if kind < 0.1:
+            rows.append([Fraction(0)] * m)
+        elif kind < 0.3:
+            rows.append([Fraction(rng.randint(-10**30, 10**30)) for _ in range(m)])
+        elif kind < 0.4 and rows:
+            # a combination of earlier rows, so the rank stays below the row count
+            coeffs = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in rows]
+            rows.append([sum((c * row[j] for c, row in zip(coeffs, rows)), Fraction(0)) for j in range(m)])
+        else:
+            rows.append([entry() for _ in range(m)])
+    return rows
+
+
+def assert_integer_rows(acc):
+    """The accumulator's private Q rows: primitive integers, positive at their pivot, zero at the other pivots."""
+    from math import gcd
+
+    for row, c in zip(acc._rows, acc.pivots):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[c] > 0
+        assert all(row[other] == 0 for other in acc.pivots if other != c)
+
+
+def test_integer_row_accumulator_matches_naive_oracle_over_q():
+    rng = random.Random(2033)
+    for _ in range(150):
+        n, m = rng.randint(1, 6), rng.randint(1, 6)
+        rows = wide_q_rows(rng, n, m)
+        expected, pivots = naive_rref(rows)
+        r = len(pivots)
+
+        acc = EchelonAccumulator(Q, m)
+        for k, row in enumerate(rows):
+            before = acc.rank
+            assert acc.add(row) == (len(naive_rref(rows[: k + 1])[1]) > before)
+            assert_integer_rows(acc)
+        space = acc.to_subspace()
+        assert list(space.basis) == expected and list(space.pivots) == pivots
+        assert all(is_q_payload(x) for row in space.basis for x in row)
+        assert Subspace.span(Q, m, rows) == space
+
+        reduced, got_pivots = rref(rows, Q)
+        assert list(reduced[:r]) == expected and list(got_pivots) == pivots
+        assert all(not any(row) for row in reduced[r:])
+        assert null_space(rows, Q) == naive_null_space(rows, m)
+
+        # stabiliser: the left kernel of the images reduced mod a span
+        into = Subspace.span(Q, m, wide_q_rows(rng, rng.randint(0, m), m))
+        into_basis, into_pivots = naive_rref(into.basis)
+        images = [wide_q_rows(rng, rng.randint(1, 2), m) for _ in range(rng.randint(1, 4))]
+        k = len(images[0])
+        images = [row[:k] + [row[0]] * (k - len(row)) for row in images]
+
+        def residual(v):
+            v = [Fraction(x) for x in v]
+            for c, basis_row in zip(into_pivots, into_basis):
+                f = v[c]
+                v = [a - f * b for a, b in zip(v, basis_row)]
+            return v
+
+        flat = [[x for v in row for x in residual(v)] for row in images]
+        kernel = naive_null_space(list(zip(*flat)), len(images))
+        got = stabiliser(Q, images, into)
+        assert list(got.basis) == naive_rref(kernel)[0]
+        assert all(is_q_payload(x) for row in got.basis for x in row)
+
+        # close: the smallest span holding v and stable under v -> v M; the
+        # images callback gets the private integer rows, which span the same
+        matrix = wide_q_rows(rng, m, m)
+        seen = []
+
+        def images_of(v):
+            seen.append(v)
+            return [linear_combination(Q, v, matrix, m)]
+
+        start = rows[0]
+        krylov, power = [start], start
+        for _ in range(m):
+            power = [sum((Fraction(a) * b for a, b in zip(power, column)), Fraction(0)) for column in zip(*matrix)]
+            krylov.append(power)
+        closed = close(EchelonAccumulator(Q, m, [start]), images_of)
+        assert list(closed.basis) == naive_rref(krylov)[0]
+        # the vector close starts from is the accumulator's integer row
+        assert all(type(x) is int for x in seen[0]) if any(start) else not seen
+
+
+def test_integral_rational_span_builds_no_fraction(monkeypatch):
+    # rows whose RREF is integral stay integer rows from input to payload:
+    # no Fraction is built, neither by linalg nor through Field arithmetic
+    def refuse(*args):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(linalg, "Fraction", refuse)
+    monkeypatch.setattr(fields, "Fraction", refuse)
+    rng = random.Random(2034)
+    for _ in range(200):
+        m, r = rng.randint(1, 6), rng.randint(0, 4)
+        pivots = sorted(rng.sample(range(m), min(r, m)))
+        echelon = []
+        for i, c in enumerate(pivots):
+            row = [0] * m
+            row[c] = 1
+            for j in range(c + 1, m):
+                if j not in pivots:
+                    row[j] = rng.randint(-9, 9)
+            echelon.append(row)
+        # unimodular mixing: the same integral RREF, entries no longer reduced
+        rows = [list(row) for row in echelon] + [[0] * m for _ in range(rng.randint(0, 2))]
+        for _ in range(10):
+            i, j = rng.randrange(len(rows) or 1), rng.randrange(len(rows) or 1)
+            if rows and i != j:
+                f = rng.randint(-3, 3)
+                rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+        rng.shuffle(rows)
+        space = Subspace.span(Q, m, rows)
+        assert [list(row) for row in space.basis] == echelon and list(space.pivots) == pivots
+        if rows:
+            reduced, _ = rref(rows, Q)
+            assert [list(row) for row in reduced[: len(pivots)]] == echelon
+            assert null_space(rows, Q) == naive_null_space(rows, m)
 
 
 def unreduced(rng, x, p):
