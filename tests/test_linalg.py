@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,8 +364,6 @@ def wide_q_rows(rng, n, m):
 
 def assert_integer_rows(acc):
     """The accumulator's private Q rows: primitive integers, positive at their pivot, zero at the other pivots."""
-    from math import gcd
-
     for row, c in zip(acc._rows, acc.pivots):
         assert all(type(x) is int for x in row)
         assert gcd(*row) == 1 and row[c] > 0
@@ -397,9 +396,8 @@ def test_integer_row_accumulator_matches_naive_oracle_over_q():
         # stabiliser: the left kernel of the images reduced mod a span
         into = Subspace.span(Q, m, wide_q_rows(rng, rng.randint(0, m), m))
         into_basis, into_pivots = naive_rref(into.basis)
-        images = [wide_q_rows(rng, rng.randint(1, 2), m) for _ in range(rng.randint(1, 4))]
-        k = len(images[0])
-        images = [row[:k] + [row[0]] * (k - len(row)) for row in images]
+        k = rng.randint(1, 2)
+        images = [wide_q_rows(rng, k, m) for _ in range(rng.randint(1, 4))]
 
         def residual(v):
             v = [Fraction(x) for x in v]
