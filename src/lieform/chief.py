@@ -185,8 +185,10 @@ def _integer_roots(poly: list) -> list:
         signs = [v > 0 for v in (_horner(p, m, 2) for p in seq) if v]
         return sum(u != v for u, v in zip(signs, signs[1:]))
 
-    # every root lies inside +-(1 + the largest coefficient)
-    bound = 2 * max(map(abs, poly)) + 3
+    # every root is below 2 max |c_i|^(1/i), c_i the coefficient of x^(k-i)
+    # (Fujiwara's bound), so below 2^e; the search starts at +-(2^e + 1/2)
+    e = 1 + max(-(-abs(c).bit_length() // i) for i, c in enumerate(poly[1:], 1))
+    bound = 2 ** (e + 1) + 1
     roots, stack = [], [(-bound, bound, changes(-bound), changes(bound))]
     while stack:
         lo, hi, v_lo, v_hi = stack.pop()

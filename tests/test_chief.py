@@ -1,6 +1,7 @@
 """Minimal ideals, chief series, irreducibility, and split extensions."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -282,4 +283,11 @@ def test_rational_roots_found_without_factoring():
             assert got == sorted(set(roots)) and all(is_q_payload(x) for x in got)
     big = [1000000007, -1000000009, Fraction(10**12 + 39, 97)]
     assert _rational_roots(_monic_with_roots(big + big[:1], [[1, 0, 5]])) == sorted(big)
+    # degree 16, the largest a chief factor's operator can have, with
+    # large coefficients: the search range is set by the roots' size
+    roots = sorted({Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 1000)) for _ in range(8)})
+    factor = [Fraction(1)] + [Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 50)) for _ in range(16 - len(roots))]
+    start = time.perf_counter()
+    assert set(roots) <= set(_rational_roots(_monic_with_roots(roots, [factor])))
+    assert time.perf_counter() - start < 2
 
