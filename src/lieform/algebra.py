@@ -61,6 +61,7 @@ from .linalg import (
     kernel_form,
     kernel_images,
     kernel_rows,
+    kernel_scale,
     kernel_sum,
     stabiliser,
 )
@@ -85,10 +86,18 @@ def _coerce(field: Field, x):
     raise ParseError("unsupported scalar %r" % (x,))
 
 
+def _kernel_table(field: Field, table: tuple) -> tuple:
+    """The table with its entries in kernel form: packed over GF(2), over Q integers, all times one scale."""
+    n = len(table)
+    entries = kernel_rows(field, [v for row in table for v in row])
+    return tuple(entries[i * n : (i + 1) * n] for i in range(n))
+
+
 def _check_jacobi(field: Field, table: tuple) -> None:
     """Raise JacobiViolationError at the first basis triple that breaks Jacobi."""
     n = len(table)
-    rows = [kernel_rows(field, row) for row in table]
+    # one scale for every entry, so each sum below is a multiple of the exact one
+    rows = _kernel_table(field, table)
     for i in range(n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
@@ -245,7 +254,7 @@ class LieAlgebra:
         live = [(j, yj) for j, yj in enumerate(y) if yj]
         coeffs = [xi * yj for xi in x if xi for _, yj in live]
         rows = [ti[j] for xi, ti in zip(x, self.kernel_table()) if xi for j, _ in live]
-        return from_kernel(field, kernel_sum(field, coeffs, rows, n), n)
+        return from_kernel(field, kernel_sum(field, coeffs, rows, n), n, self.kernel_scale())
 
     # [e_k, v] is the rows table[k] combined by v.  kernel_brackets reads
     # every bracket with a basis vector off the table this way, so the
@@ -256,10 +265,22 @@ class LieAlgebra:
         _check_jacobi(self.field, self.table)
 
     def kernel_table(self) -> tuple:
-        """The table with its entries in kernel form: over GF(2) packed once, cached through memo."""
-        if self.field.p != 2:
+        """The table with its entries in kernel form, built once and cached through memo.
+
+        Over GF(2) every entry is packed.  Over Q the entries are integers,
+        kernel_scale() times the table, so brackets of integer vectors stay
+        in int arithmetic.  Over GF(p > 2) it is the table itself.
+        """
+        p = self.field.p
+        if p is not None and p != 2:
             return self.table
-        return self.memo("packed_table", lambda: tuple(kernel_rows(self.field, row) for row in self.table))
+        return self.memo("packed_table" if p == 2 else "integer_table", lambda: _kernel_table(self.field, self.table))
+
+    def kernel_scale(self) -> int:
+        """The positive D with kernel_table() equal to D times the table: the lcm of its denominators over Q, else 1."""
+        if self.field.p is not None:
+            return 1
+        return self.memo("table_scale", lambda: kernel_scale(self.field, [v for row in self.table for v in row]))
 
     def kernel_brackets(self, vectors: Sequence) -> list:
         """For each basis vector e_k, the list of [e_k, v] over the vectors, in kernel form.
@@ -449,6 +470,10 @@ def leibniz_defect(algebra: LieAlgebra, rows: Sequence) -> tuple | None:
     field, n, table = algebra.field, algebra.dim, algebra.table
     rows = tuple(tuple(r) for r in rows)
     kernel, kernel_table = kernel_rows(field, rows), algebra.kernel_table()
+    if field.p is None:
+        # the integer forms as coefficients too: D times the table and d
+        # times the matrix, so both sides are D d times the exact ones
+        table, rows = kernel_table, kernel
     for i in range(n):
         for j in range(i + 1, n):
             lhs = kernel_sum(field, table[i][j] + rows[i], kernel + kernel_table[j], n)
@@ -504,19 +529,15 @@ class FactorView:
 
     def lift(self, coords: Sequence) -> tuple:
         """A representative in the algebra of factor coordinates."""
-        return from_kernel(self.algebra.field, self._kernel_lift(coords), self.algebra.dim)
-
-    def _kernel_lift(self, coords: Sequence):
-        """lift in kernel form, so a lifted subspace is spanned without a second pack."""
-        field, n = self.algebra.field, self.algebra.dim
-        return kernel_sum(field, coords, self.space.rows, n)
+        space = self.space
+        return from_kernel(self.algebra.field, space.vector(coords), self.algebra.dim, space.scale)
 
     def project_subspace(self, s: Subspace) -> Subspace:
         """The span of the coordinates of a subspace of the top space."""
         return Subspace.span(self.algebra.field, self.dim, [self.coords(v) for v in s.rows])
 
     def lift_subspace(self, s: Subspace) -> Subspace:
-        """Full preimage: the lifted basis together with the bottom."""
-        vecs = [self._kernel_lift(v) for v in s.basis] + list(self.bottom.rows)
+        """Full preimage: the lifted basis, in kernel form, together with the bottom."""
+        vecs = [self.space.vector(v) for v in s.basis] + list(self.bottom.rows)
         return Subspace.span(self.algebra.field, self.algebra.dim, vecs)
 

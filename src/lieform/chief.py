@@ -43,6 +43,7 @@ from .linalg import (
     Subspace,
     check_budget,
     close,
+    from_kernel,
     kernel_sum,
     linear_combination,
     stabiliser,
@@ -250,12 +251,14 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
     while queue:
         space = queue.pop(0)
         split = False
-        # ad(e_i) on the invariant subspace, in its canonical basis; over Q
-        # the kernel form is the coordinate tuple
+        # ad(e_i) on the invariant subspace, in its canonical basis: the
+        # exact values, with the table's scale divided out, so the
+        # eigenvalues are ad(e_i)'s own
         view = FactorView(algebra, space, algebra.zero_space())
         zero = Subspace.zero_space(field, view.dim)
-        for images in algebra.kernel_brackets(space.rows):
-            rows = [list(view.coords(v)) for v in images]
+        scale = algebra.kernel_scale()
+        for images in algebra.kernel_brackets(space.basis):
+            rows = [list(view.coords(from_kernel(field, v, algebra.dim, scale))) for v in images]
             if _is_scalar(rows):
                 continue
             branches = []
@@ -266,7 +269,8 @@ def _minimal_ideal_q(algebra: LieAlgebra) -> Subspace:
                     [field.sub(a, lam) if i == j else a for j, a in enumerate(row)]
                     for i, row in enumerate(rows)
                 ]
-                eig = stabiliser(field, [[row] for row in shifted], zero).basis
+                # each eigenvector up to scale: the integer coefficient rows
+                eig = stabiliser(field, [[row] for row in shifted], zero).rows
                 sub = algebra.span(view.lift(coords) for coords in eig)
                 if not sub.is_zero():
                     branches.append(sub)

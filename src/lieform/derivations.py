@@ -25,6 +25,7 @@ subspace, so checking a basis of Der(L) settles both criteria exactly.
 
 from __future__ import annotations
 
+from math import lcm
 from typing import Iterator, Sequence
 
 from .algebra import LieAlgebra, leibniz_defect
@@ -63,7 +64,8 @@ class Derivation:
         field, n = self.parent.field, self.parent.dim
         if len(vec) != n:
             raise DimensionMismatchError("vector length %d, matrix has %d rows" % (len(vec), n))
-        return from_kernel(field, kernel_sum(field, vec, self.matrix.kernel_rows(), n), n)
+        m = self.matrix
+        return from_kernel(field, kernel_sum(field, vec, m.kernel_rows(), n), n, m.kernel_scale())
 
     def __eq__(self, other) -> bool:
         return (
@@ -174,15 +176,29 @@ def is_intravariant_linear(algebra: LieAlgebra, subalgebra: Subspace) -> bool:
     derivations' entries at Der(L)'s pivots must together span F^(dim Der).
     """
     der = derivation_algebra(algebra)
-    n, pivots = algebra.dim, der.subspace.pivots
-    # ad(e_k) has rows [e_k, e_m], which is table[k], so its flattened entry
-    # c is table[k][c // n][c % n]; these coordinates are built once per algebra
-    inner = algebra.memo(
-        "inner_coordinates",
-        lambda: kernel_rows(algebra.field, [tuple(t[c // n][c % n] for c in pivots) for t in algebra.table]),
-    )
     stabilising = _stabilising_coordinates(der, subalgebra).rows
-    return EchelonAccumulator(algebra.field, der.dim, stabilising + inner).rank == der.dim
+    return EchelonAccumulator(algebra.field, der.dim, stabilising + _inner_coordinates(der)).rank == der.dim
+
+
+def _inner_coordinates(der: DerivationAlgebra) -> tuple:
+    """The ad(e_k) in the Der basis the stabilising coefficients use, in kernel form; built once per algebra.
+
+    ad(e_k) has rows [e_k, e_m], which is table[k], so its flattened entry
+    c is table[k][c // n][c % n], and its coordinate on d_t is that entry
+    at Der(L)'s pivot c_t.  The stabiliser sees the d_t through their
+    kernel rows, s_t times d_t, so the coordinate on s_t d_t is that over
+    s_t: here times S / s_t, S the lcm of the s_t, for integer rows.
+    """
+    algebra = der.parent
+    n, pivots = algebra.dim, der.subspace.pivots
+
+    def compute():
+        scales = [d.matrix.kernel_scale() for d in der.basis]
+        common = lcm(*scales)
+        steps = [(c // n, c % n, common // s) for c, s in zip(pivots, scales)]
+        return kernel_rows(algebra.field, [tuple(t[i][j] * f for i, j, f in steps) for t in algebra.table])
+
+    return algebra.memo("inner_coordinates", compute)
 
 
 def _extension_fills(algebra: LieAlgebra, subalgebra: Subspace, derivations):

@@ -89,16 +89,19 @@ def enumerate_soluble(budget: EnumerationBudget, index: int = 0, stride: int = 1
 
     Before a level is built, its size (the sum over its parents of
     min(p^dim Der, cap)) is known; if the stream through it, plus the least
-    the levels above it can hold, exceeds STREAM_BUDGET algebras, the walk
-    raises BudgetExceededError.
+    the levels above it can hold (min(p^2, cap) times the level below
+    each, as dim Der >= 2 from dimension 2 on), exceeds STREAM_BUDGET
+    algebras, the walk raises BudgetExceededError.
     """
     field = budget.field
     p = field.p
     cap = budget.per_step_cap
-    # every algebra below max_dim has at least this many children: a
-    # nonzero soluble algebra has a nonzero derivation (ad x for x outside
-    # the centre, else x -> f(x) z for z central and f vanishing on [L, L])
-    least = p if cap is None else min(p, cap)
+    # every algebra of dimension n >= 2 has at least this many children,
+    # as dim Der >= 2: an abelian one has dim Der = n^2 >= 4, and otherwise
+    # Inn(L), isomorphic to L/Z(L), has dimension at least 2, since
+    # L = Fx + Z(L) for one x would make L abelian.  The levels counted
+    # with it below all lie in dimension 3 and up.
+    least = p**2 if cap is None else min(p**2, cap)
     level = [LieAlgebra.abelian(field, 1)]
     position = 0
     size = 1

@@ -75,6 +75,7 @@ from .fields import Field, canonical_q
 _PARITY = bytes(k & 1 for k in range(256))
 
 
+
 def gf2_pack(vec: Sequence) -> int:
     """A GF(2) vector as an integer with one byte per coordinate, each entry reduced mod 2."""
     try:
@@ -120,21 +121,12 @@ def _packed(vec, n: int) -> int:
     return gf2_pack(vec)
 
 
-def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
-    """The residual of vec with its pivot columns cleared by the matching echelon rows.
+def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p: int) -> list:
+    """The residual of vec with its pivot columns cleared by the matching echelon rows, over GF(p) for p > 2.
 
-    The residual is zero exactly when vec lies in the span of the rows.  p
-    is the field characteristic, None over Q; GF(2) never comes here, it
-    has _xor_reduce.
+    The residual is zero exactly when vec lies in the span of the rows.
+    GF(2) never comes here, it has _xor_reduce, and Q has _q_residual.
     """
-    if p is None:
-        v = list(vec)
-        for row, c in zip(rows, pivots):
-            f = v[c]
-            if f:
-                v = [a - f * b if b else a for a, b in zip(v, row)]
-        # canonical once, at the end: a caller's Fraction(k, 1) becomes k too
-        return list(map(canonical_q, v))
     # an entry outside 0..p-1 is reduced here, so every output is too
     v = [x % p for x in vec]
     for row, c in zip(rows, pivots):
@@ -144,6 +136,30 @@ def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p) -> list:
     return v
 
 
+def _q_residual(vec: Sequence, rows: Sequence, pivots: Sequence, a: int) -> list:
+    """a times the residual of a rational vec modulo integer echelon rows, a the lcm of their pivot entries.
+
+    Each row is zero at the other pivots, so the residual is one
+    combination, vec - sum_i vec[c_i] row_i / row_i[c_i], and a times it
+    takes no division: integer entries stay ints.  A Fraction entry of vec
+    may leave a Fraction(k, 1), which canonical_q mends where a value
+    leaves linalg.
+    """
+    v = list(vec) if a == 1 else [a * x for x in vec]
+    for row, c in zip(rows, pivots):
+        f = vec[c]
+        if f:
+            if a != 1:
+                f *= a // row[c]
+            v = [x - f * y if y else x for x, y in zip(v, row)]
+    return v
+
+
+def _pivot_lcm(rows: Sequence, pivots: Sequence) -> int:
+    """The lcm of the pivot entries of integer echelon rows: 1 for none."""
+    return lcm(*[row[c] for row, c in zip(rows, pivots)])
+
+
 def _primitive(v: list) -> list:
     """The integer vector v divided by the gcd of its entries."""
     g = gcd(*v)
@@ -151,26 +167,32 @@ def _primitive(v: list) -> list:
 
 
 def _integral(vec: Sequence) -> list:
-    """A rational vector as a primitive integer vector: times the lcm of its denominators, over its content."""
-    den = 1
-    for x in vec:
-        if type(x) is not int:
-            den = lcm(den, x.denominator)
-    if den == 1:
-        return _primitive([int(x) for x in vec])
-    return _primitive([x.numerator * (den // x.denominator) for x in vec])
+    """A rational vector as integers: times the lcm of its denominators."""
+    if set(map(type, vec)) <= {int}:
+        return list(vec)
+    den = _denominator((vec,))
+    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in vec]
 
 
 def _combine(a: int, v: Sequence, f: int, row: Sequence) -> list:
-    """a v - f row over the integers, made primitive."""
-    return _primitive([a * x - f * y if y else a * x for x, y in zip(v, row)])
+    """a v - f row over the integers, for a > 0, with a and f divided by their gcd first."""
+    if a == 1:
+        return [x - f * y if y else x for x, y in zip(v, row)]
+    g = gcd(a, f)
+    a, f = a // g, f // g
+    return [a * x - f * y if y else a * x for x, y in zip(v, row)]
 
 
 def _q_payloads(row: Sequence, a: int) -> tuple:
-    """The integer row divided by a > 0, as Q payloads; a Fraction only where a does not divide."""
+    """The rational row divided by a > 0, as Q payloads; a Fraction only where a does not divide."""
     if a == 1:
         return tuple(row)
     return tuple(x // a if x % a == 0 else Fraction(x, a) for x in row)
+
+
+def _denominator(vectors: Iterable[Sequence]) -> int:
+    """The lcm of the denominators of the entries of rational vectors: 1 when every entry is an int."""
+    return lcm(*{x.denominator for v in vectors for x in v if type(x) is not int})
 
 
 def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -> tuple:
@@ -184,7 +206,7 @@ def linear_combination(field: Field, coeffs: Sequence, rows: Sequence, n: int) -
                 if b:
                     out[j] += c * b
     if p is None:
-        return tuple(map(canonical_q, out))
+        return tuple(out) if set(map(type, out)) <= {int} else tuple(map(canonical_q, out))
     return tuple([a % p for a in out])
 
 
@@ -198,8 +220,24 @@ def kernel_form(field: Field, vec, n: int):
 
 
 def kernel_rows(field: Field, rows: Iterable[Sequence]) -> tuple:
-    """The rows in kernel form, each packed over GF(2), unchecked: the caller knows their length."""
-    return tuple(map(gf2_pack, rows)) if field.p == 2 else tuple(rows)
+    """The rows in kernel form, unchecked: the caller knows their length.
+
+    Over GF(2) each row is packed.  Over Q they are integer rows: the rows
+    times kernel_scale(field, rows), the lcm of their denominators, so a
+    sum of them by integer coefficients stays in int arithmetic.
+    """
+    if field.p == 2:
+        return tuple(map(gf2_pack, rows))
+    if field.p is not None:
+        return tuple(rows)
+    rows = tuple(rows)
+    d = _denominator(rows)
+    return tuple(tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in r) for r in rows)
+
+
+def kernel_scale(field: Field, rows: Iterable[Sequence]) -> int:
+    """The positive d with kernel_rows(field, rows) equal to d times the rows: 1 except over Q."""
+    return 1 if field.p is not None else _denominator(rows)
 
 
 def kernel_sum(field: Field, coeffs, rows: Sequence, n: int):
@@ -242,9 +280,11 @@ def kernel_images(field: Field, vectors: Sequence, maps: Iterable[Sequence], n: 
         yield images
 
 
-def from_kernel(field: Field, vec, n: int) -> tuple:
-    """A kernel-form vector of F^n as a coordinate tuple."""
-    return gf2_unpack(vec, n) if field.p == 2 else tuple(vec)
+def from_kernel(field: Field, vec, n: int, scale: int = 1) -> tuple:
+    """A kernel-form vector of F^n as a coordinate tuple; over Q divided by the positive scale it carries."""
+    if field.p == 2:
+        return gf2_unpack(vec, n)
+    return _q_payloads(vec, scale) if field.p is None else tuple(vec)
 
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple:
@@ -310,10 +350,14 @@ class Matrix:
         self._kernel = None
 
     def kernel_rows(self) -> tuple:
-        """The rows in kernel form; over GF(2) packed once, on first use."""
+        """The rows in kernel form, built once, on first use: packed over GF(2), kernel_scale() times the rows as integers over Q."""
         if self._kernel is None:
             self._kernel = kernel_rows(self.field, self.rows)
         return self._kernel
+
+    def kernel_scale(self) -> int:
+        """The positive d with kernel_rows() equal to d times the rows: the lcm of their denominators over Q, else 1."""
+        return kernel_scale(self.field, self.rows)
 
     def __eq__(self, other) -> bool:
         return (
@@ -358,17 +402,31 @@ class Subspace:
     @staticmethod
     def full_space(field: Field, ambient_dim: int) -> "Subspace":
         zero, one = field.zero(), field.one()
-        basis = (
+        basis = tuple(
             tuple(one if i == j else zero for j in range(ambient_dim)) for i in range(ambient_dim)
         )
-        return Subspace(field, ambient_dim, kernel_rows(field, basis), tuple(range(ambient_dim)))
+        # the identity rows are integral, so only GF(2) has another kernel form
+        rows = kernel_rows(field, basis) if field.p == 2 else basis
+        return Subspace(field, ambient_dim, rows, tuple(range(ambient_dim)))
 
     @property
     def basis(self) -> tuple:
-        """The RREF rows as coordinate tuples."""
-        if self.field.p == 2:
+        """The RREF rows as coordinate tuples: over Q each integer row divided by its pivot entry."""
+        p = self.field.p
+        if p == 2:
             return tuple(gf2_unpack(r, self.ambient_dim) for r in self.rows)
+        if p is None:
+            return tuple(_q_payloads(row, row[c]) for row, c in zip(self.rows, self.pivots))
         return self.rows
+
+    @property
+    def scale(self) -> int:
+        """Over Q the lcm a of the pivot entries of rows, 1 otherwise.
+
+        a times a combination of the basis is an integer combination of
+        the rows (vector), and reduce's kernel leaves a times the residual.
+        """
+        return _pivot_lcm(self.rows, self.pivots) if self.field.p is None else 1
 
     @property
     def dim(self) -> int:
@@ -404,32 +462,59 @@ class Subspace:
         """Residual of vec after elimination by the basis; zero iff contained.
 
         Over GF(2) a packed int gives a packed residual, a sequence a list.
+        Over Q the elimination is on the integer rows and the residual is
+        divided by scale once, at the end.
         """
-        n = self.ambient_dim
-        if self.field.p == 2:
+        n, p = self.ambient_dim, self.field.p
+        if p == 2:
             residual = _xor_reduce(_packed(vec, n), self.rows)
             return residual if isinstance(vec, int) else list(residual.to_bytes(n, "big"))
         _check_length(vec, n)
-        return _eliminate(vec, self.rows, self.pivots, self.field.p)
+        if p is not None:
+            return _eliminate(vec, self.rows, self.pivots, p)
+        a = self.scale
+        return list(map(canonical_q, _q_payloads(_q_residual(vec, self.rows, self.pivots, a), a)))
 
     def residuals(self, vectors: Iterable) -> list | int:
         """The residuals of the vectors laid side by side, one vector of F^(n k) in kernel form.
 
         Over GF(2) the packed residuals are joined by shifting, so none is
-        unpacked; otherwise the residual lists are concatenated.
+        unpacked; otherwise the residual lists are concatenated, over Q
+        each one scale times the residual, so the whole is too.
         """
-        n = self.ambient_dim
-        if self.field.p != 2:
-            return [x for v in vectors for x in self.reduce(v)]
+        n, p = self.ambient_dim, self.field.p
+        if p != 2:
+            rows, pivots, a = self.rows, self.pivots, self.scale
+            joined = []
+            for v in vectors:
+                _check_length(v, n)
+                joined += _eliminate(v, rows, pivots, p) if p is not None else _q_residual(v, rows, pivots, a)
+            return joined
         shift, joined = 8 * n, 0
         for v in vectors:
             joined = joined << shift | _xor_reduce(_packed(v, n), self.rows)
         return joined
 
     def contains(self, vec) -> bool:
-        if self.field.p == 2:
-            return not _xor_reduce(_packed(vec, self.ambient_dim), self.rows)
-        return not any(self.reduce(vec))
+        n, p = self.ambient_dim, self.field.p
+        if p == 2:
+            return not _xor_reduce(_packed(vec, n), self.rows)
+        _check_length(vec, n)
+        if p is not None:
+            return not any(_eliminate(vec, self.rows, self.pivots, p))
+        return not any(_q_residual(vec, self.rows, self.pivots, self.scale))
+
+    def vector(self, coords: Sequence):
+        """scale times the combination of the basis by coords, in kernel form: packed over GF(2), integral over Q.
+
+        Over Q basis row i is row i over its pivot entry, so coefficient i
+        goes to row i times scale over that entry.
+        """
+        rows, n = self.rows, self.ambient_dim
+        if self.field.p is None:
+            a = self.scale
+            coords = [x * (a // row[c]) for x, row, c in zip(coords, rows, self.pivots)]
+        return kernel_sum(self.field, coords, rows, n)
 
     def coordinates(self, vec):
         """Coefficients of vec in the canonical RREF basis (its entries at the pivots), or None if outside."""
@@ -473,20 +558,26 @@ class Subspace:
         return self.combinations(stabiliser(self.field, [[v] for v in self.rows], other))
 
     def combinations(self, coefficients: "Subspace") -> "Subspace":
-        """The combinations of this basis whose coefficient rows span `coefficients`.
+        """The combinations of these rows whose coefficient rows span `coefficients`.
 
-        Both bases are in RREF and this one is the identity at its pivot
-        columns, so the combined rows are already the canonical basis, with
-        pivots at this basis's pivots picked by the coefficients' pivots.
+        The coefficients are on rows, as stabiliser gives them for the rows'
+        images; over Q those are the integer rows, elsewhere the basis.
+        Both sets of rows are in RREF and these are zero at each other's
+        pivot columns, so the combined rows are already in RREF, with
+        pivots at these rows' pivots picked by the coefficients' pivots;
+        over Q each is made primitive, and its pivot entry stays positive.
         """
         if coefficients.field != self.field or coefficients.ambient_dim != self.dim:
             raise AmbientMismatchError(
                 "coefficients in %s^%d for a basis of %d vectors over %s"
                 % (coefficients.field, coefficients.ambient_dim, self.dim, self.field)
             )
-        n = self.ambient_dim
-        rows = tuple(kernel_sum(self.field, c, self.rows, n) for c in coefficients.basis)
-        return Subspace(self.field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots))
+        field, n = self.field, self.ambient_dim
+        if field.p is None:
+            rows = tuple(tuple(_primitive(linear_combination(field, c, self.rows, n))) for c in coefficients.rows)
+        else:
+            rows = tuple(kernel_sum(field, c, self.rows, n) for c in coefficients.basis)
+        return Subspace(field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots))
 
 
 class EchelonAccumulator:
@@ -544,29 +635,31 @@ class EchelonAccumulator:
         return True
 
     def _add_integral(self, v: list) -> bool:
-        """add() over Q, on a primitive integer vector.
+        """add() over Q, on an integer vector.
 
         Clearing a pivot is v -> a v - f row, with a the row's pivot entry
-        and f v's, both divided by their gcd, and the result divided by the
-        gcd of its entries: no entry leaves the integers.
+        and f v's, both divided by their gcd: no entry leaves the integers.
+        The vector is made primitive once, when it is stored, and so is
+        each row it changes.
         """
         for row, c in zip(self._rows, self.pivots):
             f = v[c]
             if f:
-                g = gcd(row[c], f)
-                v = _combine(row[c] // g, v, f // g, row)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
+                v = _combine(row[c], v, f, row)
+        # the first nonzero value is first found at its own position
+        lead = next(filter(None, v), 0)
+        if not lead:
             return False
-        v = tuple(v) if v[c] > 0 else tuple(-x for x in v)
+        c = v.index(lead)
+        g = gcd(*v) if lead > 0 else -gcd(*v)
+        v = tuple(v) if g == 1 else tuple([x // g for x in v])
         # back-substitute so the other rows stay zero in the new pivot
         # column; a > 0 keeps each of them positive at its own pivot
         a = v[c]
         for k, row in enumerate(self._rows):
             f = row[c]
             if f:
-                g = gcd(a, f)
-                self._rows[k] = tuple(_combine(a // g, row, f // g, v))
+                self._rows[k] = tuple(_primitive(_combine(a, row, f, v)))
         self._insert(v, c)
         return True
 
@@ -576,10 +669,7 @@ class EchelonAccumulator:
         self.pivots.insert(pos, c)
 
     def to_subspace(self) -> Subspace:
-        rows = self._rows
-        if self.field.p is None:
-            rows = [_q_payloads(row, row[c]) for row, c in zip(rows, self.pivots)]
-        return Subspace(self.field, self.ambient_dim, tuple(rows), tuple(self.pivots))
+        return Subspace(self.field, self.ambient_dim, tuple(self._rows), tuple(self.pivots))
 
 
 def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspace) -> Subspace:
@@ -603,16 +693,14 @@ def stabiliser(field: Field, images: Sequence[Sequence[Sequence]], into: Subspac
         # e_k packed is byte k of t, the low 8t bits of the row
         rows = [into.residuals(row) << 8 * t | 1 << 8 * (t - 1 - k) for k, row in enumerate(images)]
     else:
-        units = Subspace.full_space(field, t).basis
+        units = Subspace.full_space(field, t).rows
         rows = [into.residuals(row) + list(unit) for row, unit in zip(images, units)]
     acc = EchelonAccumulator(field, width + t, rows)
     # the rows with a pivot in the identity block come last; a packed one
     # is zero in its image part, so it already is its identity part
     start = bisect_left(acc.pivots, width)
     kept, pivots = acc._rows[start:], acc.pivots[start:]
-    if field.p is None:
-        kept = [_q_payloads(row[width:], row[c]) for row, c in zip(kept, pivots)]
-    elif field.p != 2:
+    if field.p != 2:
         kept = [row[width:] for row in kept]
     return Subspace(field, t, tuple(kept), tuple(c - width for c in pivots))
 

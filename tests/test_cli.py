@@ -458,8 +458,9 @@ def test_sweep_bad_thread_count_exit_2(capsys, monkeypatch):
 
 
 def test_sweep_over_budget_stream_refused_before_any_check(capsys, monkeypatch):
-    # the uncapped GF(2) stream to dimension 6 holds at least 592,055
-    # algebras, over the stream budget: no algebra is checked
+    # the uncapped GF(2) stream to dimension 6 holds at least 986,039
+    # algebras (198,071 to dimension 5 and 4 times the 196,992 of
+    # dimension 5 above them), over the stream budget: no algebra is checked
     monkeypatch.delenv("LIEFORM_THREADS", raising=False)
     checked = []
     check_algebra = sweep.check_algebra
@@ -467,7 +468,7 @@ def test_sweep_over_budget_stream_refused_before_any_check(capsys, monkeypatch):
     code, out, err = run(capsys, ["sweep", "--field", "GF(2)", "--max-dim", "6"])
     assert code == 1
     assert out == ""
-    assert err == "error: sweeping GF(2) to dimension 6 takes at least 592055 steps, over the budget of 262144\n"
+    assert err == "error: sweeping GF(2) to dimension 6 takes at least 986039 steps, over the budget of 262144\n"
     assert checked == []
 
 

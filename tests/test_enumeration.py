@@ -175,3 +175,39 @@ def test_stream_budget_counts_the_stream_before_its_top_level(monkeypatch):
     # 198,071 = 1 + 2 + 20 + 1,056 + 196,992: levels 2 to 4 were built, not 5
     assert len(built) == 2 + 20 + 1056
 
+
+
+def test_every_algebra_of_dimension_two_up_has_two_derivations():
+    # the stream bound counts min(p^2, cap) children per algebra from
+    # dimension 2 on: dim Der >= 2 on the whole GF(2) dim <= 4 and GF(3)
+    # dim <= 3 streams, with dim Der = n^2 exactly on the abelian ones
+    from lieform import derivation_algebra
+
+    streams = [EnumerationBudget(max_dim=4, field=F2), EnumerationBudget(max_dim=3, field=F3)]
+    seen = 0
+    for budget in streams:
+        for algebra in enumerate_soluble(budget):
+            if algebra.dim < 2:
+                continue
+            seen += 1
+            dim = derivation_algebra(algebra).dim
+            assert dim >= 2
+            if not any(any(v) for row in algebra.table for v in row):
+                assert dim == algebra.dim**2
+    assert seen == 2 + 20 + 1056 + 3 + 99
+
+
+def test_uncapped_gf3_dimension_5_stream_refused_before_dimension_4_is_built(monkeypatch):
+    # 34,204 algebras up to dimension 4, and at least 9 times the 34,101 of
+    # dimension 4 above them: refused once the dimension-4 level is
+    # counted, before any of it is built
+    built = []
+    extend = enumeration.split_extension_by_derivation
+    monkeypatch.setattr(
+        enumeration, "split_extension_by_derivation", lambda parent, d: built.append(parent.dim) or extend(parent, d)
+    )
+    with pytest.raises(BudgetExceededError) as refused:
+        check_stream(EnumerationBudget(max_dim=5, field=F3))
+    assert str(refused.value) == "sweeping GF(3) to dimension 5 takes at least 341113 steps, over the budget of 262144"
+    assert 34204 + 9 * 34101 == 341113
+    assert 3 not in built and len(built) == 3 + 99

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -28,7 +28,7 @@ from lieform import (
     rref,
     sweep_run,
 )
-from lieform.linalg import _eliminate, close, kernel_form, linear_combination, stabiliser
+from lieform.linalg import _q_residual, close, kernel_form, kernel_rows, linear_combination, stabiliser
 from support import (
     gf2_rotation_sum, gf3_rotation, h3, identity_rows, is_q_payload, naive_null_space, naive_rref,
     r2_plus_line,
@@ -130,6 +130,15 @@ def test_subspace_order_and_eq():
     assert Subspace.span(F2, 3, [(1, 1, 0), (0, 1, 0)]) == w
 
 
+def assert_integer_rows(rows_of):
+    """The Q rows of an accumulator or a subspace: primitive integers, positive at their pivot, zero at the other pivots."""
+    rows = rows_of._rows if isinstance(rows_of, EchelonAccumulator) else rows_of.rows
+    for row, c in zip(rows, rows_of.pivots):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[c] > 0
+        assert all(row[other] == 0 for other in rows_of.pivots if other != c)
+
+
 def builds_of(space, rng):
     """The space built again through every constructor that can reach it."""
     field, n, k = space.field, space.ambient_dim, space.dim
@@ -168,7 +177,9 @@ def builds_of(space, rng):
 @pytest.mark.parametrize("field", [F2, F3, Q], ids=str)
 def test_one_stored_form_per_space(field):
     # a subspace stores its rows once, in kernel form: packed ints over GF(2),
-    # tuples otherwise; every constructor must give exactly that form
+    # tuples otherwise, and over Q tuples of ints, each primitive, positive
+    # at its pivot and zero at the other pivots, whose basis view divides
+    # each by its pivot entry; every constructor must give exactly that form
     rng = random.Random(2041)
     n = 4
     row_type = int if field.p == 2 else tuple
@@ -178,6 +189,12 @@ def test_one_stored_form_per_space(field):
         assert all(type(row) is row_type for row in build.rows)
         assert build == space and hash(build) == hash(space)
         assert build.basis == space.basis and build.pivots == space.pivots
+        if field.p is None:
+            assert_integer_rows(build)
+            for row, vec, c in zip(build.rows, build.basis, build.pivots):
+                assert vec == tuple(Fraction(x, row[c]) for x in row)
+                assert all(is_q_payload(x) for x in vec) and vec[c] == 1
+            assert build.scale == lcm(*[row[c] for row, c in zip(build.rows, build.pivots)])
 
     full = Subspace.full_space(field, n)
     for _ in range(60):
@@ -266,7 +283,8 @@ def as_fractions(rows):
 
 
 def test_rational_kernel_outputs_are_canonical():
-    # inputs as Q payloads and as Fractions: the outputs are canonical either way
+    # inputs as Q payloads and as Fractions: every exact output is canonical
+    # either way, and every kernel-form output of integral input is ints
     rng = random.Random(88)
     for _ in range(300):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
@@ -281,7 +299,6 @@ def test_rational_kernel_outputs_are_canonical():
             assert coords is not None
             outputs = [
                 linear_combination(Q, [row[0] for row in rows], rows, m),
-                _eliminate(vec, span.basis, span.pivots, None),
                 coords,
                 *reduced,
                 *null_space(rows, Q),
@@ -289,6 +306,16 @@ def test_rational_kernel_outputs_are_canonical():
                 span.reduce(vec),
             ]
             assert all(is_q_payload(x) for out in outputs for x in out)
+            # the rows are ints, and so is what the kernels make of integer input
+            assert_integer_rows(span)
+            integral = [rng.randint(-9, 9) for _ in range(m)]
+            kernel_outputs = [
+                span.residuals([integral, integral]),
+                _q_residual(integral, span.rows, span.pivots, span.scale),
+                span.vector(integral[: span.dim]),
+                kernel_rows(Q, rows)[0],
+            ]
+            assert all(type(x) is int for out in kernel_outputs for x in out)
     basis = Subspace.span(Q, 2, [(Fraction(1), Fraction(3))]).basis
     assert basis == ((1, 3),) and all(type(x) is int for x in basis[0])
 
@@ -362,12 +389,6 @@ def wide_q_rows(rng, n, m):
     return rows
 
 
-def assert_integer_rows(acc):
-    """The accumulator's private Q rows: primitive integers, positive at their pivot, zero at the other pivots."""
-    for row, c in zip(acc._rows, acc.pivots):
-        assert all(type(x) is int for x in row)
-        assert gcd(*row) == 1 and row[c] > 0
-        assert all(row[other] == 0 for other in acc.pivots if other != c)
 
 
 def test_integer_row_accumulator_matches_naive_oracle_over_q():

@@ -17,8 +17,9 @@ The report gives the process CPU time of the profiled work, the total
 number of Python calls, the calls of ``linalg.gf2_pack`` and
 ``linalg.gf2_unpack`` (the GF(2) conversions that the kernels try to do
 once per vector, or not at all), the ``Fraction`` constructions (the Q
-work that the integer rows of the echelon kernel avoid), the top self-time
-functions and the sha256 of the output: the sweep's stdout, or the
+work that the integer rows of linalg's Q kernels avoid) with the share of
+them that each lieform function makes, the top self-time functions and
+the sha256 of the output: the sweep's stdout, or the
 analyze-q outputs as the benchmark digests them, so a speedup can be
 checked to give the same bytes.  cProfile roughly doubles the CPU time;
 compare CPU times only between runs of this tool, each in a fresh
@@ -72,14 +73,55 @@ def _profiled(call, *args) -> tuple:
             if key[2] == name and os.path.basename(key[0]) == module
         )
 
+    fraction_new = [key for key in entries if key[2] == "__new__" and os.path.basename(key[0]) == "fractions.py"]
     return result, {
         "process_cpu_s": round(cpu_s, 3),
         "python_calls": stats.total_calls,
         "gf2_pack_calls": calls("linalg.py", "gf2_pack"),
         "gf2_unpack_calls": calls("linalg.py", "gf2_unpack"),
         "fraction_new_calls": calls("fractions.py", "__new__"),
+        "fraction_new_by_caller": _by_lieform_caller(entries, fraction_new),
         "ranked": sorted(entries.items(), key=lambda item: item[1][2], reverse=True),
     }
+
+
+def _is_lieform(key: tuple) -> bool:
+    return os.path.basename(os.path.dirname(key[0])) == "lieform"
+
+
+def _by_lieform_caller(entries: dict, targets: list) -> list:
+    """The calls of the target functions, credited to their nearest lieform callers, most first.
+
+    cProfile records call counts per caller edge, not stacks.  A call from
+    a non-lieform function (the Fraction operators, a builtin) is passed up
+    to that function's callers in proportion to how often each called it,
+    until it reaches a lieform function; what reaches no lieform function
+    (the profiler's own entry) is dropped.  So the split through a shared
+    function, such as the operator wrapper every Fraction product goes
+    through, is by calls, not exact.
+    """
+    credit = {}
+
+    def climb(key: tuple, count: float, seen: frozenset) -> None:
+        callers = entries[key][4] if key in entries else {}
+        total = sum(edge[0] for caller, edge in callers.items() if caller not in seen)
+        for caller, edge in callers.items():
+            if caller in seen or not total:
+                continue
+            share = count * edge[0] / total
+            if _is_lieform(caller):
+                credit[caller] = credit.get(caller, 0) + share
+            else:
+                climb(caller, share, seen | {caller})
+
+    for key in targets:
+        for caller, edge in entries[key][4].items():
+            if _is_lieform(caller):
+                credit[caller] = credit.get(caller, 0) + edge[0]
+            else:
+                climb(caller, edge[0], frozenset({key, caller}))
+    ranked = sorted(credit.items(), key=lambda item: (-item[1], _label(item[0])))
+    return [{"function": _label(key), "calls": round(count)} for key, count in ranked if round(count)]
 
 
 def _finish(report: dict, top: int) -> dict:
@@ -167,6 +209,8 @@ def main(argv=None) -> int:
     print("gf2_pack calls: %d" % report["gf2_pack_calls"])
     print("gf2_unpack calls: %d" % report["gf2_unpack_calls"])
     print("Fraction constructions: %d" % report["fraction_new_calls"])
+    callers = ", ".join("%s %d" % (row["function"], row["calls"]) for row in report["fraction_new_by_caller"])
+    print("Fraction constructions by caller: %s" % (callers or "none"))
     if args.analyze_q:
         print("output sha256: %s" % report["output_sha256"])
     else:
