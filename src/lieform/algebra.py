@@ -88,9 +88,8 @@ def _coerce(field: Field, x):
 
 def _kernel_table(field: Field, table: tuple) -> tuple:
     """The table with its entries in kernel form: packed over GF(2), over Q integers, all times one scale."""
-    n = len(table)
-    entries = kernel_rows(field, [v for row in table for v in row])
-    return tuple(entries[i * n : (i + 1) * n] for i in range(n))
+    scale = kernel_scale(field, (v for row in table for v in row))
+    return tuple(kernel_rows(field, row, scale) for row in table)
 
 
 def _check_jacobi(field: Field, table: tuple) -> None:
@@ -269,18 +268,22 @@ class LieAlgebra:
 
         Over GF(2) every entry is packed.  Over Q the entries are integers,
         kernel_scale() times the table, so brackets of integer vectors stay
-        in int arithmetic.  Over GF(p > 2) it is the table itself.
+        in int arithmetic; an integral table is its own, as is the table
+        over GF(p > 2).
         """
         p = self.field.p
-        if p is not None and p != 2:
-            return self.table
-        return self.memo("packed_table" if p == 2 else "integer_table", lambda: _kernel_table(self.field, self.table))
+        if p == 2:
+            return self.memo("packed_table", lambda: _kernel_table(self.field, self.table))
+        if p is None and self.kernel_scale() != 1:
+            return self.memo("integer_table", lambda: _kernel_table(self.field, self.table))
+        # payloads are canonical, so a table over Q with scale 1 is all ints
+        return self.table
 
     def kernel_scale(self) -> int:
         """The positive D with kernel_table() equal to D times the table: the lcm of its denominators over Q, else 1."""
         if self.field.p is not None:
             return 1
-        return self.memo("table_scale", lambda: kernel_scale(self.field, [v for row in self.table for v in row]))
+        return self.memo("table_scale", lambda: kernel_scale(self.field, (v for row in self.table for v in row)))
 
     def kernel_brackets(self, vectors: Sequence) -> list:
         """For each basis vector e_k, the list of [e_k, v] over the vectors, in kernel form.

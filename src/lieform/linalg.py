@@ -219,19 +219,24 @@ def kernel_form(field: Field, vec, n: int):
     return _packed(vec, n) if field.p == 2 else vec
 
 
-def kernel_rows(field: Field, rows: Iterable[Sequence]) -> tuple:
+def kernel_rows(field: Field, rows: Iterable[Sequence], scale: int | None = None) -> tuple:
     """The rows in kernel form, unchecked: the caller knows their length.
 
-    Over GF(2) each row is packed.  Over Q they are integer rows: the rows
-    times kernel_scale(field, rows), the lcm of their denominators, so a
-    sum of them by integer coefficients stays in int arithmetic.
+    Over GF(2) each row is packed.  Over Q they are integer rows: scale
+    times the rows, by default kernel_scale(field, rows), the lcm of their
+    denominators, so a sum of them by integer coefficients stays in int
+    arithmetic; a given scale must be a multiple of it.
     """
     if field.p == 2:
         return tuple(map(gf2_pack, rows))
     if field.p is not None:
         return tuple(rows)
     rows = tuple(rows)
-    d = _denominator(rows)
+    denominators = {x.denominator for r in rows for x in r if type(x) is not int}
+    if not denominators and scale in (None, 1):
+        # integer rows are their own kernel form, shared rather than copied
+        return tuple(map(tuple, rows))
+    d = lcm(*denominators) if scale is None else scale
     return tuple(tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in r) for r in rows)
 
 
