@@ -6,13 +6,17 @@ algebra over that table.  A bracket [e_k, v] with a basis vector is the
 rows table[k] combined by v: kernel_brackets reads it for every e_k, and
 formations._complement_space only for the e_k it needs.  bracket pairs two
 general vectors as one sum of table entries.  Both work on kernel_table,
-the table in linalg's kernel form: over GF(2) every entry packed once per
-algebra and cached through memo, so release drops it.  The callers that
+the table in linalg's kernel form, cached through memo, so release drops
+it: over GF(2) every entry packed once per algebra, over Q integers, the
+table times one scale per algebra (kernel_scale), which bracket divides
+out once.  The callers that
 only feed a kernel (is_ideal, the lower central series,
 centralizer_of_factor, core, chief._spin, formations._centralised, the
 derivation criteria) hand a subspace's kernel-form rows (Subspace.rows)
-to kernel_brackets and take its brackets in kernel form, and
-FactorView.coords takes a packed vector; bracket returns a tuple.
+to kernel_brackets and take its brackets in kernel form, over Q a
+positive multiple of the exact ones, which spans and membership allow;
+FactorView.coords takes a packed vector or an exact one, and bracket,
+coords and lift return exact tuples.
 Instances are interned on (field, table), so while an algebra is
 interned, structurally equal algebras are the same object and share its
 cache of derived data.  That sharing is what keeps the exhaustive sweeps

@@ -4,7 +4,10 @@ Scalars are raw payloads and a Field instance supplies the operations.
 Over GF(p) a payload is a plain ``int`` in {0, ..., p-1}.  Over Q it is an
 ``int`` when its value is integral and a ``fractions.Fraction`` otherwise:
 never ``Fraction(k, 1)`` and never a float.  canonical_q is the one place
-that contract is restored after raw arithmetic.  Python compares and hashes
+that contract is restored after raw arithmetic on Fractions; linalg keeps
+its long-lived rows over Q as integers, so its sums of them are ints and
+need no restoring, and it builds payloads only where a value leaves it
+(dividing an integer row by its scale).  Python compares and hashes
 an int and the Fraction of the same value alike, so tuples of payloads key
 dicts and sort the same either way, and format prints both the same.
 

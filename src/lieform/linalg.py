@@ -8,51 +8,64 @@ below), which makes equality, hashing and deduplication exact.
 
 Each vector job has one kernel per representation.  Row reduction clears
 the pivot columns of a vector against echelon rows: _eliminate on tuples
-over Q and GF(p) for p > 2, _xor_reduce on packed rows over GF(2).  RREF,
-membership and incremental spans are built on them, coordinates in an RREF
-basis are read at its pivots, and vectors are summed in one loop per
-representation: linear_combination on tuples, kernel_sum on packed rows
-over GF(2) (kernel_images XORs the same packed rows for many maps).
-stabiliser is the one "which combination of these maps sends a basis
-into B" kernel, behind centralisers, normalisers, cores, intersections and
-stabilising derivations.  It takes one echelon pass over the rows [reduced
-images | identity] and returns the coefficient vectors as a subspace,
-already in RREF; Subspace.combinations maps such coefficients over an RREF
-basis back to a canonical basis without a second elimination.
+over GF(p) for p > 2, _q_residual on integer rows over Q and _xor_reduce
+on packed rows over GF(2).  RREF, membership and incremental spans are
+built on them, coordinates in an RREF basis are read at its pivots, and
+vectors are summed in one loop per representation: linear_combination on
+tuples, kernel_sum on packed rows over GF(2) (kernel_images XORs the same
+packed rows for many maps).  stabiliser is the one "which combination of
+these maps sends a basis into B" kernel, behind centralisers, normalisers,
+cores, intersections and stabilising derivations.  It takes one echelon
+pass over the rows [reduced images | identity] and returns the
+coefficient vectors, which refer to the maps as given, as a subspace
+already in RREF; Subspace.combinations maps such coefficients over a
+subspace's rows back to canonical rows without a second elimination.  A
+stabiliser row may be scaled only together with its identity part: a map
+given as s times another has its coefficients scaled by 1/s.
 
-Over GF(p) every result is reduced mod p.  Over Q the accumulator
-eliminates fraction-free (Bareiss, Math. Comp. 1968) on private integer
-rows, each primitive, positive at its pivot and zero at the other pivots:
-a vector coming in is scaled to integers once, by the lcm of its
-denominators, and a reduction step is a v - f row divided by the gcd of
-its entries.  A row becomes Q payloads (divided by its pivot: an int when
-integral, a Fraction otherwise, the payload contract of fields) only where
-it leaves the accumulator, in to_subspace and in the rows stabiliser
-keeps; close hands the integer rows to its images callback, since they
-span the same space.  Every other result over Q keeps the contract through
-canonical_q, which _eliminate applies once, at the end, and the loops skip
-entries where the row being added is zero, so integral work stays in int
-arithmetic.  Over GF(2) a vector is packed as one integer with a byte per
-coordinate, the first coordinate most significant (gf2_pack): adding two
-rows is one XOR, and a row's leading coordinate is its highest set bit.
+Over GF(p) every result is reduced mod p.  Over Q long-lived rows are
+held as integers, and the kernels combine them in int arithmetic.  The
+accumulator eliminates fraction-free (Bareiss, Math. Comp. 1968): a
+vector coming in is scaled to integers once, by the lcm of its
+denominators, a reduction step is a v - f row, and a row is made
+primitive, positive at its pivot, once, when it is stored.  Its rows,
+zero at the other pivots, are the subspace's rows as they are (to_subspace
+and the kept rows of stabiliser); close hands them to its images
+callback.  Subspace.basis is the Q-payload view: each row divided by its
+pivot entry, an int when integral and a Fraction otherwise, the payload
+contract of fields.  A value leaves linalg as Q payloads (reduce,
+coordinates, basis, rref, null_space, from_kernel with the scale it
+carries): linear_combination and reduce put a Fraction result through
+canonical_q, and an all-int result, the usual case, needs nothing.  Over
+GF(2) a vector is packed as one integer with a byte per coordinate, the
+first coordinate most significant (gf2_pack): adding two rows is one
+XOR, and a row's leading coordinate is its highest set bit.
 
-The kernel form of a vector is that packed int over GF(2) and the
-coordinate tuple over every other field.  A subspace stores its rows in
-kernel form (Subspace.rows) as the accumulator builds them, and
-Subspace.basis reads them as tuples; over GF(2) int order on packed rows
-is tuple order on their coordinates, so sorting by rows sorts by
-coordinates.  The structure table (LieAlgebra.kernel_table) and a
-derivation's rows (Matrix.kernel_rows) are packed once each; brackets with
-basis vectors and derivation images come out of kernel_images packed, and
-Subspace.reduce, residuals, contains and coordinates,
-EchelonAccumulator.add, stabiliser and close take them without unpacking;
-residuals laid side by side are joined by shifting.  kernel_form,
-kernel_rows, kernel_sum, kernel_images and from_kernel hold the field
-fork, so their callers never test the field.  A packed int is checked to
-fit its ambient space (AmbientMismatchError otherwise).  rref, brackets
-and derivation values return tuples.  Each primitive branches on the
-field once, outside its loop, because the verification sweeps spend most
-of their time here.
+The kernel form of a vector is that packed int over GF(2), the
+coordinate tuple over GF(p > 2), and over Q a tuple of rationals that is
+a positive multiple of the vector, integral wherever the inputs are.  A
+subspace stores its rows in kernel form (Subspace.rows) as the
+accumulator builds them, and Subspace.basis reads them as coordinate
+tuples; over GF(2) int order on packed rows is tuple order on their
+coordinates, so sorting by rows sorts by coordinates.  Over Q equal spaces
+still have equal rows, but their order is not that of their bases; no Q
+listing is sorted by rows.  The structure table (LieAlgebra.kernel_table)
+and a derivation's rows (Matrix.kernel_rows) are put in kernel form once
+each: packed over GF(2), and over Q integer, one scale per table and one
+per matrix (kernel_scale).  Brackets with basis vectors and derivation
+images come out of kernel_images in kernel form, and Subspace.reduce,
+residuals, contains, coordinates and vector, EchelonAccumulator.add,
+stabiliser and close take them without conversion; residuals laid side
+by side are joined by shifting over GF(2), and over Q each is
+Subspace.scale times the residual.  Callers that allow a free scale
+(spans, membership, stabilisers of maps with one scale) use kernel forms
+as they are; callers that need exact values divide the scale out once,
+through from_kernel.  kernel_form, kernel_rows, kernel_scale, kernel_sum,
+kernel_images and from_kernel hold the field fork, so their callers never
+test the field.  A packed int is checked to fit its ambient space
+(AmbientMismatchError otherwise).  rref, brackets and derivation values
+return tuples.  Each primitive branches on the field once, outside its
+loop, because the verification sweeps spend most of their time here.
 """
 
 from __future__ import annotations
@@ -383,8 +396,11 @@ class Subspace:
     """Subspace of F^n with a canonical RREF basis, stored once as rows in kernel form.
 
     Canonicality makes == and hash structural: two spans are equal exactly
-    when they reduce to the same rows.  rows holds packed ints over GF(2)
-    and coordinate tuples otherwise; basis reads them as coordinate tuples.
+    when they reduce to the same rows.  rows holds packed ints over GF(2),
+    coordinate tuples over GF(p > 2), and over Q the primitive integer
+    multiples of the RREF rows, positive at the pivot and zero at the other
+    pivots; basis reads them as coordinate tuples, over Q divided by their
+    pivot entries.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
@@ -590,9 +606,8 @@ class EchelonAccumulator:
 
     The workhorse behind rref, closure computations and spanning checks;
     add() reports whether the vector enlarged the span.  Its rows are kept
-    in kernel form, packed over GF(2) and tuples over GF(p > 2), which
-    to_subspace hands over as they are; over Q they are primitive integer
-    tuples, which to_subspace divides by their pivots.
+    in kernel form, packed over GF(2), tuples over GF(p > 2) and primitive
+    integer tuples over Q, which to_subspace hands over as they are.
     """
 
     __slots__ = ("field", "ambient_dim", "_rows", "pivots")

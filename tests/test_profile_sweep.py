@@ -1,6 +1,6 @@
 """tools/profile_sweep.py: a seeded sweep, or the analyze-q inputs of a seed, under cProfile.
 
-The report gives calls, packs, unpacks, Fraction constructions and the output digest.
+The report gives calls, packs, unpacks, Fraction constructions (also by lieform caller) and the output digest.
 """
 
 import hashlib
@@ -48,6 +48,8 @@ def test_profile_reports_the_sweep_it_ran(monkeypatch, capsys):
     assert re.search(r"^gf2_pack calls: \d+$", text, re.M) and "Python calls: " in text
     assert re.search(r"^gf2_unpack calls: \d+$", text, re.M)
     assert re.search(r"^Fraction constructions: 0$", text, re.M)
+    assert re.search(r"^Fraction constructions by caller: none$", text, re.M)
+    assert report["fraction_new_by_caller"] == []
     assert "stdout sha256: %s" % digest in text
 
 
@@ -68,4 +70,11 @@ def test_profile_of_the_analyze_q_inputs_gives_the_pinned_output(capsys):
     assert text.startswith("analyze-q: seed 1, 30 algebras, 0 errors\n")
     assert re.search(r"^Fraction constructions: [1-9]\d*$", text, re.M)
     assert "output sha256: %s" % pinned in text
+    # the constructions credited to their nearest lieform callers, most first
+    by_caller = report["fraction_new_by_caller"]
+    assert by_caller and all(row["calls"] > 0 for row in by_caller)
+    assert [row["calls"] for row in by_caller] == sorted((row["calls"] for row in by_caller), reverse=True)
+    assert all(re.fullmatch(r"[a-z_]+\.py:\d+\(\S+\)", row["function"]) for row in by_caller)
+    line = r"[a-z_]+\.py:\d+\(\S+\) \d+"
+    assert re.search(r"^Fraction constructions by caller: %s(, %s)*$" % (line, line), text, re.M)
 
