@@ -168,11 +168,6 @@ def _q_residual(vec: Sequence, rows: Sequence, pivots: Sequence, a: int) -> list
     return v
 
 
-def _pivot_lcm(rows: Sequence, pivots: Sequence) -> int:
-    """The lcm of the pivot entries of integer echelon rows: 1 for none."""
-    return lcm(*[row[c] for row, c in zip(rows, pivots)])
-
-
 def _primitive(v: list) -> list:
     """The integer vector v divided by the gcd of its entries."""
     g = gcd(*v)
@@ -181,10 +176,12 @@ def _primitive(v: list) -> list:
 
 def _integral(vec: Sequence) -> list:
     """A rational vector as integers: times the lcm of its denominators."""
-    if set(map(type, vec)) <= {int}:
-        return list(vec)
-    den = _denominator((vec,))
-    return [x * den if type(x) is int else x.numerator * (den // x.denominator) for x in vec]
+    return list(vec) if set(map(type, vec)) <= {int} else _times(vec, _denominator((vec,)))
+
+
+def _times(vec: Sequence, d: int) -> list:
+    """d times a rational vector whose denominators divide d, as ints."""
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in vec]
 
 
 def _combine(a: int, v: Sequence, f: int, row: Sequence) -> list:
@@ -245,12 +242,11 @@ def kernel_rows(field: Field, rows: Iterable[Sequence], scale: int | None = None
     if field.p is not None:
         return tuple(rows)
     rows = tuple(rows)
-    denominators = {x.denominator for r in rows for x in r if type(x) is not int}
-    if not denominators and scale in (None, 1):
+    if scale in (None, 1) and all(set(map(type, r)) <= {int} for r in rows):
         # integer rows are their own kernel form, shared rather than copied
         return tuple(map(tuple, rows))
-    d = lcm(*denominators) if scale is None else scale
-    return tuple(tuple(x * d if type(x) is int else x.numerator * (d // x.denominator) for x in r) for r in rows)
+    d = _denominator(rows) if scale is None else scale
+    return tuple(tuple(_times(r, d)) for r in rows)
 
 
 def kernel_scale(field: Field, rows: Iterable[Sequence]) -> int:
@@ -447,7 +443,7 @@ class Subspace:
         a times a combination of the basis is an integer combination of
         the rows (vector), and reduce's kernel leaves a times the residual.
         """
-        return _pivot_lcm(self.rows, self.pivots) if self.field.p is None else 1
+        return lcm(*[row[c] for row, c in zip(self.rows, self.pivots)]) if self.field.p is None else 1
 
     @property
     def dim(self) -> int:
