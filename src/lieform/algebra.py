@@ -522,11 +522,13 @@ class FactorView:
         return self.space.dim
 
     def coords(self, vec) -> tuple:
-        """Factor coordinates of a vector of the top space, given in kernel form or as a sequence.
+        """Factor coordinates of a vector of the top space, packed or as a sequence of its exact entries.
 
         The vector is put in kernel form once: over GF(2) it is packed,
         reduced by bottom, tested against space and read at its pivots
-        as one packed int.
+        as one packed int.  Over Q bottom.reduce gives the exact residual,
+        so a vector that carries a scale (a kernel_brackets image) gets
+        its coordinates times that scale.
         """
         field, n = self.algebra.field, self.algebra.dim
         coeffs = self.space.coordinates(self.bottom.reduce(kernel_form(field, vec, n)))
