@@ -6,10 +6,11 @@ algebra over that table.  A bracket [e_k, v] with a basis vector is the
 rows table[k] combined by v: kernel_brackets reads it for every e_k, and
 formations._complement_space only for the e_k it needs.  bracket pairs two
 general vectors as one sum of table entries.  Both work on kernel_table,
-the table in linalg's kernel form, cached through memo, so release drops
-it: over GF(2) every entry packed once per algebra, over Q integers, the
-table times one scale per algebra (kernel_scale), which bracket divides
-out once.  The callers that
+the table in linalg's kernel form, cached through memo under one key, so
+release drops it: over GF(2) every entry packed once per algebra, over Q
+integers, the table times one scale per algebra (kernel_scale), which
+bracket divides out once; an integral table, as over GF(p > 2), is its
+own kernel form and is not cached.  The callers that
 only feed a kernel (is_ideal, the lower central series,
 centralizer_of_factor, core, chief._spin, formations._centralised, the
 derivation criteria) hand a subspace's kernel-form rows (Subspace.rows)
@@ -273,15 +274,12 @@ class LieAlgebra:
         Over GF(2) every entry is packed.  Over Q the entries are integers,
         kernel_scale() times the table, so brackets of integer vectors stay
         in int arithmetic; an integral table is its own, as is the table
-        over GF(p > 2).
+        over GF(p > 2), and is not cached.
         """
-        p = self.field.p
-        if p == 2:
-            return self.memo("packed_table", lambda: _kernel_table(self.field, self.table))
-        if p is None and self.kernel_scale() != 1:
-            return self.memo("integer_table", lambda: _kernel_table(self.field, self.table))
-        # payloads are canonical, so a table over Q with scale 1 is all ints
-        return self.table
+        if self.field.p != 2 and self.kernel_scale() == 1:
+            # payloads are canonical, so a table with scale 1 is all ints
+            return self.table
+        return self.memo("kernel_table", lambda: _kernel_table(self.field, self.table))
 
     def kernel_scale(self) -> int:
         """The positive D with kernel_table() equal to D times the table: the lcm of its denominators over Q, else 1."""

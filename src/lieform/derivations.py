@@ -118,20 +118,23 @@ def derivation_algebra(algebra: LieAlgebra) -> DerivationAlgebra:
     def compute():
         n = algebra.dim
         field = algebra.field
+        # the equations are linear in the structure constants, so D times
+        # the table (the integer kernel table over Q) has the same null space
+        table = algebra.table if field.p == 2 else algebra.kernel_table()
         zero = field.zero()
         equations = []
         for i in range(n):
             for j in range(i + 1, n):
-                t = algebra.table[i][j]
+                t = table[i][j]
                 for k in range(n):
                     row = [zero] * (n * n)
                     for m in range(n):
                         if t[m]:
                             row[m * n + k] = field.add(row[m * n + k], t[m])
-                        c1 = algebra.table[m][j][k]
+                        c1 = table[m][j][k]
                         if c1:
                             row[i * n + m] = field.sub(row[i * n + m], c1)
-                        c2 = algebra.table[i][m][k]
+                        c2 = table[i][m][k]
                         if c2:
                             row[j * n + m] = field.sub(row[j * n + m], c2)
                     if any(row):

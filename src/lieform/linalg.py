@@ -6,33 +6,36 @@ immutable record of such rows that a derivation stores.  A subspace stores
 its canonical reduced-row-echelon basis once, as rows in kernel form (see
 below), which makes equality, hashing and deduplication exact.
 
-Each vector job has one kernel per representation.  Row reduction clears
-the pivot columns of a vector against echelon rows: _eliminate on tuples
-over GF(p) for p > 2, _q_residual on integer rows over Q and _xor_reduce
-on packed rows over GF(2).  RREF, membership and incremental spans are
-built on them, coordinates in an RREF basis are read at its pivots, and
-vectors are summed in one loop per representation: linear_combination on
-tuples, kernel_sum on packed rows over GF(2) (kernel_images XORs the same
-packed rows for many maps).  stabiliser is the one "which combination of
-these maps sends a basis into B" kernel, behind centralisers, normalisers,
-cores, intersections and stabilising derivations.  It takes one echelon
-pass over the rows [reduced images | identity] and returns the
-coefficient vectors, which refer to the maps as given, as a subspace
-already in RREF; Subspace.combinations maps such coefficients over a
-subspace's rows back to canonical rows without a second elimination.  A
-stabiliser row may be scaled only together with its identity part: a map
-given as s times another has its coefficients scaled by 1/s.
+Each vector job has one kernel per form: packed rows over GF(2), integer
+rows over GF(p > 2) and Q.  Row reduction clears the pivot columns of a
+vector against echelon rows: _xor_reduce on packed rows, _residual on
+integer rows, reduced mod p once at the end over GF(p).  RREF, membership
+and incremental spans are built on them, coordinates in an RREF basis are
+read at its pivots, and vectors are summed in one loop per form:
+linear_combination on integer rows, kernel_sum on packed rows
+(kernel_images XORs the same packed rows for many maps).  stabiliser is
+the one "which combination of these maps sends a basis into B" kernel,
+behind centralisers, normalisers, cores, intersections and stabilising
+derivations.  It takes one echelon pass over the rows [reduced images |
+identity] and returns the coefficient vectors, which refer to the maps as
+given, as a subspace already in RREF; Subspace.combinations maps such
+coefficients over a subspace's rows back to canonical rows without a
+second elimination.  A stabiliser row may be scaled only together with
+its identity part: a map given as s times another has its coefficients
+scaled by 1/s.
 
-Over GF(p) every result is reduced mod p.  Over Q long-lived rows are
-held as integers, and the kernels combine them in int arithmetic.  The
-accumulator eliminates fraction-free (Bareiss, Math. Comp. 1968): a
-vector coming in is scaled to integers once, by the lcm of its
+Over GF(p) every result is reduced mod p.  Outside GF(2) long-lived rows
+are held as integers and combined in int arithmetic; an RREF row over
+GF(p > 2) has pivot entry 1, so it is a Q row of scale 1 reduced mod p.
+The accumulator eliminates fraction-free (Bareiss, Math. Comp. 1968): a
+vector coming in over Q is scaled to integers once, by the lcm of its
 denominators, a reduction step is a v - f row, and a row is made
-primitive, positive at its pivot, once, when it is stored.  Its rows,
-zero at the other pivots, are the subspace's rows as they are (to_subspace
-and the kept rows of stabiliser); close hands them to its images
-callback.  Subspace.basis is the Q-payload view: each row divided by its
-pivot entry, an int when integral and a Fraction otherwise, the payload
+canonical once, when it is stored (_normalised): a leading 1 over GF(p),
+primitive and positive at its pivot over Q.  Its rows, zero at the other
+pivots, are the subspace's rows as they are (to_subspace and the kept
+rows of stabiliser); close hands them to its images callback.
+Subspace.basis is the payload view: each row divided by its pivot entry,
+over Q an int when integral and a Fraction otherwise, the payload
 contract of fields.  A value leaves linalg as Q payloads (reduce,
 coordinates, basis, rref, null_space, from_kernel with the scale it
 carries): linear_combination and reduce put a Fraction result through
@@ -41,9 +44,9 @@ GF(2) a vector is packed as one integer with a byte per coordinate, the
 first coordinate most significant (gf2_pack): adding two rows is one
 XOR, and a row's leading coordinate is its highest set bit.
 
-The kernel form of a vector is that packed int over GF(2), the
-coordinate tuple over GF(p > 2), and over Q a tuple of rationals that is
-a positive multiple of the vector, integral wherever the inputs are.  A
+The kernel form of a vector is that packed int over GF(2), and otherwise
+a tuple that is a positive multiple of the vector: the coordinate tuple
+over GF(p > 2), and over Q integral wherever the inputs are.  A
 subspace stores its rows in kernel form (Subspace.rows) as the
 accumulator builds them, and Subspace.basis reads them as coordinate
 tuples; over GF(2) int order on packed rows is tuple order on their
@@ -134,29 +137,16 @@ def _packed(vec, n: int) -> int:
     return gf2_pack(vec)
 
 
-def _eliminate(vec: Sequence, rows: Sequence, pivots: Sequence, p: int) -> list:
-    """The residual of vec with its pivot columns cleared by the matching echelon rows, over GF(p) for p > 2.
-
-    The residual is zero exactly when vec lies in the span of the rows.
-    GF(2) never comes here, it has _xor_reduce, and Q has _q_residual.
-    """
-    # an entry outside 0..p-1 is reduced here, so every output is too
-    v = [x % p for x in vec]
-    for row, c in zip(rows, pivots):
-        f = v[c]
-        if f:
-            v = [(a - f * b) % p for a, b in zip(v, row)]
-    return v
-
-
-def _q_residual(vec: Sequence, rows: Sequence, pivots: Sequence, a: int) -> list:
-    """a times the residual of a rational vec modulo integer echelon rows, a the lcm of their pivot entries.
+def _residual(vec: Sequence, rows: Sequence, pivots: Sequence, a: int, p: int | None) -> list:
+    """a times the residual of vec modulo integer echelon rows, a the lcm of their pivot entries; reduced mod p over GF(p).
 
     Each row is zero at the other pivots, so the residual is one
     combination, vec - sum_i vec[c_i] row_i / row_i[c_i], and a times it
-    takes no division: integer entries stay ints.  A Fraction entry of vec
-    may leave a Fraction(k, 1), which canonical_q mends where a value
-    leaves linalg.
+    takes no division: integer entries stay ints.  Over GF(p) for p > 2
+    every pivot entry is 1, so a is 1, and the one reduction mod p at the
+    end also reduces an entry of vec outside 0..p-1.  Over Q a Fraction
+    entry of vec may leave a Fraction(k, 1), which canonical_q mends where
+    a value leaves linalg.  GF(2) never comes here, it has _xor_reduce.
     """
     v = list(vec) if a == 1 else [a * x for x in vec]
     for row, c in zip(rows, pivots):
@@ -165,13 +155,26 @@ def _q_residual(vec: Sequence, rows: Sequence, pivots: Sequence, a: int) -> list
             if a != 1:
                 f *= a // row[c]
             v = [x - f * y if y else x for x, y in zip(v, row)]
-    return v
+    return v if p is None else [x % p for x in v]
 
 
-def _primitive(v: list) -> list:
-    """The integer vector v divided by the gcd of its entries."""
-    g = gcd(*v)
-    return v if g <= 1 else [x // g for x in v]
+def _normalised(v: Sequence, p: int | None) -> tuple:
+    """The integer row v in canonical form, () when it is zero.
+
+    Over GF(p) it is reduced mod p and scaled to a leading 1; over Q it is
+    divided by the gcd of its entries, signed so the leading entry is
+    positive.
+    """
+    if p is not None:
+        v = [x % p for x in v]
+    lead = next(filter(None, v), 0)
+    if not lead or lead == 1:
+        return tuple(v) if lead else ()
+    if p is not None:
+        inverse = pow(lead, -1, p)
+        return tuple([x * inverse % p for x in v])
+    g = gcd(*v) if lead > 0 else -gcd(*v)
+    return tuple(v) if g == 1 else tuple([x // g for x in v])
 
 
 def _integral(vec: Sequence) -> list:
@@ -194,7 +197,7 @@ def _combine(a: int, v: Sequence, f: int, row: Sequence) -> list:
 
 
 def _q_payloads(row: Sequence, a: int) -> tuple:
-    """The rational row divided by a > 0, as Q payloads; a Fraction only where a does not divide."""
+    """The integer row divided by a > 0, as payloads; a Fraction only where a does not divide, the row as a tuple for a = 1."""
     if a == 1:
         return tuple(row)
     return tuple(x // a if x % a == 0 else Fraction(x, a) for x in row)
@@ -232,15 +235,13 @@ def kernel_form(field: Field, vec, n: int):
 def kernel_rows(field: Field, rows: Iterable[Sequence], scale: int | None = None) -> tuple:
     """The rows in kernel form, unchecked: the caller knows their length.
 
-    Over GF(2) each row is packed.  Over Q they are integer rows: scale
-    times the rows, by default kernel_scale(field, rows), the lcm of their
-    denominators, so a sum of them by integer coefficients stays in int
-    arithmetic; a given scale must be a multiple of it.
+    Over GF(2) each row is packed.  Otherwise they are integer rows: scale
+    times the rows, by default kernel_scale(field, rows) (1 over GF(p)),
+    so a sum of them by integer coefficients stays in int arithmetic; a
+    given scale must be a multiple of it.
     """
     if field.p == 2:
         return tuple(map(gf2_pack, rows))
-    if field.p is not None:
-        return tuple(rows)
     rows = tuple(rows)
     if scale in (None, 1) and all(set(map(type, r)) <= {int} for r in rows):
         # integer rows are their own kernel form, shared rather than copied
@@ -296,9 +297,7 @@ def kernel_images(field: Field, vectors: Sequence, maps: Iterable[Sequence], n: 
 
 def from_kernel(field: Field, vec, n: int, scale: int = 1) -> tuple:
     """A kernel-form vector of F^n as a coordinate tuple; over Q divided by the positive scale it carries."""
-    if field.p == 2:
-        return gf2_unpack(vec, n)
-    return _q_payloads(vec, scale) if field.p is None else tuple(vec)
+    return gf2_unpack(vec, n) if field.p == 2 else _q_payloads(vec, scale)
 
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple:
@@ -392,11 +391,11 @@ class Subspace:
     """Subspace of F^n with a canonical RREF basis, stored once as rows in kernel form.
 
     Canonicality makes == and hash structural: two spans are equal exactly
-    when they reduce to the same rows.  rows holds packed ints over GF(2),
-    coordinate tuples over GF(p > 2), and over Q the primitive integer
-    multiples of the RREF rows, positive at the pivot and zero at the other
-    pivots; basis reads them as coordinate tuples, over Q divided by their
-    pivot entries.
+    when they reduce to the same rows.  rows holds packed ints over GF(2)
+    and otherwise integer multiples of the RREF rows, zero at the other
+    pivots: the RREF rows themselves over GF(p > 2), pivot entry 1, and
+    over Q primitive, positive at the pivot.  basis reads them as
+    coordinate tuples, each divided by its pivot entry.
     """
 
     __slots__ = ("field", "ambient_dim", "rows", "pivots")
@@ -428,13 +427,10 @@ class Subspace:
 
     @property
     def basis(self) -> tuple:
-        """The RREF rows as coordinate tuples: over Q each integer row divided by its pivot entry."""
-        p = self.field.p
-        if p == 2:
+        """The RREF rows as coordinate tuples: each integer row divided by its pivot entry, 1 over GF(p > 2)."""
+        if self.field.p == 2:
             return tuple(gf2_unpack(r, self.ambient_dim) for r in self.rows)
-        if p is None:
-            return tuple(_q_payloads(row, row[c]) for row, c in zip(self.rows, self.pivots))
-        return self.rows
+        return tuple(_q_payloads(row, row[c]) for row, c in zip(self.rows, self.pivots))
 
     @property
     def scale(self) -> int:
@@ -487,10 +483,9 @@ class Subspace:
             residual = _xor_reduce(_packed(vec, n), self.rows)
             return residual if isinstance(vec, int) else list(residual.to_bytes(n, "big"))
         _check_length(vec, n)
-        if p is not None:
-            return _eliminate(vec, self.rows, self.pivots, p)
         a = self.scale
-        return list(map(canonical_q, _q_payloads(_q_residual(vec, self.rows, self.pivots, a), a)))
+        residual = _residual(vec, self.rows, self.pivots, a, p)
+        return residual if p is not None else list(map(canonical_q, _q_payloads(residual, a)))
 
     def residuals(self, vectors: Iterable) -> list | int:
         """The residuals of the vectors laid side by side, one vector of F^(n k) in kernel form.
@@ -505,7 +500,7 @@ class Subspace:
             joined = []
             for v in vectors:
                 _check_length(v, n)
-                joined += _eliminate(v, rows, pivots, p) if p is not None else _q_residual(v, rows, pivots, a)
+                joined += _residual(v, rows, pivots, a, p)
             return joined
         shift, joined = 8 * n, 0
         for v in vectors:
@@ -517,9 +512,7 @@ class Subspace:
         if p == 2:
             return not _xor_reduce(_packed(vec, n), self.rows)
         _check_length(vec, n)
-        if p is not None:
-            return not any(_eliminate(vec, self.rows, self.pivots, p))
-        return not any(_q_residual(vec, self.rows, self.pivots, self.scale))
+        return not any(_residual(vec, self.rows, self.pivots, self.scale, p))
 
     def vector(self, coords: Sequence):
         """scale times the combination of the basis by coords, in kernel form: packed over GF(2), integral over Q.
@@ -590,10 +583,10 @@ class Subspace:
                 % (coefficients.field, coefficients.ambient_dim, self.dim, self.field)
             )
         field, n = self.field, self.ambient_dim
-        if field.p is None:
-            rows = tuple(tuple(_primitive(linear_combination(field, c, self.rows, n))) for c in coefficients.rows)
-        else:
+        if field.p == 2:
             rows = tuple(kernel_sum(field, c, self.rows, n) for c in coefficients.basis)
+        else:
+            rows = tuple(_normalised(linear_combination(field, c, self.rows, n), field.p) for c in coefficients.rows)
         return Subspace(field, n, rows, tuple(self.pivots[k] for k in coefficients.pivots))
 
 
@@ -602,8 +595,8 @@ class EchelonAccumulator:
 
     The workhorse behind rref, closure computations and spanning checks;
     add() reports whether the vector enlarged the span.  Its rows are kept
-    in kernel form, packed over GF(2), tuples over GF(p > 2) and primitive
-    integer tuples over Q, which to_subspace hands over as they are.
+    in kernel form, packed over GF(2) and otherwise the integer rows of
+    Subspace.rows, which to_subspace hands over as they are.
     """
 
     __slots__ = ("field", "ambient_dim", "_rows", "pivots")
@@ -633,49 +626,25 @@ class EchelonAccumulator:
                     self._rows[k] = row ^ v
             self._insert(v, self.ambient_dim - 1 - top // 8)
             return True
-        field, n = self.field, self.ambient_dim
-        _check_length(vec, n)
-        if field.p is None:
-            return self._add_integral(_integral(vec))
-        v = _eliminate(vec, self._rows, self.pivots, field.p)
-        c = next((j for j, x in enumerate(v) if x), None)
-        if c is None:
-            return False
-        # scaled to a leading 1, as a tuple: linear_combination returns one
-        v = tuple(v) if v[c] == 1 else linear_combination(field, (field.inv(v[c]),), (v,), n)
-        # back-substitute so the other rows stay zero in the new pivot column
-        for k, row in enumerate(self._rows):
-            if row[c]:
-                self._rows[k] = tuple(_eliminate(row, (v,), (c,), field.p))
-        self._insert(v, c)
-        return True
-
-    def _add_integral(self, v: list) -> bool:
-        """add() over Q, on an integer vector.
-
-        Clearing a pivot is v -> a v - f row, with a the row's pivot entry
-        and f v's, both divided by their gcd: no entry leaves the integers.
-        The vector is made primitive once, when it is stored, and so is
-        each row it changes.
-        """
+        p = self.field.p
+        _check_length(vec, self.ambient_dim)
+        v = _integral(vec) if p is None else vec
         for row, c in zip(self._rows, self.pivots):
             f = v[c]
             if f:
                 v = _combine(row[c], v, f, row)
-        # the first nonzero value is first found at its own position
-        lead = next(filter(None, v), 0)
-        if not lead:
+        v = _normalised(v, p)
+        if not v:
             return False
-        c = v.index(lead)
-        g = gcd(*v) if lead > 0 else -gcd(*v)
-        v = tuple(v) if g == 1 else tuple([x // g for x in v])
+        # the first nonzero value is first found at its own position
+        c = v.index(next(filter(None, v)))
         # back-substitute so the other rows stay zero in the new pivot
         # column; a > 0 keeps each of them positive at its own pivot
         a = v[c]
         for k, row in enumerate(self._rows):
             f = row[c]
             if f:
-                self._rows[k] = tuple(_primitive(_combine(a, row, f, v)))
+                self._rows[k] = _normalised(_combine(a, row, f, v), p)
         self._insert(v, c)
         return True
 

@@ -28,7 +28,7 @@ from lieform import (
     rref,
     sweep_run,
 )
-from lieform.linalg import _q_residual, close, kernel_form, kernel_rows, linear_combination, stabiliser
+from lieform.linalg import _residual, close, kernel_form, kernel_rows, linear_combination, stabiliser
 from support import (
     gf2_rotation_sum, gf3_rotation, h3, identity_rows, is_q_payload, naive_null_space, naive_rref,
     r2_plus_line,
@@ -311,7 +311,7 @@ def test_rational_kernel_outputs_are_canonical():
             integral = [rng.randint(-9, 9) for _ in range(m)]
             kernel_outputs = [
                 span.residuals([integral, integral]),
-                _q_residual(integral, span.rows, span.pivots, span.scale),
+                _residual(integral, span.rows, span.pivots, span.scale, None),
                 span.vector(integral[: span.dim]),
                 kernel_rows(Q, rows)[0],
             ]
@@ -490,9 +490,10 @@ def test_integral_rational_span_builds_no_fraction(monkeypatch):
 
 
 def unreduced(rng, x, p):
-    """A random representative of x mod p among -3..5 and the bools."""
+    """A random representative of x mod p among -3..5, the bools and x + k p for k in -1, 0, 1."""
     choices = [y for y in range(-3, 6) if (y - x) % p == 0]
     choices += [b for b in (False, True) if (b - x) % p == 0]
+    choices += [x + k * p for k in (-1, 0, 1)]
     return rng.choice(choices)
 
 
@@ -525,10 +526,11 @@ def test_wrong_length_vector_refused(field):
     assert acc.rank == 0
 
 
-@pytest.mark.parametrize("p", [2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 2**31 - 1])
 def test_finite_field_kernel_matches_naive_oracle(p):
-    # entries -3..5 and bools, reduced by nothing before the call: GF(2) runs
-    # the packed kernel, GF(3) the tuple kernel, against one textbook oracle
+    # entries -3..5, bools and x + k p, reduced by nothing before the call:
+    # GF(2) runs the packed kernel, GF(p > 2) the integer-row kernel that Q
+    # shares, against one textbook oracle
     field = Field(p)
     rng = random.Random(2030 + p)
     ranks_seen = set()
@@ -608,15 +610,22 @@ def test_bracket_matches_table_oracle(algebra):
 
 def test_gf2_never_reaches_the_tuple_kernel(monkeypatch):
     # over GF(2) reduction is packed XOR and coordinates are read at the
-    # pivots, so the tuple kernel sees Q and GF(p > 2) only
-    tuple_kernel = linalg._eliminate
+    # pivots, so the integer-row kernel (its residual and the rows the
+    # accumulator stores) sees Q and GF(p > 2) only
+    residual, normalised = linalg._residual, linalg._normalised
 
-    def guarded(vec, rows, pivots, p):
+    def guarded_residual(vec, rows, pivots, a, p):
         if p == 2:
-            raise AssertionError("a GF(2) vector reached the tuple kernel")
-        return tuple_kernel(vec, rows, pivots, p)
+            raise AssertionError("a GF(2) vector reached the integer-row residual")
+        return residual(vec, rows, pivots, a, p)
 
-    monkeypatch.setattr(linalg, "_eliminate", guarded)
+    def guarded_normalised(v, p):
+        if p == 2:
+            raise AssertionError("a GF(2) row reached the integer-row accumulator")
+        return normalised(v, p)
+
+    monkeypatch.setattr(linalg, "_residual", guarded_residual)
+    monkeypatch.setattr(linalg, "_normalised", guarded_normalised)
     result = sweep_run(SweepConfig(field="GF(2)", max_dim=3), threads=1)
     assert result.ok and result.algebras > 0
     algebra = gf2_rotation_sum()

@@ -234,6 +234,6 @@ def test_immutable_rows_are_packed_once(monkeypatch):
     assert stabiliser(F2, algebra.kernel_brackets(vecs), into) == expected
     assert packed == [], "packed again: %s" % packed
 
-    assert "packed_table" in algebra._cache
+    assert "kernel_table" in algebra._cache
     algebra.release()
-    assert "packed_table" not in algebra._cache
+    assert "kernel_table" not in algebra._cache
