@@ -197,7 +197,7 @@ def _combine(a: int, v: Sequence, f: int, row: Sequence) -> list:
 
 
 def _q_payloads(row: Sequence, a: int) -> tuple:
-    """The integer row divided by a > 0, as payloads; a Fraction only where a does not divide, the row as a tuple for a = 1."""
+    """The rational row divided by a > 0, as payloads; a Fraction only where a does not divide, the row as a tuple for a = 1."""
     if a == 1:
         return tuple(row)
     return tuple(x // a if x % a == 0 else Fraction(x, a) for x in row)
@@ -571,11 +571,11 @@ class Subspace:
         """The combinations of these rows whose coefficient rows span `coefficients`.
 
         The coefficients are on rows, as stabiliser gives them for the rows'
-        images; over Q those are the integer rows, elsewhere the basis.
-        Both sets of rows are in RREF and these are zero at each other's
-        pivot columns, so the combined rows are already in RREF, with
-        pivots at these rows' pivots picked by the coefficients' pivots;
-        over Q each is made primitive, and its pivot entry stays positive.
+        images: the integer rows (the basis over GF(p > 2)), over GF(2) the
+        basis.  Both sets of rows are in RREF and these are zero at each
+        other's pivot columns, so the combined rows are already in RREF,
+        with pivots at these rows' pivots picked by the coefficients'
+        pivots; _normalised makes each canonical, as the accumulator does.
         """
         if coefficients.field != self.field or coefficients.ambient_dim != self.dim:
             raise AmbientMismatchError(
